@@ -42,6 +42,19 @@
 //!   can ever traverse a dead slot and memory is bounded by the peak
 //!   membership between rebuilds.
 //!
+//! A re-homed orphan must not attach inside its own subtree, and the
+//! search checks that without flattening the subtree: a candidate is
+//! walked up its ancestors only if it would win its cell, and the walk
+//! stops at the first ancestor whose cached delay is below the orphan's.
+//! Cached delays never decrease along an edge, so the cut-off is exact,
+//! and re-homing costs O(probes) plus the O(subtree) delay refresh.
+//!
+//! Rebuilds assign slots cell-major: sorted by grid cell, in join order
+//! within each cell, so a cell's hosts are contiguous in memory and every
+//! open, member and child list keeps its join-order sequence (ties break
+//! as before). Slot order never shows outside: [`DynamicOverlay::snapshot`]
+//! lists hosts by id, which is join order.
+//!
 //! [`DynamicOverlay::assert_invariants`] re-verifies all of this — plus
 //! spanning, acyclicity, and the degree budget *including the source* —
 //! from scratch; the churn fuzz suite runs it after every membership event.
@@ -100,8 +113,10 @@ struct WriteLog {
 /// searches are logically read-only (`&self`) and the overlay is shared
 /// across threads during sharded speculation. `cells_scanned` counts
 /// open-list consultations (one per cell whose open list was walked);
-/// `cost_probes` counts attach-cost evaluations. Both run in scan mode
-/// and index mode, so the two paths' work is directly comparable.
+/// `cost_probes` counts attach-cost evaluations, one per open host a
+/// consultation scores. Both run in scan mode and index mode, so the two
+/// paths' work is directly comparable, and both are bumped once per
+/// consultation rather than once per candidate.
 #[derive(Debug, Default)]
 struct SearchProbes {
     cells_scanned: std::sync::atomic::AtomicU64,
@@ -119,16 +134,12 @@ impl Clone for SearchProbes {
 }
 
 impl SearchProbes {
+    /// Records one open-list consultation that scored `costs` hosts.
     #[inline]
-    fn bump_cells(&self) {
-        self.cells_scanned
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn bump_costs(&self, by: u64) {
-        self.cost_probes
-            .fetch_add(by, std::sync::atomic::Ordering::Relaxed);
+    fn bump(&self, costs: u64) {
+        use std::sync::atomic::Ordering;
+        self.cells_scanned.fetch_add(1, Ordering::Relaxed);
+        self.cost_probes.fetch_add(costs, Ordering::Relaxed);
     }
 }
 
@@ -182,6 +193,9 @@ pub struct DynamicOverlay {
     hgrid: Option<HGrid>,
     /// Parent-search work counters.
     probes: SearchProbes,
+    /// Reused work stack of `refresh_subtree_delays`, so re-homing a
+    /// subtree allocates nothing.
+    refresh_stack: Vec<u32>,
 }
 
 impl DynamicOverlay {
@@ -217,6 +231,7 @@ impl DynamicOverlay {
             write_log: WriteLog::default(),
             hgrid: None,
             probes: SearchProbes::default(),
+            refresh_stack: Vec::new(),
         };
         if omt_geom::hgrid::env_enabled() {
             overlay.set_hgrid(true);
@@ -244,8 +259,11 @@ impl DynamicOverlay {
 
     /// The parent-search work counters accumulated since the last
     /// [`reset_search_probes`](Self::reset_search_probes), as
-    /// `(cells_scanned, cost_probes)`: open-list consultations and
-    /// attach-cost evaluations.
+    /// `(cells_scanned, cost_probes)`: open-list consultations, and
+    /// attach-cost evaluations with exactly one count per evaluation
+    /// (each consultation scores every host on the open list once,
+    /// including hosts a re-homing search then rejects as lying inside
+    /// the orphan's own subtree).
     pub fn search_probes(&self) -> (u64, u64) {
         use std::sync::atomic::Ordering;
         (
@@ -445,7 +463,12 @@ impl DynamicOverlay {
         let root_cell = self.hosts[r].cell;
         self.note_cell_write(root_cell);
         let mut refreshed = 1u64;
-        let mut stack = vec![root];
+        if self.hosts[r].children.is_empty() {
+            omt_obs::obs_observe!("dynamic/refresh_size", refreshed);
+            return;
+        }
+        let mut stack = std::mem::take(&mut self.refresh_stack);
+        stack.push(root);
         while let Some(u) = stack.pop() {
             let u = u as usize;
             for i in 0..self.hosts[u].children.len() {
@@ -459,6 +482,7 @@ impl DynamicOverlay {
                 stack.push(c as u32);
             }
         }
+        self.refresh_stack = stack;
         omt_obs::obs_observe!("dynamic/refresh_size", refreshed);
     }
 
@@ -575,7 +599,7 @@ impl DynamicOverlay {
     /// Chooses the parent slot for a joining position (`None` = source).
     fn find_parent_for(&self, position: &Point2) -> Option<u32> {
         let source_open = self.source_children < self.max_out_degree;
-        if let Some(p) = self.chain_candidate(position, None) {
+        if let Some((_, p)) = self.chain_candidate(position, None) {
             return Some(p);
         }
         if source_open {
@@ -584,18 +608,15 @@ impl DynamicOverlay {
         // Global fallback: any open host, preferring small delay.
         let best = self.best_open_excluding(position, None);
         assert!(best.is_some(), "a degree >= 2 tree always has an open host");
-        best
+        best.map(|(_, s)| s)
     }
 
     /// The cheapest eligible open host along the ancestor-cell chain of
-    /// `position`: its own cell's open hosts first, then each ancestor
-    /// cell's, stopping at the first cell that yields a candidate. This is
-    /// the cell-local state a decentralized implementation replicates.
-    fn chain_candidate(
-        &self,
-        position: &Point2,
-        banned: Option<&std::collections::HashSet<u32>>,
-    ) -> Option<u32> {
+    /// `position`, with its attach cost: its own cell's open hosts first,
+    /// then each ancestor cell's, stopping at the first cell that yields a
+    /// candidate. This is the cell-local state a decentralized
+    /// implementation replicates.
+    fn chain_candidate(&self, position: &Point2, banned: Option<u32>) -> Option<(f64, u32)> {
         let mut cell = self.cell_of(position);
         let mut hops = 0u64;
         loop {
@@ -610,16 +631,7 @@ impl DynamicOverlay {
             let best = if known_empty {
                 None
             } else {
-                self.probes.bump_cells();
-                self.cell_open[cell]
-                    .iter()
-                    .copied()
-                    .filter(|s| !banned.is_some_and(|set| set.contains(s)))
-                    .min_by(|&a, &b| {
-                        self.probes.bump_costs(2);
-                        self.attach_cost(a, position)
-                            .total_cmp(&self.attach_cost(b, position))
-                    })
+                self.scan_cell_for(cell, position, banned)
             };
             if best.is_some() {
                 omt_obs::obs_observe!("dynamic/chain_len", hops);
@@ -641,16 +653,13 @@ impl DynamicOverlay {
     }
 
     /// The cheapest open host for `position` over the whole open index,
-    /// skipping hosts in `banned` (the flat set of a subtree being
-    /// re-homed) when given. Deterministic: first minimum wins — i.e. the
-    /// winner is the lexicographic minimum of `(cost, cell, list
-    /// position)`, which is exactly the tie rule the capacity-index
-    /// search preserves, so both paths return the same host bit for bit.
-    fn best_open_excluding(
-        &self,
-        position: &Point2,
-        banned: Option<&std::collections::HashSet<u32>>,
-    ) -> Option<u32> {
+    /// with its attach cost, skipping the subtree rooted at `banned` (the
+    /// orphan being re-homed) when given. Deterministic: first minimum
+    /// wins — i.e. the winner is the lexicographic minimum of `(cost,
+    /// cell, list position)`, which is exactly the tie rule the
+    /// capacity-index search preserves, so both paths return the same host
+    /// bit for bit.
+    fn best_open_excluding(&self, position: &Point2, banned: Option<u32>) -> Option<(f64, u32)> {
         if let Some(hg) = &self.hgrid {
             // Bound-pruned best-first search. The per-cell closure
             // reproduces the scan's in-cell rule (earliest strict
@@ -665,7 +674,7 @@ impl DynamicOverlay {
                     |cell| self.scan_cell_for(cell, position, banned),
                     None,
                 )
-                .map(|(_, _, s)| s);
+                .map(|(cost, _, s)| (cost, s));
         }
         let mut best: Option<(f64, u32)> = None;
         for cell in 0..self.cell_open.len() {
@@ -675,30 +684,53 @@ impl DynamicOverlay {
                 }
             }
         }
-        best.map(|(_, s)| s)
+        best
     }
 
-    /// Scans one cell's open list for the cheapest eligible host
-    /// (earliest strict minimum), counting the work.
+    /// Scans one cell's open list for the cheapest host outside the
+    /// subtree rooted at `banned`, with its attach cost. Every cost is
+    /// evaluated once and the earliest strict minimum wins; the subtree
+    /// test runs only for a host that would take the lead, since a host
+    /// that does not cannot change the answer either way.
     fn scan_cell_for(
         &self,
         cell: usize,
         position: &Point2,
-        banned: Option<&std::collections::HashSet<u32>>,
+        banned: Option<u32>,
     ) -> Option<(f64, u32)> {
-        self.probes.bump_cells();
+        let open = &self.cell_open[cell];
+        self.probes.bump(open.len() as u64);
         let mut best: Option<(f64, u32)> = None;
-        for &s in &self.cell_open[cell] {
-            if banned.is_some_and(|set| set.contains(&s)) {
-                continue;
-            }
-            self.probes.bump_costs(1);
+        for &s in open {
             let cost = self.attach_cost(s, position);
-            if best.is_none_or(|(bc, _)| cost < bc) {
+            if best.is_none_or(|(bc, _)| cost < bc)
+                && !banned.is_some_and(|root| self.in_subtree(s, root))
+            {
                 best = Some((cost, s));
             }
         }
         best
+    }
+
+    /// Whether host `s` lies in the subtree rooted at `root`. Walks up
+    /// from `s` and gives up at the first ancestor whose cached delay is
+    /// below `root`'s: cached delays never decrease along an edge (each is
+    /// `fl(delay(parent) + edge)` with `edge ≥ 0`, and `fl(a + d) ≥ a`),
+    /// so no such host can lie in the subtree. Equal delays (zero-length
+    /// edges) keep walking. The walk also ends at any host without a
+    /// parent: a source child, or an orphan awaiting re-homing.
+    fn in_subtree(&self, mut s: u32, root: u32) -> bool {
+        let floor = self.hosts[root as usize].delay;
+        loop {
+            if s == root {
+                return true;
+            }
+            let h = &self.hosts[s as usize];
+            match h.parent {
+                Some(p) if h.delay >= floor => s = p,
+                _ => return false,
+            }
+        }
     }
 
     /// Removes a host.
@@ -757,6 +789,8 @@ impl DynamicOverlay {
                 if c == promoted {
                     continue;
                 }
+                #[cfg(test)]
+                tests::audit_in_subtree(self, c, promoted, &children);
                 let pos = self.hosts[c as usize].position;
                 let parent = self.find_parent_for_excluding(&pos, c);
                 self.attach(c, parent);
@@ -774,32 +808,22 @@ impl DynamicOverlay {
     /// path walks (the pre-change code scanned every live host here, which
     /// both made interior leaves O(n·depth) and consulted global state a
     /// decentralized node would not have), with a global scan only as the
-    /// last-resort fallback. Returns `None` (= attach to the source) only
-    /// when the source has spare out-degree: the previous implementation
-    /// silently fell back to the source when no open candidate survived
-    /// the subtree filter, which would break the degree cap whenever the
-    /// source was already full.
+    /// last-resort fallback. Subtree membership is asked of would-be
+    /// winners only, through [`in_subtree`](Self::in_subtree), so the
+    /// search costs O(probes) whatever the size of the orphan's subtree.
+    /// Returns `None` (= attach to the source) only when the source has
+    /// spare out-degree: the previous implementation silently fell back to
+    /// the source when no open candidate survived the subtree filter, which
+    /// would break the degree cap whenever the source was already full.
     fn find_parent_for_excluding(&self, position: &Point2, banned: u32) -> Option<u32> {
-        // Flatten the banned subtree once so each candidate check is O(1).
-        let mut banned_set = std::collections::HashSet::new();
-        let mut stack = vec![banned];
-        while let Some(u) = stack.pop() {
-            if banned_set.insert(u) {
-                stack.extend(self.hosts[u as usize].children.iter().copied());
-            }
-        }
         let source_open = self.source_children < self.max_out_degree;
         match self
-            .chain_candidate(position, Some(&banned_set))
-            .or_else(|| self.best_open_excluding(position, Some(&banned_set)))
+            .chain_candidate(position, Some(banned))
+            .or_else(|| self.best_open_excluding(position, Some(banned)))
         {
-            Some(s) => {
-                if source_open {
-                    let direct = self.source.distance(position);
-                    let via = self.attach_cost(s, position);
-                    if direct <= via {
-                        return None;
-                    }
+            Some((via, s)) => {
+                if source_open && self.source.distance(position) <= via {
+                    return None;
                 }
                 Some(s)
             }
@@ -831,16 +855,26 @@ impl DynamicOverlay {
     }
 
     /// Live slots sorted by id — i.e. in join order (ids are monotone and
-    /// never reused, while slots are recycled).
+    /// never reused, while slots are recycled). Sorts `(id, slot)` pairs
+    /// gathered in one pass, so no comparison has to chase a slot.
     fn live_slots_in_join_order(&self) -> Vec<u32> {
-        let mut live_slots: Vec<u32> = (0..self.hosts.len() as u32)
-            .filter(|&s| self.hosts[s as usize].alive)
+        let mut keyed: Vec<(HostId, u32)> = self
+            .hosts
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.alive)
+            .map(|(s, h)| (h.id, s as u32))
             .collect();
-        live_slots.sort_by_key(|&s| self.hosts[s as usize].id);
-        live_slots
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, s)| s).collect()
     }
 
     /// Forces a full rebuild with [`PolarGridBuilder`].
+    ///
+    /// Slots come out cell-major: sorted by grid cell, and in join order
+    /// within each cell, so a cell's hosts sit next to each other in
+    /// memory while every open, member and child list keeps the order it
+    /// would have in join order.
     pub fn rebuild(&mut self) {
         let _rebuild_span = omt_obs::obs_span!("dynamic/rebuild");
         omt_obs::obs_count!("dynamic/rebuilds");
@@ -848,13 +882,16 @@ impl DynamicOverlay {
             self.write_log.rebuilt = true;
         }
         self.churn_since_rebuild = 0;
-        let live_slots = self.live_slots_in_join_order();
-        let positions: Vec<Point2> = live_slots
+        // The live membership in join order. The old slot array is freed
+        // before the build, so the old and new arrays never coexist.
+        let mut live: Vec<(HostId, Point2)> = self
+            .hosts
             .iter()
-            .map(|&s| self.hosts[s as usize].position)
+            .filter(|h| h.alive)
+            .map(|h| (h.id, h.position))
             .collect();
-        if positions.is_empty() {
-            self.hosts.clear();
+        self.hosts = Vec::new();
+        if live.is_empty() {
             self.slot_by_id.clear();
             self.free_slots.clear();
             self.cell_members = vec![Vec::new()];
@@ -864,27 +901,93 @@ impl DynamicOverlay {
             self.refresh_hgrid();
             return;
         }
+        live.sort_unstable_by_key(|&(id, _)| id);
+        let (ids, positions): (Vec<HostId>, Vec<Point2>) = live.into_iter().unzip();
         let (tree, report) = PolarGridBuilder::new()
             .max_out_degree(self.max_out_degree)
             .build_with_report(self.source, &positions)
             .expect("live positions are finite");
-        // Compact: new slot i corresponds to live_slots[i] (join order).
-        let mut new_hosts: Vec<Host> = Vec::with_capacity(positions.len());
-        for (i, &old) in live_slots.iter().enumerate() {
-            new_hosts.push(Host {
+        let source = self.source;
+        let grid = PolarGrid2::new(report.rings, {
+            let rho = positions
+                .iter()
+                .map(|p| p.distance(&source))
+                .fold(0.0f64, f64::max);
+            if rho > 0.0 {
+                rho * (1.0 + 1e-9)
+            } else {
+                1.0
+            }
+        });
+        // Counting sort by cell, stable in join order: `slot_of[i]` is the
+        // new slot of the i-th host in join order, and `cell_end[c]` ends
+        // cell c's run of slots.
+        let cell_of: Vec<u32> = positions
+            .iter()
+            .map(|p| {
+                let (ring, seg) = grid.cell_of(&PolarPoint::from_cartesian(&(*p - source)));
+                ((1u64 << ring) - 1 + seg) as u32
+            })
+            .collect();
+        let mut cell_end = vec![0u32; grid.cell_count()];
+        for &c in &cell_of {
+            cell_end[c as usize] += 1;
+        }
+        let mut start = 0u32;
+        for next in &mut cell_end {
+            (*next, start) = (start, start + *next);
+        }
+        let slot_of: Vec<u32> = cell_of
+            .iter()
+            .map(|&c| {
+                let slot = cell_end[c as usize];
+                cell_end[c as usize] += 1;
+                slot
+            })
+            .collect();
+        // Filled in join order, so the tree is read front to back.
+        let vacant = Host {
+            position: source,
+            parent: None,
+            children: Vec::new(),
+            delay: 0.0,
+            cell: 0,
+            alive: false,
+            id: HostId(0),
+        };
+        let mut hosts = vec![vacant; positions.len()];
+        for (i, &slot) in slot_of.iter().enumerate() {
+            hosts[slot as usize] = Host {
                 position: positions[i],
                 parent: match tree.parent(i) {
                     ParentRef::Source => None,
-                    ParentRef::Node(p) => Some(p as u32),
+                    ParentRef::Node(p) => Some(slot_of[p]),
                 },
-                children: tree.children(i).to_vec(),
+                children: tree
+                    .children(i)
+                    .iter()
+                    .map(|&c| slot_of[c as usize])
+                    .collect(),
                 delay: tree.depth(i),
-                cell: 0, // assigned below once the new grid exists
+                cell: cell_of[i],
                 alive: true,
-                id: self.hosts[old as usize].id,
-            });
+                id: ids[i],
+            };
         }
-        self.hosts = new_hosts;
+        let max = self.max_out_degree;
+        let mut cell_members = Vec::with_capacity(cell_end.len());
+        let mut cell_open = Vec::with_capacity(cell_end.len());
+        let mut first = 0;
+        for &end in &cell_end {
+            cell_members.push((first..end).collect::<Vec<NodeId>>());
+            cell_open.push(
+                (first..end)
+                    .filter(|&s| (hosts[s as usize].children.len() as u32) < max)
+                    .collect::<Vec<NodeId>>(),
+            );
+            first = end;
+        }
+        self.hosts = hosts;
         self.slot_by_id = self
             .hosts
             .iter()
@@ -893,32 +996,6 @@ impl DynamicOverlay {
             .collect();
         self.free_slots.clear();
         self.source_children = tree.source_out_degree();
-        let grid = PolarGrid2::new(report.rings, {
-            let rho = positions
-                .iter()
-                .map(|p| p.distance(&self.source))
-                .fold(0.0f64, f64::max);
-            if rho > 0.0 {
-                rho * (1.0 + 1e-9)
-            } else {
-                1.0
-            }
-        });
-        let cells = ((1u64 << (report.rings + 1)) - 1) as usize;
-        let mut cell_members = vec![Vec::new(); cells];
-        let mut cell_open = vec![Vec::new(); cells];
-        let source = self.source;
-        let max = self.max_out_degree;
-        for (slot, host) in self.hosts.iter_mut().enumerate() {
-            let polar = PolarPoint::from_cartesian(&(host.position - source));
-            let (ring, seg) = grid.cell_of(&polar);
-            let cell = ((1u64 << ring) - 1 + seg) as usize;
-            host.cell = cell as u32;
-            cell_members[cell].push(slot as u32);
-            if (host.children.len() as u32) < max {
-                cell_open[cell].push(slot as u32);
-            }
-        }
         self.grid = Some(grid);
         self.cell_members = cell_members;
         self.cell_open = cell_open;
@@ -1156,6 +1233,113 @@ mod tests {
     use omt_geom::{Disk, Region};
     use omt_rng::rngs::SmallRng;
     use omt_rng::{RngExt, SeedableRng};
+    use std::cell::Cell;
+
+    /// What [`audit_in_subtree`] has covered on this test thread.
+    #[derive(Clone, Copy, Default)]
+    struct AuditCoverage {
+        /// Orphan re-homes audited.
+        rehomes: u64,
+        /// Open hosts checked that hang under another orphan that is
+        /// still detached.
+        under_detached: u64,
+        /// Open hosts checked, other than the orphan itself, whose cached
+        /// delay equals the orphan's, inside and outside its subtree.
+        equal_inside: u64,
+        equal_outside: u64,
+    }
+
+    thread_local! {
+        static AUDIT: Cell<AuditCoverage> = Cell::new(AuditCoverage::default());
+    }
+
+    /// Called by `leave` before it re-homes orphan `root`, one of the
+    /// departed host's `orphans`, which are re-homed in list order after
+    /// `promoted` (so the ones after `root` are still detached). Checks
+    /// `in_subtree` against an explicitly flattened subtree for every open
+    /// host.
+    pub(super) fn audit_in_subtree(
+        overlay: &DynamicOverlay,
+        root: u32,
+        promoted: u32,
+        orphans: &[u32],
+    ) {
+        let at = orphans.iter().position(|&o| o == root).expect("an orphan");
+        let pending = &orphans[at + 1..];
+        let mut flat = vec![false; overlay.hosts.len()];
+        let mut stack = vec![root];
+        while let Some(u) = stack.pop() {
+            flat[u as usize] = true;
+            stack.extend(&overlay.hosts[u as usize].children);
+        }
+        let mut seen = AUDIT.get();
+        seen.rehomes += 1;
+        let root_delay = overlay.hosts[root as usize].delay;
+        for &s in overlay.cell_open.iter().flatten() {
+            assert_eq!(
+                overlay.in_subtree(s, root),
+                flat[s as usize],
+                "in_subtree({s}, {root}) disagrees with the flattened subtree"
+            );
+            let mut top = s;
+            while let Some(p) = overlay.hosts[top as usize].parent {
+                top = p;
+            }
+            if top != promoted && pending.contains(&top) {
+                seen.under_detached += 1;
+            }
+            if s != root && overlay.hosts[s as usize].delay == root_delay {
+                if flat[s as usize] {
+                    seen.equal_inside += 1;
+                } else {
+                    seen.equal_outside += 1;
+                }
+            }
+        }
+        AUDIT.set(seen);
+    }
+
+    /// Differential test of `in_subtree`: a churn campaign with many
+    /// interior leaves and duplicate positions (zero-length edges, so
+    /// equal delays), audited at every orphan re-home.
+    #[test]
+    fn in_subtree_matches_flattened_subtree_at_every_rehome() {
+        AUDIT.set(AuditCoverage::default());
+        for (seed, degree) in [(21u64, 2u32), (22, 3), (23, 6)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut overlay = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
+            let mut live = Vec::new();
+            let mut seen: Vec<Point2> = Vec::new();
+            for _ in 0..1500 {
+                if live.len() < 8 || rng.random::<f64>() < 0.6 {
+                    let p = if !seen.is_empty() && rng.random::<f64>() < 0.25 {
+                        seen[rng.random_range(0..seen.len())]
+                    } else {
+                        Point2::new([rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)])
+                    };
+                    seen.push(p);
+                    live.push(overlay.join(p));
+                } else {
+                    let i = rng.random_range(0..live.len());
+                    overlay.leave(live.swap_remove(i)).unwrap();
+                }
+            }
+            overlay.assert_invariants();
+        }
+        let got = AUDIT.get();
+        assert!(
+            got.rehomes >= 100
+                && got.under_detached > 0
+                && got.equal_inside > 0
+                && got.equal_outside > 0,
+            "campaign under-exercised: {} re-homes, {} under detached orphans, \
+             {} / {} equal delays inside / outside",
+            got.rehomes,
+            got.under_detached,
+            got.equal_inside,
+            got.equal_outside
+        );
+    }
 
     #[test]
     fn unflatten_inverts_layout() {

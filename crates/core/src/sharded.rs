@@ -167,9 +167,28 @@ impl ShardScratch {
         })
     }
 
+    /// The earliest strict minimum of `candidates` by attach cost, with
+    /// its cost: each cost is evaluated once, exactly as the overlay's
+    /// per-cell scan does.
+    fn first_min(
+        &self,
+        ov: &DynamicOverlay,
+        candidates: impl Iterator<Item = SlotRef>,
+        pos: &Point2,
+    ) -> Option<(SlotRef, f64)> {
+        let mut best: Option<(SlotRef, f64)> = None;
+        for r in candidates {
+            let cost = self.view_cost(ov, r, pos);
+            if best.is_none_or(|(_, bc)| cost < bc) {
+                best = Some((r, cost));
+            }
+        }
+        best
+    }
+
     /// Replicates `DynamicOverlay::chain_candidate` over the speculative
     /// view: own cell first, then each ancestor cell, first non-empty
-    /// candidate set wins, first minimum wins inside it.
+    /// candidate set wins, earliest strict minimum wins inside it.
     fn chain_search(
         &self,
         ov: &DynamicOverlay,
@@ -179,10 +198,7 @@ impl ShardScratch {
         let mut cell = own_cell;
         loop {
             let best = match self.open_cow.get(&cell) {
-                Some(list) => list.iter().copied().min_by(|&a, &b| {
-                    self.view_cost(ov, a, pos)
-                        .total_cmp(&self.view_cost(ov, b, pos))
-                }),
+                Some(list) => self.first_min(ov, list.iter().copied(), pos),
                 // Cells the batch has not copied-on-write are exactly the
                 // frozen pre-batch state, so the overlay's capacity index
                 // (snapshotted before phase A) can rule them out without
@@ -193,16 +209,16 @@ impl ShardScratch {
                 {
                     None
                 }
-                None => ov.cell_open[cell as usize]
-                    .iter()
-                    .map(|&s| SlotRef::Live(s))
-                    .min_by(|&a, &b| {
-                        self.view_cost(ov, a, pos)
-                            .total_cmp(&self.view_cost(ov, b, pos))
-                    }),
+                None => self.first_min(
+                    ov,
+                    ov.cell_open[cell as usize]
+                        .iter()
+                        .map(|&s| SlotRef::Live(s)),
+                    pos,
+                ),
             };
-            if let Some(p) = best {
-                return Some((p, self.view_cost(ov, p, pos), cell));
+            if let Some((p, cost)) = best {
+                return Some((p, cost, cell));
             }
             if cell == 0 {
                 return None;

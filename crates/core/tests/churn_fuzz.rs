@@ -525,6 +525,182 @@ fn sharded_interior_leave(
 }
 
 // ---------------------------------------------------------------------------
+// Golden churn fingerprints: the exact trees and search work of one fixed
+// trace, pinned so that any change to the churn path's decisions shows up.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over a snapshot's parent array, `u32::MAX` standing for the
+/// source.
+fn parent_fingerprint(tree: &MulticastTree<2>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for i in 0..tree.len() {
+        let p = match tree.parent(i) {
+            ParentRef::Source => u32::MAX,
+            ParentRef::Node(p) => p as u32,
+        };
+        for byte in p.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// What the golden trace pins per degree: the final snapshot's radius
+/// bits, [`parent_fingerprint`] of it, and `search_probes().0` (cells
+/// scanned) in scan mode and in index mode.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    radius_bits: u64,
+    parents: u64,
+    scan_cells: u64,
+    indexed_cells: u64,
+}
+
+/// The golden trace at `degree`: 2400 events, joins : leaves ≈ 2 : 1, in
+/// which one join in six lands exactly on an earlier join's position (a
+/// zero-length edge whenever one becomes the other's parent). Returns
+/// the trace and how many of its leaves departed an interior host.
+fn golden_trace(degree: u32) -> (Vec<ChurnEvent>, usize) {
+    let mut rng = SmallRng::seed_from_u64(0x601D_C4A2);
+    let mut reference = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
+    let mut live = Vec::new();
+    let mut seen: Vec<Point2> = Vec::new();
+    let mut trace = Vec::new();
+    let mut interior_leaves = 0;
+    for _ in 0..2400 {
+        if live.len() < 8 || rng.random::<f64>() < 2.0 / 3.0 {
+            let p = if !seen.is_empty() && rng.random::<f64>() < 1.0 / 6.0 {
+                seen[rng.random_range(0..seen.len())]
+            } else {
+                Point2::new([rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)])
+            };
+            seen.push(p);
+            trace.push(ChurnEvent::Join(p));
+            live.push(reference.join(p));
+        } else {
+            let i = rng.random_range(0..live.len());
+            // Snapshot order is join order, which `live` mirrors.
+            if !reference.snapshot().unwrap().children(i).is_empty() {
+                interior_leaves += 1;
+            }
+            let id = live.remove(i);
+            trace.push(ChurnEvent::Leave(id));
+            reference.leave(id).unwrap();
+        }
+    }
+    (trace, interior_leaves)
+}
+
+/// How many automatic rebuilds `trace` triggers, by the documented rule:
+/// a rebuild fires once the events since the last one exceed half the
+/// live membership (`churn · 2 > max(live, 8)`).
+fn automatic_rebuilds(trace: &[ChurnEvent]) -> usize {
+    let (mut live, mut churn, mut rebuilds) = (0usize, 0usize, 0);
+    for ev in trace {
+        match ev {
+            ChurnEvent::Join(_) => live += 1,
+            ChurnEvent::Leave(_) => live -= 1,
+        }
+        churn += 1;
+        if churn * 2 > live.max(8) {
+            rebuilds += 1;
+            churn = 0;
+        }
+    }
+    rebuilds
+}
+
+/// Replays `trace` one event at a time, with the capacity index on or
+/// off, and returns the final snapshot and the cells scanned.
+fn golden_replay(trace: &[ChurnEvent], degree: u32, hgrid: bool) -> (MulticastTree<2>, u64) {
+    let mut overlay = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
+    overlay.set_hgrid(hgrid);
+    for ev in trace {
+        match ev {
+            ChurnEvent::Join(p) => {
+                overlay.join(*p);
+            }
+            ChurnEvent::Leave(id) => overlay.leave(*id).unwrap(),
+        }
+    }
+    overlay.assert_invariants();
+    (overlay.snapshot().unwrap(), overlay.search_probes().0)
+}
+
+/// Golden fingerprints of the trace in [`golden_trace`] at degrees
+/// {2, 4, 6}. Changes to the churn path that claim to keep every tree
+/// bit-identical must leave all of them unchanged; the sharded engine
+/// replaying the same trace in batches must reproduce the same tree.
+#[test]
+fn golden_churn_fingerprints() {
+    let pinned = [
+        (
+            2u32,
+            Golden {
+                radius_bits: 4612070420392865182,
+                parents: 18092851850185435477,
+                scan_cells: 2087,
+                indexed_cells: 2031,
+            },
+        ),
+        (
+            4,
+            Golden {
+                radius_bits: 4612070420392865182,
+                parents: 3080242825948415786,
+                scan_cells: 2099,
+                indexed_cells: 2061,
+            },
+        ),
+        (
+            6,
+            Golden {
+                radius_bits: 4610555280411578161,
+                parents: 13116103975485518760,
+                scan_cells: 2237,
+                indexed_cells: 2199,
+            },
+        ),
+    ];
+    for (degree, want) in pinned {
+        let (trace, interior_leaves) = golden_trace(degree);
+        assert!(
+            interior_leaves >= 50,
+            "degree {degree}: only {interior_leaves} interior leaves"
+        );
+        let rebuilds = automatic_rebuilds(&trace);
+        assert!(rebuilds >= 2, "degree {degree}: only {rebuilds} rebuilds");
+        let (scan_tree, scan_cells) = golden_replay(&trace, degree, false);
+        let zero_edges = (0..scan_tree.len())
+            .filter(|&i| match scan_tree.parent(i) {
+                ParentRef::Node(p) => scan_tree.points()[p] == scan_tree.points()[i],
+                ParentRef::Source => false,
+            })
+            .count();
+        assert!(zero_edges > 0, "degree {degree}: no zero-length edge");
+        let (indexed_tree, indexed_cells) = golden_replay(&trace, degree, true);
+        assert_trees_identical(&indexed_tree, &scan_tree, "golden trace, index vs scan");
+        let mut sharded = ShardedOverlay::new(Point2::ORIGIN, degree, 4).unwrap();
+        for chunk in trace.chunks(64) {
+            sharded.apply_batch(chunk).unwrap();
+        }
+        assert_trees_identical(
+            &sharded.snapshot().unwrap(),
+            &scan_tree,
+            "golden trace, sharded vs per-event",
+        );
+        let got = Golden {
+            radius_bits: scan_tree.radius().to_bits(),
+            parents: parent_fingerprint(&scan_tree),
+            scan_cells,
+            indexed_cells,
+        };
+        assert_eq!(got, want, "degree {degree}: golden churn fingerprint moved");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Hierarchical capacity-summary index: indexed vs. scan bit-identity and the
 // empty-cell short-circuit regression (no environment variable needed).
 // ---------------------------------------------------------------------------

@@ -58,4 +58,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The benchmark is a workspace of its own (so the root workspace commands
+# above never compile it); build and test it against the current crates
+# here, so an API change that breaks it fails verification.
+echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> cargo fmt --check --manifest-path benchmark/Cargo.toml"
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+
 echo "verify: OK"
