@@ -29,73 +29,6 @@ pub(crate) use crate::sink::attach;
 use crate::error::BuildError;
 use crate::sink::AttachSink;
 
-/// Removes and returns the index in `idx` whose radius is closest to `q`
-/// (the paper's representative rule: "radius closest to the radius of the
-/// source node").
-fn take_closest_radius(polar: &[PolarPoint], idx: &mut Vec<u32>, q: f64) -> u32 {
-    debug_assert!(!idx.is_empty());
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (pos, &p) in idx.iter().enumerate() {
-        let d = (polar[p as usize].radius - q).abs();
-        if d < best_d {
-            best_d = d;
-            best = pos;
-        }
-    }
-    idx.swap_remove(best)
-}
-
-/// Connects every point in `idx` below `src` with out-degree at most 4 per
-/// node, following the 4-way bisection of `seg`.
-///
-/// `polar` holds the polar coordinates of **all** builder points in the
-/// frame the segment lives in; `src_radius` is the local source's radius in
-/// that frame.
-pub(crate) fn bisect4<S: AttachSink>(
-    b: &mut S,
-    polar: &[PolarPoint],
-    seg: RingSegment,
-    src: ParentRef,
-    src_radius: f64,
-    idx: Vec<u32>,
-) -> Result<(), TreeError> {
-    // The last tuple field is the recursion depth the frame would have in
-    // the recursive formulation; it only feeds the observability layer.
-    let mut stack: Vec<(RingSegment, ParentRef, f64, Vec<u32>, u32)> = Vec::new();
-    stack.push((seg, src, src_radius, idx, 0));
-    while let Some((seg, src, q, idx, depth)) = stack.pop() {
-        if idx.is_empty() {
-            continue;
-        }
-        omt_obs::obs_observe!("bisect2d/depth", u64::from(depth));
-        omt_obs::obs_count!("bisect2d/splits");
-        // Partition the set into the four sub-segments.
-        let children = seg.split4();
-        let mut parts: [Vec<u32>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-        for p in idx {
-            parts[seg.classify4(&polar[p as usize])].push(p);
-        }
-        for (c, mut part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let rep = take_closest_radius(polar, &mut part, q);
-            attach(b, rep as usize, src)?;
-            if !part.is_empty() {
-                stack.push((
-                    children[c],
-                    ParentRef::Node(rep as usize),
-                    polar[rep as usize].radius,
-                    part,
-                    depth + 1,
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The axis a binary split halves, cycling radius → angle → radius → …
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Axis {
@@ -112,124 +45,14 @@ impl Axis {
     }
 }
 
-/// Connects every point in `idx` below `src` with out-degree at most 2 per
-/// node: the source adopts the two points with radius closest to its own,
-/// which then take over the two halves of the segment (split along
-/// alternating axes — the binary refinement of the paper's 4-way step).
-pub(crate) fn bisect2<S: AttachSink>(
-    b: &mut S,
-    polar: &[PolarPoint],
-    seg: RingSegment,
-    src: ParentRef,
-    src_radius: f64,
-    idx: Vec<u32>,
-) -> Result<(), TreeError> {
-    let mut stack: Vec<(RingSegment, Axis, ParentRef, f64, Vec<u32>, u32)> = Vec::new();
-    stack.push((seg, Axis::Radius, src, src_radius, idx, 0));
-    while let Some((seg, axis, src, q, mut idx, depth)) = stack.pop() {
-        match idx.len() {
-            0 => continue,
-            1 => {
-                attach(b, idx[0] as usize, src)?;
-                continue;
-            }
-            2 => {
-                attach(b, idx[0] as usize, src)?;
-                attach(b, idx[1] as usize, src)?;
-                continue;
-            }
-            _ => {}
-        }
-        omt_obs::obs_observe!("bisect2d/depth", u64::from(depth));
-        omt_obs::obs_count!("bisect2d/splits");
-        let a = take_closest_radius(polar, &mut idx, q);
-        let c = take_closest_radius(polar, &mut idx, q);
-        attach(b, a as usize, src)?;
-        attach(b, c as usize, src)?;
-        // Split the segment and hand each half to one carrier.
-        let (lo_seg, hi_seg) = match axis {
-            Axis::Radius => {
-                let parts = seg.split4();
-                // split4 yields [inner-lo, inner-hi, outer-lo, outer-hi];
-                // recombine into inner/outer halves.
-                (
-                    RingSegment::new(
-                        parts[0].r_lo(),
-                        parts[0].r_hi(),
-                        seg.arc().lo(),
-                        seg.arc().hi(),
-                    ),
-                    RingSegment::new(
-                        parts[2].r_lo(),
-                        parts[2].r_hi(),
-                        seg.arc().lo(),
-                        seg.arc().hi(),
-                    ),
-                )
-            }
-            Axis::Angle => seg.split_angle(),
-        };
-        let mut lo = Vec::new();
-        let mut hi = Vec::new();
-        let rm = 0.5 * (seg.r_lo() + seg.r_hi());
-        let am = seg.arc().mid();
-        for p in idx {
-            let pp = &polar[p as usize];
-            let is_hi = match axis {
-                Axis::Radius => pp.radius >= rm,
-                Axis::Angle => pp.angle >= am,
-            };
-            if is_hi {
-                hi.push(p);
-            } else {
-                lo.push(p);
-            }
-        }
-        // Give the lower half to the carrier closer to it in the split
-        // coordinate, to avoid pointless criss-crossing.
-        let (pa, pc) = (&polar[a as usize], &polar[c as usize]);
-        let (carrier_lo, carrier_hi) = match axis {
-            Axis::Radius => {
-                if pa.radius <= pc.radius {
-                    (a, c)
-                } else {
-                    (c, a)
-                }
-            }
-            Axis::Angle => {
-                if pa.angle <= pc.angle {
-                    (a, c)
-                } else {
-                    (c, a)
-                }
-            }
-        };
-        stack.push((
-            lo_seg,
-            axis.next(),
-            ParentRef::Node(carrier_lo as usize),
-            polar[carrier_lo as usize].radius,
-            lo,
-            depth + 1,
-        ));
-        stack.push((
-            hi_seg,
-            axis.next(),
-            ParentRef::Node(carrier_hi as usize),
-            polar[carrier_hi as usize].radius,
-            hi,
-            depth + 1,
-        ));
-    }
-    Ok(())
-}
-
 /// A read-only structure-of-arrays view of the polar coordinates consumed
-/// by the slice-based bisection twins ([`bisect4_soa`], [`bisect2_soa`]).
+/// by the bisection kernels ([`bisect4`], [`bisect2`]).
 ///
-/// `radius[i]` / `angle[i]` are the source-relative polar components of
-/// point `i` — the columns of `omt_geom::PointStore2`. The view is `Copy`
-/// so parallel cell workers can capture it by value.
+/// `radius[i]` / `angle[i]` are the polar components of point `i` in the
+/// frame the segment lives in: the source-relative columns of
+/// `omt_geom::PointStore2` for the grid, the far-pole columns of a
+/// [`CoveringFrame`] for the standalone builder. The view is `Copy` so
+/// parallel cell workers can capture it by value.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PolarSlices<'a> {
     /// Source-relative radii.
@@ -239,8 +62,7 @@ pub(crate) struct PolarSlices<'a> {
 }
 
 impl PolarSlices<'_> {
-    /// Reassembles point `i` as a [`PolarPoint`] — bit-identical to the
-    /// AoS element the legacy path stores, by the `PointStore2` contract.
+    /// Reassembles point `i` as a [`PolarPoint`].
     #[inline]
     pub fn get(&self, i: u32) -> PolarPoint {
         PolarPoint {
@@ -279,7 +101,7 @@ struct Frame2 {
     depth: u32,
 }
 
-/// Reusable scratch for the slice-based bisection twins: the explicit work
+/// Reusable scratch for the bisection kernels: the explicit work
 /// stacks plus the staging buffers for stable in-place partitions. One
 /// instance is carried across all cell jobs of a build (or one per worker
 /// in the parallel path), so the steady state allocates nothing per frame.
@@ -291,11 +113,12 @@ pub(crate) struct Scratch2 {
     stack2: Vec<Frame2>,
 }
 
-/// Slice twin of [`take_closest_radius`]: swaps the chosen index to the
-/// back of `idx` and returns it. Equivalent to `Vec::swap_remove` on the
-/// same prefix — the surviving order of `idx[..len-1]` is identical to the
-/// `Vec` the legacy path would hold.
-fn take_closest_in_slice(radius: &[f64], idx: &mut [u32], q: f64) -> u32 {
+/// Picks the index in `idx` whose radius is closest to `q` (the paper's
+/// representative rule: "radius closest to the radius of the source
+/// node"; the first minimum wins ties), swaps it to the back of `idx` and
+/// returns it. The rest of `idx` keeps its order except for the one
+/// element that took the chosen slot, as with `Vec::swap_remove`.
+pub(crate) fn take_closest_radius(radius: &[f64], idx: &mut [u32], q: f64) -> u32 {
     debug_assert!(!idx.is_empty());
     let mut best = 0;
     let mut best_d = f64::INFINITY;
@@ -311,12 +134,13 @@ fn take_closest_in_slice(radius: &[f64], idx: &mut [u32], q: f64) -> u32 {
     idx[last]
 }
 
-/// Slice twin of [`bisect4`]: operates in place on `idx`, a window of the
-/// flat member-index array, using `scratch` for the work stack and the
-/// stable 4-way partition. Attachment order, representative choices, and
-/// obs metrics are identical to [`bisect4`] on the same input — the
-/// per-class `Vec` pushes become a counting pass plus a stable scatter.
-pub(crate) fn bisect4_soa<S: AttachSink>(
+/// Connects every point in `idx` below `src` with out-degree at most 4 per
+/// node, following the 4-way bisection of `seg`.
+///
+/// Works in place on `idx`, a window of the flat member-index array, using
+/// `scratch` for the work stack and the stable 4-way partition.
+/// `src_radius` is the local source's radius in the frame of `polar`.
+pub(crate) fn bisect4<S: AttachSink>(
     b: &mut S,
     polar: PolarSlices<'_>,
     seg: RingSegment,
@@ -348,8 +172,9 @@ pub(crate) fn bisect4_soa<S: AttachSink>(
         omt_obs::obs_observe!("bisect2d/depth", u64::from(f.depth));
         omt_obs::obs_count!("bisect2d/splits");
         // Partition the window into the four sub-segments: count + classify
-        // in one pass, then scatter stably from a staged copy, preserving
-        // exactly the per-class order the legacy Vec pushes produce.
+        // in one pass, then scatter stably from a staged copy, so each
+        // sub-segment keeps its input order (the representative tie rule
+        // depends on it).
         let children = f.seg.split4();
         class.clear();
         let mut counts = [0u32; 4];
@@ -376,7 +201,7 @@ pub(crate) fn bisect4_soa<S: AttachSink>(
             if cs == ce {
                 continue;
             }
-            let rep = take_closest_in_slice(polar.radius, &mut idx[cs..ce], f.q);
+            let rep = take_closest_radius(polar.radius, &mut idx[cs..ce], f.q);
             attach(b, rep as usize, f.src)?;
             if ce - cs > 1 {
                 stack4.push(Frame4 {
@@ -393,10 +218,13 @@ pub(crate) fn bisect4_soa<S: AttachSink>(
     Ok(())
 }
 
-/// Slice twin of [`bisect2`]: in-place binary bisection over a window of
-/// the flat member-index array. Same attachment order, carrier choices,
-/// and obs metrics as [`bisect2`].
-pub(crate) fn bisect2_soa<S: AttachSink>(
+/// Connects every point in `idx` below `src` with out-degree at most 2 per
+/// node: the source adopts the two points with radius closest to its own,
+/// which then take over the two halves of the segment (split along
+/// alternating axes — the binary refinement of the paper's 4-way step).
+///
+/// Works in place on `idx`, a window of the flat member-index array.
+pub(crate) fn bisect2<S: AttachSink>(
     b: &mut S,
     polar: PolarSlices<'_>,
     seg: RingSegment,
@@ -433,8 +261,8 @@ pub(crate) fn bisect2_soa<S: AttachSink>(
         }
         omt_obs::obs_observe!("bisect2d/depth", u64::from(f.depth));
         omt_obs::obs_count!("bisect2d/splits");
-        let a = take_closest_in_slice(polar.radius, &mut idx[start..end], f.q);
-        let c = take_closest_in_slice(polar.radius, &mut idx[start..end - 1], f.q);
+        let a = take_closest_radius(polar.radius, &mut idx[start..end], f.q);
+        let c = take_closest_radius(polar.radius, &mut idx[start..end - 1], f.q);
         attach(b, a as usize, f.src)?;
         attach(b, c as usize, f.src)?;
         // Split the segment and hand each half to one carrier.
@@ -533,9 +361,11 @@ pub(crate) fn bisect2_soa<S: AttachSink>(
 /// the constant-factor guarantee.
 #[derive(Clone, Debug)]
 pub(crate) struct CoveringFrame {
-    /// Polar coordinates of every point in the far-pole frame, with angles
-    /// shifted to sit near `π` (so the arc never wraps `2π`).
-    pub polar: Vec<PolarPoint>,
+    /// Radius of every point in the far-pole frame.
+    pub radius: Vec<f64>,
+    /// Angle of every point in the far-pole frame, shifted to sit near `π`
+    /// (so the arc never wraps `2π`).
+    pub angle: Vec<f64>,
     /// The source's coordinates in the same frame.
     pub source_polar: PolarPoint,
     /// The minimal covering segment.
@@ -570,27 +400,42 @@ impl CoveringFrame {
             let raw = v.y().atan2(v.x());
             PolarPoint::new(v.norm(), raw + core::f64::consts::PI)
         };
-        let polar: Vec<PolarPoint> = points.iter().map(&to_polar).collect();
+        let (radius, angle): (Vec<f64>, Vec<f64>) = points
+            .iter()
+            .map(|p| {
+                let q = to_polar(p);
+                (q.radius, q.angle)
+            })
+            .unzip();
         let source_polar = to_polar(&source);
         let mut r_lo = source_polar.radius;
         let mut r_hi = source_polar.radius;
         let mut a_lo = source_polar.angle;
         let mut a_hi = source_polar.angle;
-        for p in &polar {
-            r_lo = r_lo.min(p.radius);
-            r_hi = r_hi.max(p.radius);
-            a_lo = a_lo.min(p.angle);
-            a_hi = a_hi.max(p.angle);
+        for (&r, &a) in radius.iter().zip(&angle) {
+            r_lo = r_lo.min(r);
+            r_hi = r_hi.max(r);
+            a_lo = a_lo.min(a);
+            a_hi = a_hi.max(a);
         }
         // Nudge the exclusive upper bounds so extreme points are inside.
         let r_pad = (r_hi - r_lo).max(r_hi * 1e-12) * 1e-9 + f64::MIN_POSITIVE;
         let a_pad = (a_hi - a_lo).max(1e-12) * 1e-9 + f64::MIN_POSITIVE;
         let segment = RingSegment::new(r_lo, r_hi + r_pad, a_lo, a_hi + a_pad);
         Some(Self {
-            polar,
+            radius,
+            angle,
             source_polar,
             segment,
         })
+    }
+
+    /// The frame's point columns as a kernel view.
+    pub fn slices(&self) -> PolarSlices<'_> {
+        PolarSlices {
+            radius: &self.radius,
+            angle: &self.angle,
+        }
     }
 }
 
@@ -665,24 +510,28 @@ impl Bisection {
                 fanout_chain(&mut builder, self.max_out_degree)?;
             }
             Some(frame) => {
-                let idx: Vec<u32> = (0..points.len() as u32).collect();
+                let mut idx: Vec<u32> = (0..points.len() as u32).collect();
+                let (polar, seg, q) = (frame.slices(), frame.segment, frame.source_polar.radius);
+                let mut scratch = Scratch2::default();
                 if self.max_out_degree >= 4 {
                     bisect4(
                         &mut builder,
-                        &frame.polar,
-                        frame.segment,
+                        polar,
+                        seg,
                         ParentRef::Source,
-                        frame.source_polar.radius,
-                        idx,
+                        q,
+                        &mut idx,
+                        &mut scratch,
                     )?;
                 } else {
                     bisect2(
                         &mut builder,
-                        &frame.polar,
-                        frame.segment,
+                        polar,
+                        seg,
                         ParentRef::Source,
-                        frame.source_polar.radius,
-                        idx,
+                        q,
+                        &mut idx,
+                        &mut scratch,
                     )?;
                 }
             }
@@ -823,8 +672,9 @@ mod tests {
         // Narrow: well below the sin a > 5a/6 threshold.
         assert!(seg.angle_width() < 0.2);
         // Contains every point and the source.
-        for p in &frame.polar {
-            assert!(seg.contains(p), "{p:?} outside {seg:?}");
+        for i in 0..pts.len() as u32 {
+            let p = frame.slices().get(i);
+            assert!(seg.contains(&p), "{p:?} outside {seg:?}");
         }
         assert!(seg.contains(&frame.source_polar));
     }
@@ -905,96 +755,24 @@ mod tests {
 
     #[test]
     fn take_closest_radius_picks_nearest() {
-        let polar = vec![
-            PolarPoint::new(1.0, 0.0),
-            PolarPoint::new(5.0, 0.0),
-            PolarPoint::new(2.9, 0.0),
-        ];
-        let mut idx = vec![0, 1, 2];
-        let got = take_closest_radius(&polar, &mut idx, 3.0);
+        let radius = [1.0, 5.0, 2.9];
+        let mut idx = [0, 1, 2];
+        let got = take_closest_radius(&radius, &mut idx, 3.0);
         assert_eq!(got, 2);
-        assert_eq!(idx.len(), 2);
+        assert_eq!(idx, [0, 1, 2]);
+        let mut idx = [2, 0, 1];
+        assert_eq!(take_closest_radius(&radius, &mut idx, 3.0), 2);
+        // Swapped to the back; the old last element takes its slot.
+        assert_eq!(idx, [1, 0, 2]);
     }
 
     #[test]
-    fn take_closest_slice_twin_preserves_vec_order() {
-        // The slice twin must leave the surviving window in exactly the
-        // order Vec::swap_remove leaves the Vec, including on ties (first
-        // minimum wins in both).
-        let radius = vec![3.0, 1.0, 3.0, 2.0, 2.0];
-        let polar: Vec<PolarPoint> = radius.iter().map(|&r| PolarPoint::new(r, 0.0)).collect();
-        let mut as_vec: Vec<u32> = vec![0, 1, 2, 3, 4];
-        let mut as_slice: Vec<u32> = as_vec.clone();
-        for q in [2.0, 3.0, 0.0] {
-            let from_vec = take_closest_radius(&polar, &mut as_vec, q);
-            let len = as_slice.len();
-            let from_slice = take_closest_in_slice(&radius, &mut as_slice[..len], q);
-            as_slice.truncate(len - 1);
-            assert_eq!(from_vec, from_slice);
-            assert_eq!(as_vec, as_slice);
-        }
-    }
-
-    #[test]
-    fn soa_twins_emit_identical_edge_lists() {
-        use crate::sink::EdgeList;
-        let pts = disk_points(400, 77);
-        let frame = CoveringFrame::new(Point2::ORIGIN, &pts).unwrap();
-        let radius: Vec<f64> = frame.polar.iter().map(|p| p.radius).collect();
-        let angle: Vec<f64> = frame.polar.iter().map(|p| p.angle).collect();
-        let slices = PolarSlices {
-            radius: &radius,
-            angle: &angle,
-        };
-        let idx: Vec<u32> = (0..pts.len() as u32).collect();
-        let mut scratch = Scratch2::default();
-
-        let mut legacy4 = EdgeList::default();
-        bisect4(
-            &mut legacy4,
-            &frame.polar,
-            frame.segment,
-            ParentRef::Source,
-            frame.source_polar.radius,
-            idx.clone(),
-        )
-        .unwrap();
-        let mut soa4 = EdgeList::default();
-        let mut idx4 = idx.clone();
-        bisect4_soa(
-            &mut soa4,
-            slices,
-            frame.segment,
-            ParentRef::Source,
-            frame.source_polar.radius,
-            &mut idx4,
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(legacy4.0, soa4.0, "deg-4 edge emission diverged");
-
-        let mut legacy2 = EdgeList::default();
-        bisect2(
-            &mut legacy2,
-            &frame.polar,
-            frame.segment,
-            ParentRef::Source,
-            frame.source_polar.radius,
-            idx.clone(),
-        )
-        .unwrap();
-        let mut soa2 = EdgeList::default();
-        let mut idx2 = idx;
-        bisect2_soa(
-            &mut soa2,
-            slices,
-            frame.segment,
-            ParentRef::Source,
-            frame.source_polar.radius,
-            &mut idx2,
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(legacy2.0, soa2.0, "deg-2 edge emission diverged");
+    fn take_closest_radius_first_minimum_wins_ties() {
+        let radius = [3.0, 1.0, 3.0, 2.0, 2.0];
+        let mut idx = [0, 1, 2, 3, 4];
+        assert_eq!(take_closest_radius(&radius, &mut idx, 2.0), 3);
+        assert_eq!(idx, [0, 1, 2, 4, 3]);
+        assert_eq!(take_closest_radius(&radius, &mut idx[..4], 3.0), 0);
+        assert_eq!(idx, [4, 1, 2, 0, 3]);
     }
 }

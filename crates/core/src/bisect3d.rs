@@ -3,73 +3,14 @@
 //! to connect to points inside the cell"), and a binary variant for
 //! out-degree-2 trees (axes cycling radius → azimuth → z).
 
-use omt_geom::{ShellCell, SphericalPoint};
+use omt_geom::{PointStore3, ShellCell, SphericalPoint};
 use omt_tree::{ParentRef, TreeBuilder, TreeError};
 
 pub(crate) use crate::fanout::fanout_chain as fanout_chain3;
 pub(crate) use crate::sink::attach as attach3;
 
+use crate::bisect2d::take_closest_radius;
 use crate::sink::AttachSink;
-
-/// Removes and returns the index whose radius is closest to `q`.
-fn take_closest_radius(sph: &[SphericalPoint], idx: &mut Vec<u32>, q: f64) -> u32 {
-    debug_assert!(!idx.is_empty());
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (pos, &p) in idx.iter().enumerate() {
-        let d = (sph[p as usize].radius - q).abs();
-        if d < best_d {
-            best_d = d;
-            best = pos;
-        }
-    }
-    idx.swap_remove(best)
-}
-
-/// Connects every point in `idx` below `src` with out-degree at most 8 per
-/// node, following the 8-way octant split of the shell cell.
-pub(crate) fn bisect8<S: AttachSink>(
-    b: &mut S,
-    sph: &[SphericalPoint],
-    cell: ShellCell,
-    src: ParentRef,
-    src_radius: f64,
-    idx: Vec<u32>,
-) -> Result<(), TreeError> {
-    // The last tuple field is the recursion depth the frame would have in
-    // the recursive formulation; it only feeds the observability layer.
-    let mut stack: Vec<(ShellCell, ParentRef, f64, Vec<u32>, u32)> =
-        vec![(cell, src, src_radius, idx, 0)];
-    while let Some((cell, src, q, idx, depth)) = stack.pop() {
-        if idx.is_empty() {
-            continue;
-        }
-        omt_obs::obs_observe!("bisect3d/depth", u64::from(depth));
-        omt_obs::obs_count!("bisect3d/splits");
-        let children = cell.split8();
-        let mut parts: [Vec<u32>; 8] = Default::default();
-        for p in idx {
-            parts[cell.classify8(&sph[p as usize])].push(p);
-        }
-        for (c, mut part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let rep = take_closest_radius(sph, &mut part, q);
-            attach3(b, rep as usize, src)?;
-            if !part.is_empty() {
-                stack.push((
-                    children[c],
-                    ParentRef::Node(rep as usize),
-                    sph[rep as usize].radius,
-                    part,
-                    depth + 1,
-                ));
-            }
-        }
-    }
-    Ok(())
-}
 
 /// The axis a binary split halves, cycling radius → azimuth → z.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,107 +30,9 @@ impl Axis3 {
     }
 }
 
-/// Connects every point in `idx` below `src` with out-degree at most 2 per
-/// node: binary splits along cycling axes, two carriers per step chosen by
-/// radius proximity to the local source.
-pub(crate) fn bisect2_3d<S: AttachSink>(
-    b: &mut S,
-    sph: &[SphericalPoint],
-    cell: ShellCell,
-    src: ParentRef,
-    src_radius: f64,
-    idx: Vec<u32>,
-) -> Result<(), TreeError> {
-    let mut stack: Vec<(ShellCell, Axis3, ParentRef, f64, Vec<u32>, u32)> =
-        vec![(cell, Axis3::Radius, src, src_radius, idx, 0)];
-    while let Some((cell, axis, src, q, mut idx, depth)) = stack.pop() {
-        match idx.len() {
-            0 => continue,
-            1 => {
-                attach3(b, idx[0] as usize, src)?;
-                continue;
-            }
-            2 => {
-                attach3(b, idx[0] as usize, src)?;
-                attach3(b, idx[1] as usize, src)?;
-                continue;
-            }
-            _ => {}
-        }
-        omt_obs::obs_observe!("bisect3d/depth", u64::from(depth));
-        omt_obs::obs_count!("bisect3d/splits");
-        let a = take_closest_radius(sph, &mut idx, q);
-        let c = take_closest_radius(sph, &mut idx, q);
-        attach3(b, a as usize, src)?;
-        attach3(b, c as usize, src)?;
-        let rm = 0.5 * (cell.r_lo() + cell.r_hi());
-        let am = cell.arc().mid();
-        let (z_lo, z_hi) = cell.z_range();
-        let zm = 0.5 * (z_lo + z_hi);
-        let coordinate = |p: &SphericalPoint| match axis {
-            Axis3::Radius => (p.radius, rm),
-            Axis3::Azimuth => (p.azimuth, am),
-            Axis3::Z => (p.cos_polar, zm),
-        };
-        let (lo_cell, hi_cell) = match axis {
-            Axis3::Radius => (
-                ShellCell::new(
-                    cell.r_lo(),
-                    rm,
-                    cell.arc().lo(),
-                    cell.arc().hi(),
-                    z_lo,
-                    z_hi,
-                ),
-                ShellCell::new(
-                    rm,
-                    cell.r_hi(),
-                    cell.arc().lo(),
-                    cell.arc().hi(),
-                    z_lo,
-                    z_hi,
-                ),
-            ),
-            Axis3::Azimuth => cell.split_azimuth(),
-            Axis3::Z => cell.split_z(),
-        };
-        let mut lo = Vec::new();
-        let mut hi = Vec::new();
-        for p in idx {
-            let (v, mid) = coordinate(&sph[p as usize]);
-            if v >= mid {
-                hi.push(p);
-            } else {
-                lo.push(p);
-            }
-        }
-        // Carrier closer to each half (in the split coordinate) takes it.
-        let (va, _) = coordinate(&sph[a as usize]);
-        let (vc, _) = coordinate(&sph[c as usize]);
-        let (carrier_lo, carrier_hi) = if va <= vc { (a, c) } else { (c, a) };
-        stack.push((
-            lo_cell,
-            axis.next(),
-            ParentRef::Node(carrier_lo as usize),
-            sph[carrier_lo as usize].radius,
-            lo,
-            depth + 1,
-        ));
-        stack.push((
-            hi_cell,
-            axis.next(),
-            ParentRef::Node(carrier_hi as usize),
-            sph[carrier_hi as usize].radius,
-            hi,
-            depth + 1,
-        ));
-    }
-    Ok(())
-}
-
 /// A read-only structure-of-arrays view of spherical coordinates: the
-/// columns of `omt_geom::PointStore3`, consumed by the slice-based 3-D
-/// bisection twins.
+/// columns of `omt_geom::PointStore3`, consumed by the 3-D bisection
+/// kernels ([`bisect8`], [`bisect2_3d`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SphSlices<'a> {
     /// Source-relative radii.
@@ -201,8 +44,16 @@ pub(crate) struct SphSlices<'a> {
 }
 
 impl SphSlices<'_> {
-    /// Reassembles point `i` as a [`SphericalPoint`] — bit-identical to
-    /// the AoS element by the `PointStore3` contract.
+    /// The source-relative columns of `store`.
+    pub fn of(store: &PointStore3) -> SphSlices<'_> {
+        SphSlices {
+            radius: store.radius(),
+            azimuth: store.azimuth(),
+            cos_polar: store.cos_polar(),
+        }
+    }
+
+    /// Reassembles point `i` as a [`SphericalPoint`].
     #[inline]
     pub fn get(&self, i: u32) -> SphericalPoint {
         SphericalPoint {
@@ -242,7 +93,7 @@ struct Frame2x3 {
     depth: u32,
 }
 
-/// Reusable scratch for the slice-based 3-D bisection twins (see
+/// Reusable scratch for the 3-D bisection kernels (see
 /// `bisect2d::Scratch2` for the rationale).
 #[derive(Debug, Default)]
 pub(crate) struct Scratch3 {
@@ -252,27 +103,10 @@ pub(crate) struct Scratch3 {
     stack2: Vec<Frame2x3>,
 }
 
-/// Slice twin of [`take_closest_radius`]: swap-to-back removal with the
-/// same first-minimum tie rule and the same surviving order.
-fn take_closest_in_slice(radius: &[f64], idx: &mut [u32], q: f64) -> u32 {
-    debug_assert!(!idx.is_empty());
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (pos, &p) in idx.iter().enumerate() {
-        let d = (radius[p as usize] - q).abs();
-        if d < best_d {
-            best_d = d;
-            best = pos;
-        }
-    }
-    let last = idx.len() - 1;
-    idx.swap(best, last);
-    idx[last]
-}
-
-/// Slice twin of [`bisect8`]: in-place octant bisection over a window of
-/// the flat member-index array, emitting the identical attachment sequence.
-pub(crate) fn bisect8_soa<S: AttachSink>(
+/// Connects every point in `idx` below `src` with out-degree at most 8 per
+/// node, following the 8-way octant split of the shell cell. Works in
+/// place on `idx`, a window of the flat member-index array.
+pub(crate) fn bisect8<S: AttachSink>(
     b: &mut S,
     sph: SphSlices<'_>,
     cell: ShellCell,
@@ -305,7 +139,7 @@ pub(crate) fn bisect8_soa<S: AttachSink>(
         omt_obs::obs_count!("bisect3d/splits");
         let children = f.cell.split8();
         // Stable 8-way partition: classify + count, then scatter from a
-        // staged copy, preserving the legacy per-octant push order.
+        // staged copy, so each octant keeps its input order.
         class.clear();
         let mut counts = [0u32; 8];
         for &p in &idx[start..end] {
@@ -332,7 +166,7 @@ pub(crate) fn bisect8_soa<S: AttachSink>(
             if cs == ce {
                 continue;
             }
-            let rep = take_closest_in_slice(sph.radius, &mut idx[cs..ce], f.q);
+            let rep = take_closest_radius(sph.radius, &mut idx[cs..ce], f.q);
             attach3(b, rep as usize, f.src)?;
             if ce - cs > 1 {
                 stack8.push(Frame8 {
@@ -349,9 +183,11 @@ pub(crate) fn bisect8_soa<S: AttachSink>(
     Ok(())
 }
 
-/// Slice twin of [`bisect2_3d`]: in-place binary bisection along cycling
-/// radius → azimuth → z axes, emitting the identical attachment sequence.
-pub(crate) fn bisect2_3d_soa<S: AttachSink>(
+/// Connects every point in `idx` below `src` with out-degree at most 2 per
+/// node: binary splits along cycling radius → azimuth → z axes, two
+/// carriers per step chosen by radius proximity to the local source.
+/// Works in place on `idx`, a window of the flat member-index array.
+pub(crate) fn bisect2_3d<S: AttachSink>(
     b: &mut S,
     sph: SphSlices<'_>,
     cell: ShellCell,
@@ -388,8 +224,8 @@ pub(crate) fn bisect2_3d_soa<S: AttachSink>(
         }
         omt_obs::obs_observe!("bisect3d/depth", u64::from(f.depth));
         omt_obs::obs_count!("bisect3d/splits");
-        let a = take_closest_in_slice(sph.radius, &mut idx[start..end], f.q);
-        let c = take_closest_in_slice(sph.radius, &mut idx[start..end - 1], f.q);
+        let a = take_closest_radius(sph.radius, &mut idx[start..end], f.q);
+        let c = take_closest_radius(sph.radius, &mut idx[start..end - 1], f.q);
         attach3(b, a as usize, f.src)?;
         attach3(b, c as usize, f.src)?;
         let rm = 0.5 * (f.cell.r_lo() + f.cell.r_hi());
@@ -478,30 +314,29 @@ mod tests {
     use omt_rng::rngs::SmallRng;
     use omt_rng::SeedableRng;
 
-    fn setup(n: usize, seed: u64) -> (TreeBuilder<3>, Vec<SphericalPoint>, Vec<u32>) {
+    fn setup(n: usize, seed: u64) -> (TreeBuilder<3>, PointStore3, Vec<u32>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let pts = Ball::<3>::unit().sample_n(&mut rng, n);
-        let sph = pts.iter().map(SphericalPoint::from_cartesian).collect();
+        let store = PointStore3::from_points(Point3::ORIGIN, &pts);
         let b = TreeBuilder::new(Point3::ORIGIN, pts);
         let idx = (0..n as u32).collect();
-        (b, sph, idx)
+        (b, store, idx)
     }
 
     #[test]
     fn bisect8_produces_valid_degree8_tree() {
+        let mut scratch = Scratch3::default();
         for n in [1usize, 5, 64, 500] {
-            let (mut b, sph, idx) = setup(n, n as u64);
-            let mut b = {
-                b = b.max_out_degree(8);
-                b
-            };
+            let (b, store, mut idx) = setup(n, n as u64);
+            let mut b = b.max_out_degree(8);
             bisect8(
                 &mut b,
-                &sph,
+                SphSlices::of(&store),
                 ShellCell::ball(1.0 + 1e-9),
                 ParentRef::Source,
                 0.0,
-                idx,
+                &mut idx,
+                &mut scratch,
             )
             .unwrap();
             let t = b.finish().unwrap();
@@ -512,16 +347,18 @@ mod tests {
 
     #[test]
     fn bisect2_3d_produces_valid_degree2_tree() {
+        let mut scratch = Scratch3::default();
         for n in [1usize, 2, 3, 9, 200] {
-            let (b, sph, idx) = setup(n, 90 + n as u64);
+            let (b, store, mut idx) = setup(n, 90 + n as u64);
             let mut b = b.max_out_degree(2);
             bisect2_3d(
                 &mut b,
-                &sph,
+                SphSlices::of(&store),
                 ShellCell::ball(1.0 + 1e-9),
                 ParentRef::Source,
                 0.0,
-                idx,
+                &mut idx,
+                &mut scratch,
             )
             .unwrap();
             let t = b.finish().unwrap();
@@ -533,27 +370,32 @@ mod tests {
     #[test]
     fn duplicate_points_terminate() {
         let pts = vec![Point3::new([0.3, 0.3, 0.3]); 40];
-        let sph: Vec<SphericalPoint> = pts.iter().map(SphericalPoint::from_cartesian).collect();
+        let store = PointStore3::from_points(Point3::ORIGIN, &pts);
+        let mut scratch = Scratch3::default();
         let mut b = TreeBuilder::new(Point3::ORIGIN, pts.clone()).max_out_degree(8);
+        let mut idx: Vec<u32> = (0..40).collect();
         bisect8(
             &mut b,
-            &sph,
+            SphSlices::of(&store),
             ShellCell::ball(1.0),
             ParentRef::Source,
             0.0,
-            (0..40).collect(),
+            &mut idx,
+            &mut scratch,
         )
         .unwrap();
         b.finish().unwrap().validate(Some(8)).unwrap();
 
         let mut b = TreeBuilder::new(Point3::ORIGIN, pts).max_out_degree(2);
+        let mut idx: Vec<u32> = (0..40).collect();
         bisect2_3d(
             &mut b,
-            &sph,
+            SphSlices::of(&store),
             ShellCell::ball(1.0),
             ParentRef::Source,
             0.0,
-            (0..40).collect(),
+            &mut idx,
+            &mut scratch,
         )
         .unwrap();
         b.finish().unwrap().validate(Some(2)).unwrap();
@@ -561,16 +403,17 @@ mod tests {
 
     #[test]
     fn radius_stays_within_constant_factor_of_direct() {
-        let (b, sph, idx) = setup(1000, 7);
-        let opt_lb = sph.iter().map(|p| p.radius).fold(0.0, f64::max);
+        let (b, store, mut idx) = setup(1000, 7);
+        let opt_lb = store.radius().iter().copied().fold(0.0, f64::max);
         let mut b = b.max_out_degree(8);
         bisect8(
             &mut b,
-            &sph,
+            SphSlices::of(&store),
             ShellCell::ball(1.0 + 1e-9),
             ParentRef::Source,
             0.0,
-            idx,
+            &mut idx,
+            &mut Scratch3::default(),
         )
         .unwrap();
         let t = b.finish().unwrap();
@@ -578,70 +421,6 @@ mod tests {
         // segment setting, but the radius must still be a small multiple of
         // the lower bound.
         assert!(t.radius() <= 8.0 * opt_lb, "radius {}", t.radius());
-    }
-
-    #[test]
-    fn soa_twins_emit_identical_edge_lists_3d() {
-        use crate::sink::EdgeList;
-        let (_, sph, idx) = setup(300, 42);
-        let radius: Vec<f64> = sph.iter().map(|p| p.radius).collect();
-        let azimuth: Vec<f64> = sph.iter().map(|p| p.azimuth).collect();
-        let cos_polar: Vec<f64> = sph.iter().map(|p| p.cos_polar).collect();
-        let slices = SphSlices {
-            radius: &radius,
-            azimuth: &azimuth,
-            cos_polar: &cos_polar,
-        };
-        let cell = ShellCell::ball(1.0 + 1e-9);
-        let mut scratch = Scratch3::default();
-
-        let mut legacy8 = EdgeList::default();
-        bisect8(
-            &mut legacy8,
-            &sph,
-            cell,
-            ParentRef::Source,
-            0.0,
-            idx.clone(),
-        )
-        .unwrap();
-        let mut soa8 = EdgeList::default();
-        let mut idx8 = idx.clone();
-        bisect8_soa(
-            &mut soa8,
-            slices,
-            cell,
-            ParentRef::Source,
-            0.0,
-            &mut idx8,
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(legacy8.0, soa8.0, "deg-8 edge emission diverged");
-
-        let mut legacy2 = EdgeList::default();
-        bisect2_3d(
-            &mut legacy2,
-            &sph,
-            cell,
-            ParentRef::Source,
-            0.0,
-            idx.clone(),
-        )
-        .unwrap();
-        let mut soa2 = EdgeList::default();
-        let mut idx2 = idx;
-        bisect2_3d_soa(
-            &mut soa2,
-            slices,
-            cell,
-            ParentRef::Source,
-            0.0,
-            &mut idx2,
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(legacy2.0, soa2.0, "deg-2 edge emission diverged");
     }
 
     #[test]
@@ -726,21 +505,35 @@ impl Bisection3 {
         }
         let mut builder =
             TreeBuilder::new(source, points.to_vec()).max_out_degree(self.max_out_degree);
-        let sph: Vec<SphericalPoint> = points
-            .iter()
-            .map(|p| SphericalPoint::from_cartesian(&(*p - source)))
-            .collect();
-        let rho = sph.iter().map(|p| p.radius).fold(0.0f64, f64::max);
+        let store = PointStore3::from_points(source, points);
+        let rho = store.radius().iter().copied().fold(0.0f64, f64::max);
         if rho == 0.0 {
             fanout_chain3(&mut builder, self.max_out_degree)?;
             return Ok(builder.finish()?);
         }
-        let cell = ShellCell::ball(rho * (1.0 + 1e-9));
-        let idx: Vec<u32> = (0..points.len() as u32).collect();
+        let (sph, cell) = (SphSlices::of(&store), ShellCell::ball(rho * (1.0 + 1e-9)));
+        let mut idx: Vec<u32> = (0..points.len() as u32).collect();
+        let mut scratch = Scratch3::default();
         if self.max_out_degree >= 8 {
-            bisect8(&mut builder, &sph, cell, ParentRef::Source, 0.0, idx)?;
+            bisect8(
+                &mut builder,
+                sph,
+                cell,
+                ParentRef::Source,
+                0.0,
+                &mut idx,
+                &mut scratch,
+            )?;
         } else {
-            bisect2_3d(&mut builder, &sph, cell, ParentRef::Source, 0.0, idx)?;
+            bisect2_3d(
+                &mut builder,
+                sph,
+                cell,
+                ParentRef::Source,
+                0.0,
+                &mut idx,
+                &mut scratch,
+            )?;
         }
         Ok(builder.finish()?)
     }

@@ -7,8 +7,8 @@ use omt_tree::{ParentRef, TreeBuilder, TreeError};
 use crate::sink::{attach, AttachSink};
 
 /// Attaches nodes `0..n` to any sink in a breadth-first fan-out respecting
-/// `max_out_degree`. This is the sink-generic core shared by the legacy
-/// builder path ([`fanout_chain`]) and the arena/SoA path.
+/// `max_out_degree`. This is the sink-generic core shared by the
+/// [`TreeBuilder`] callers ([`fanout_chain`]) and the grid builders' arena.
 ///
 /// # Panics
 ///

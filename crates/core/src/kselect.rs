@@ -416,8 +416,8 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
         // ...where every member sits in the window of its own cell, and the
         // scatter is stable: within a cell, point indices stay in input
-        // order (the property the legacy per-cell `Vec` push order had,
-        // which the bisection twins' parity depends on).
+        // order (the first-minimum tie rules of the in-cell picks, and so
+        // the pinned trees, depend on it).
         for c in 0..cell_count(k) {
             let window = &members[counts[c] as usize..counts[c + 1] as usize];
             assert!(

@@ -21,15 +21,10 @@
 //! (Section IV-C): the covering disk is built around the source, and the
 //! active-cell rule tolerates the empty cells outside the region.
 
-use omt_geom::{Point2, PointStore2, PolarPoint};
-use omt_tree::{check_node_capacity, MulticastTree, NodeId, ParentRef, TreeArena, TreeBuilder};
+use omt_geom::{Point2, PointStore2, PolarPoint, RingSegment};
+use omt_tree::{check_node_capacity, MulticastTree, NodeId, ParentRef, TreeArena, TreeError};
 
-use omt_geom::RingSegment;
-use omt_tree::TreeError;
-
-use crate::bisect2d::{
-    attach, bisect2, bisect2_soa, bisect4, bisect4_soa, fanout_chain, PolarSlices, Scratch2,
-};
+use crate::bisect2d::{attach, bisect2, bisect4, PolarSlices, Scratch2};
 use crate::bounds::upper_bound_eq7;
 use crate::error::BuildError;
 use crate::fanout::fanout_sink;
@@ -37,80 +32,16 @@ use crate::grid2::PolarGrid2;
 use crate::kselect::{
     bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments,
 };
-use crate::sink::{unpack_parent, EdgeList, SharedArena, PACKED_SOURCE};
+use crate::sink::{unpack_parent, SharedArena, PACKED_SOURCE};
 
-/// Chunk length for the batched SoA pre-passes (finiteness scan, lower
+/// Chunk length for the batched column pre-passes (finiteness scan, lower
 /// bound, polar-column ring/path binning): large enough to amortize the
 /// dispatch, small enough to load-balance on skewed machines.
 pub(crate) const SOA_CHUNK: usize = 1 << 16;
 
-/// One deferred in-cell bisection, captured in deterministic cell order
-/// during core wiring. Cells are independent by construction (a bisection
-/// only touches the cell's own members under its own local root), so the
-/// jobs can run on any thread: each one is a pure function of this data
-/// plus the shared read-only polar coordinates.
-struct CellJob {
-    seg: RingSegment,
-    parent: ParentRef,
-    q: f64,
-    idx: Vec<u32>,
-}
-
-/// Runs the per-cell bisections. With one thread each job runs directly
-/// against the builder, in cell order — the sequential path. With more,
-/// every job emits a private edge list on a worker thread and the lists
-/// are replayed in the same cell order, producing the identical edge set
-/// and therefore a bit-identical tree (see `crate::sink`).
-fn run_cell_jobs(
-    builder: &mut TreeBuilder<2>,
-    polar: &[PolarPoint],
-    jobs: Vec<CellJob>,
-    binary: bool,
-    threads: usize,
-) -> Result<(), TreeError> {
-    if threads <= 1 || jobs.len() <= 1 {
-        for job in jobs {
-            if binary {
-                bisect2(builder, polar, job.seg, job.parent, job.q, job.idx)?;
-            } else {
-                bisect4(builder, polar, job.seg, job.parent, job.q, job.idx)?;
-            }
-        }
-        return Ok(());
-    }
-    let lists = omt_par::par_map_indexed(&jobs, threads, |_, job| {
-        let mut edges = EdgeList::default();
-        let result = if binary {
-            bisect2(
-                &mut edges,
-                polar,
-                job.seg,
-                job.parent,
-                job.q,
-                job.idx.clone(),
-            )
-        } else {
-            bisect4(
-                &mut edges,
-                polar,
-                job.seg,
-                job.parent,
-                job.q,
-                job.idx.clone(),
-            )
-        };
-        result.map(|()| edges.0)
-    });
-    for list in lists {
-        for (child, parent) in list? {
-            attach(builder, child as usize, parent)?;
-        }
-    }
-    Ok(())
-}
-
-/// The SoA twin of [`CellJob`], packed to 20 bytes: the job names its cell
-/// by `(ring, seg)` (the [`RingSegment`] geometry is pure arithmetic,
+/// One deferred in-cell bisection, packed to 20 bytes, captured in
+/// deterministic cell order during core wiring. The job names its cell by
+/// `(ring, seg)` (the [`RingSegment`] geometry is pure arithmetic,
 /// re-derived from the grid at dispatch), its local root by a packed
 /// [`NodeId`] (`PACKED_SOURCE` = the source; the bisection offset `q` is
 /// always that root's radius, 0 for the source), and its members by a
@@ -118,7 +49,7 @@ fn run_cell_jobs(
 /// counting-sort partition. `Copy`, so the parallel path can hand jobs to
 /// workers without cloning index lists.
 #[derive(Clone, Copy, Debug)]
-struct SoaCellJob {
+struct CellJob {
     ring: u32,
     seg: u32,
     parent: NodeId,
@@ -126,21 +57,20 @@ struct SoaCellJob {
     end: u32,
 }
 
-/// Runs the per-cell bisections of the arena/SoA path. Sequentially each
-/// job bisects its window of the flat member array **in place** (one shared
-/// scratch, zero per-job allocation). In parallel the window slices are
-/// split out of the member array up front — the counting-sort windows are
-/// sorted and disjoint, so this is a chain of `split_at_mut` — and every
-/// worker writes **directly** into the shared arena through its exclusive
-/// window and the [`SharedArena`] sink: no per-job edge buffers, no
-/// sequential replay. The edge set (and therefore the finished tree) is
+/// Runs the per-cell bisections. Sequentially each job bisects its window
+/// of the flat member array **in place** (one shared scratch, zero per-job
+/// allocation). In parallel the window slices are split out of the member
+/// array up front — the counting-sort windows are sorted and disjoint, so
+/// this is a chain of `split_at_mut` — and every worker writes
+/// **directly** into the shared arena through its exclusive window and the
+/// [`SharedArena`] sink: no per-job edge buffers, no sequential replay. The edge set (and therefore the finished tree) is
 /// identical either way, because each attachment is a pure function of the
 /// job and the shared read-only polar columns.
-fn run_cell_jobs_soa(
+fn run_cell_jobs(
     arena: &mut TreeArena<'_, 2>,
     polar: PolarSlices<'_>,
     grid: &PolarGrid2,
-    jobs: Vec<SoaCellJob>,
+    jobs: Vec<CellJob>,
     members: &mut [u32],
     binary: bool,
     threads: usize,
@@ -149,7 +79,7 @@ fn run_cell_jobs_soa(
     // the bisection offset `q` as the local root's radius (0 at the
     // source) — exactly the values the core pass computed when it emitted
     // the job.
-    let job_geometry = |job: &SoaCellJob| -> (RingSegment, ParentRef, f64) {
+    let job_geometry = |job: &CellJob| -> (RingSegment, ParentRef, f64) {
         let seg = grid.segment(job.ring, u64::from(job.seg));
         let (parent, q) = if job.parent == PACKED_SOURCE {
             (ParentRef::Source, 0.0)
@@ -167,9 +97,9 @@ fn run_cell_jobs_soa(
             let (seg, parent, q) = job_geometry(&job);
             let idx = &mut members[job.start as usize..job.end as usize];
             if binary {
-                bisect2_soa(arena, polar, seg, parent, q, idx, &mut scratch)?;
+                bisect2(arena, polar, seg, parent, q, idx, &mut scratch)?;
             } else {
-                bisect4_soa(arena, polar, seg, parent, q, idx, &mut scratch)?;
+                bisect4(arena, polar, seg, parent, q, idx, &mut scratch)?;
             }
         }
         return Ok(());
@@ -179,7 +109,7 @@ fn run_cell_jobs_soa(
     // counting-sort permutation), so a forward chain of `split_at_mut`
     // hands each job its own `&mut` window with no copying.
     let mut filled = 0usize;
-    let mut work: Vec<(SoaCellJob, &mut [u32])> = Vec::with_capacity(jobs.len());
+    let mut work: Vec<(CellJob, &mut [u32])> = Vec::with_capacity(jobs.len());
     {
         let mut rest: &mut [u32] = members;
         let mut base = 0usize;
@@ -204,9 +134,9 @@ fn run_cell_jobs_soa(
             let win: &mut [u32] = win;
             let mut sink = SharedArena(shared);
             if binary {
-                bisect2_soa(&mut sink, polar, seg, parent, q, win, scratch)
+                bisect2(&mut sink, polar, seg, parent, q, win, scratch)
             } else {
-                bisect4_soa(&mut sink, polar, seg, parent, q, win, scratch)
+                bisect4(&mut sink, polar, seg, parent, q, win, scratch)
             }
         },
     );
@@ -356,11 +286,19 @@ impl PolarGridBuilder {
 
     /// Builds the multicast tree and returns the Table-I diagnostics.
     ///
+    /// The points are copied into a [`PointStore2`] relative to `source`
+    /// and built by [`PolarGridBuilder::build_store_with_report`].
+    ///
     /// # Errors
     ///
+    /// In the order they are checked:
+    ///
     /// * [`BuildError::DegreeTooSmall`] for out-degree budgets below 2;
-    /// * [`BuildError::NonFiniteSource`] / [`BuildError::NonFinitePoint`]
-    ///   for NaN or infinite coordinates;
+    /// * [`BuildError::NonFiniteSource`] for a NaN or infinite source;
+    /// * [`BuildError::TooManyPoints`] for more than
+    ///   [`omt_tree::MAX_NODES`] points;
+    /// * [`BuildError::NonFinitePoint`] for the first NaN or infinite
+    ///   point;
     /// * [`BuildError::InfeasibleRings`] if a [`PolarGridBuilder::rings`]
     ///   override cannot keep every active interior cell occupied.
     pub fn build_with_report(
@@ -368,239 +306,7 @@ impl PolarGridBuilder {
         source: Point2,
         points: &[Point2],
     ) -> Result<(MulticastTree<2>, PolarGridReport), BuildError> {
-        if self.max_out_degree < 2 {
-            return Err(BuildError::DegreeTooSmall {
-                got: self.max_out_degree,
-                min: 2,
-            });
-        }
-        if !source.is_finite() {
-            return Err(BuildError::NonFiniteSource);
-        }
-        if let Some(bad) = points.iter().position(|p| !p.is_finite()) {
-            return Err(BuildError::NonFinitePoint { index: bad });
-        }
-        let n = points.len();
-        let _build_span = omt_obs::obs_span!("polar_grid/build");
-        omt_obs::obs_count!("polar_grid/builds");
-        let mut builder =
-            TreeBuilder::new(source, points.to_vec()).max_out_degree(self.max_out_degree);
-        if n == 0 {
-            let tree = builder.finish()?;
-            return Ok((
-                tree,
-                PolarGridReport {
-                    rings: 0,
-                    delay: 0.0,
-                    core_delay: 0.0,
-                    bound: 0.0,
-                    lower_bound: 0.0,
-                    cells: 1,
-                    occupied_cells: 0,
-                },
-            ));
-        }
-
-        // Polar coordinates relative to the source (the grid pole).
-        let partition_span = omt_obs::obs_span!("polar_grid/partition");
-        let polar: Vec<PolarPoint> = points
-            .iter()
-            .map(|p| PolarPoint::from_cartesian(&(*p - source)))
-            .collect();
-        let lower_bound = polar.iter().map(|p| p.radius).fold(0.0, f64::max);
-        if lower_bound == 0.0 {
-            // Every point coincides with the source.
-            fanout_chain(&mut builder, self.max_out_degree)?;
-            let tree = builder.finish()?;
-            return Ok((
-                tree,
-                PolarGridReport {
-                    rings: 0,
-                    delay: 0.0,
-                    core_delay: 0.0,
-                    bound: 0.0,
-                    lower_bound: 0.0,
-                    cells: 1,
-                    occupied_cells: 1,
-                },
-            ));
-        }
-        // Covering disk radius: strictly above the farthest point so the
-        // half-open outermost ring contains it.
-        let rho = lower_bound * (1.0 + 1e-9);
-
-        // Assign every point once at the finest level, then select k.
-        let k_max = finest_level(n);
-        let finest = PolarGrid2::new(k_max, rho);
-        let scale = (1u64 << k_max) as f64 / core::f64::consts::TAU;
-        let assignments = Assignments {
-            k_max,
-            ring: polar
-                .iter()
-                .map(|p| finest.ring_of_radius(p.radius))
-                .collect(),
-            path: polar
-                .iter()
-                .map(|p| ((p.angle * scale) as u64).min((1u64 << k_max) - 1) as u32)
-                .collect(),
-        };
-        let (k_auto, _) = select_rings(&assignments);
-        let k = match self.rings_override {
-            None => k_auto,
-            Some(req) => {
-                if req <= k_auto {
-                    req
-                } else {
-                    return Err(BuildError::InfeasibleRings {
-                        requested: req,
-                        feasible: k_auto,
-                    });
-                }
-            }
-        };
-
-        let grid = PolarGrid2::new(k, rho);
-        let deg6 = self.max_out_degree >= 6;
-
-        // Bucket points per cell (counting sort into CSR lists).
-        let cells = cell_count(k);
-        let (counts, members) = bucket_cells(&assignments, k);
-        let cell_members = |c: usize| &members[counts[c] as usize..counts[c + 1] as usize];
-        let occupied_cells = (0..cells).filter(|&c| counts[c] != counts[c + 1]).count();
-        omt_obs::obs_observe!("polar_grid/occupied_cells", occupied_cells as u64);
-        drop(partition_span);
-
-        // Wire the tree in two passes: a sequential core pass (cheap —
-        // O(n) representative picks plus one edge per occupied cell) that
-        // captures one bisection job per cell, then the job pass, which is
-        // where the algorithm spends its time and where the worker pool
-        // pays off. Cell order is fixed by the (ring, seg) sweep, so the
-        // job list — and with it the final edge set — is the same for
-        // every thread count.
-        let threads = omt_par::resolve_threads(self.threads);
-        let mut core_delay = 0.0f64;
-        let mut jobs: Vec<CellJob> = Vec::new();
-        if deg6 {
-            let core_span = omt_obs::obs_span!("polar_grid/core");
-            // rep_ref[cell] = the representative the cell's children attach to.
-            let mut rep_ref: Vec<ParentRef> = vec![ParentRef::Source; cells];
-            // Ring 0: the source is the representative; bisect the rest.
-            jobs.push(CellJob {
-                seg: grid.segment(0, 0),
-                parent: ParentRef::Source,
-                q: 0.0,
-                idx: cell_members(0).to_vec(),
-            });
-            for ring in 1..=k {
-                for seg in 0..(1u64 << ring) {
-                    let c = cell_index(ring, seg);
-                    let mem = cell_members(c);
-                    if mem.is_empty() {
-                        continue;
-                    }
-                    let cell_seg = grid.segment(ring, seg);
-                    let inner_mid =
-                        PolarPoint::new(cell_seg.r_lo(), cell_seg.arc().mid()).to_cartesian();
-                    let rep = self.pick_rep(&polar, mem, inner_mid);
-                    let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
-                    attach(&mut builder, rep as usize, rep_ref[cell_index(pr, ps)])?;
-                    core_delay =
-                        core_delay.max(builder.depth_of(rep as usize).expect("just attached"));
-                    rep_ref[c] = ParentRef::Node(rep as usize);
-                    let rest: Vec<u32> = mem.iter().copied().filter(|&p| p != rep).collect();
-                    jobs.push(CellJob {
-                        seg: grid.segment(ring, seg),
-                        parent: ParentRef::Node(rep as usize),
-                        q: polar[rep as usize].radius,
-                        idx: rest,
-                    });
-                }
-            }
-            drop(core_span);
-            let _cells_span = omt_obs::obs_span!("polar_grid/cells");
-            run_cell_jobs(&mut builder, &polar, jobs, false, threads)?;
-        } else {
-            let core_span = omt_obs::obs_span!("polar_grid/core");
-            // Degree-2 wiring (Section IV-A): each cell exposes a
-            // "connector" with spare budget 2 that adopts the
-            // representatives of the cell's occupied children.
-            let mut connector: Vec<ParentRef> = vec![ParentRef::Source; cells];
-            // Ring 0 — the source is the representative.
-            {
-                let mem = cell_members(0);
-                let has_core_children = k >= 1
-                    && (!cell_members(cell_index(1, 0)).is_empty()
-                        || !cell_members(cell_index(1, 1)).is_empty());
-                let (conn, job) = self.wire_cell_deg2(
-                    &mut builder,
-                    &polar,
-                    &grid,
-                    0,
-                    0,
-                    ParentRef::Source,
-                    0.0,
-                    mem,
-                    None,
-                    has_core_children,
-                )?;
-                connector[0] = conn;
-                jobs.extend(job);
-            }
-            for ring in 1..=k {
-                for seg in 0..(1u64 << ring) {
-                    let c = cell_index(ring, seg);
-                    let mem = cell_members(c);
-                    if mem.is_empty() {
-                        continue;
-                    }
-                    let cell_seg = grid.segment(ring, seg);
-                    let inner_mid =
-                        PolarPoint::new(cell_seg.r_lo(), cell_seg.arc().mid()).to_cartesian();
-                    let rep = self.pick_rep(&polar, mem, inner_mid);
-                    let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
-                    attach(&mut builder, rep as usize, connector[cell_index(pr, ps)])?;
-                    core_delay =
-                        core_delay.max(builder.depth_of(rep as usize).expect("just attached"));
-                    let has_core_children = match grid.children(ring, seg) {
-                        None => false,
-                        Some(kids) => kids
-                            .iter()
-                            .any(|&(r, s)| !cell_members(cell_index(r, s)).is_empty()),
-                    };
-                    let (conn, job) = self.wire_cell_deg2(
-                        &mut builder,
-                        &polar,
-                        &grid,
-                        ring,
-                        seg,
-                        ParentRef::Node(rep as usize),
-                        polar[rep as usize].radius,
-                        mem,
-                        Some(rep),
-                        has_core_children,
-                    )?;
-                    connector[c] = conn;
-                    jobs.extend(job);
-                }
-            }
-            drop(core_span);
-            let _cells_span = omt_obs::obs_span!("polar_grid/cells");
-            run_cell_jobs(&mut builder, &polar, jobs, true, threads)?;
-        }
-
-        let _finish_span = omt_obs::obs_span!("polar_grid/finish");
-        let tree = builder.finish()?;
-        let delay = tree.radius();
-        let report = PolarGridReport {
-            rings: k,
-            delay,
-            core_delay,
-            bound: upper_bound_eq7(k, self.max_out_degree, rho),
-            lower_bound,
-            cells,
-            occupied_cells,
-        };
-        Ok((tree, report))
+        self.build_store_with_report(&PointStore2::from_points(source, points))
     }
 
     /// Builds the multicast tree from a structure-of-arrays point store
@@ -616,15 +322,13 @@ impl PolarGridBuilder {
     /// Builds the multicast tree from a structure-of-arrays point store and
     /// returns the Table-I diagnostics.
     ///
-    /// This is the million-scale construction path: the store's coordinate
-    /// columns are borrowed by an arena builder ([`omt_tree::TreeArena`] —
-    /// preallocated flat arrays, no per-node allocation), the cell
-    /// partition is the same counting sort as the legacy path, and the
+    /// This is the one construction path; the slice builders wrap it. The
+    /// store's coordinate columns are borrowed by an arena builder
+    /// ([`omt_tree::TreeArena`] — preallocated flat arrays, no per-node
+    /// allocation), the cells are partitioned by a counting sort, and the
     /// per-cell bisections run in place on windows of the flat member
-    /// array with explicit work stacks. The result is **bit-identical** to
-    /// [`PolarGridBuilder::build_with_report`] on the same input — same
-    /// radii, same edge lists — for every thread count; the parity suite
-    /// (`tests/arena_parity.rs`) enforces this.
+    /// array with explicit work stacks. The tree is bit-identical for
+    /// every thread count; `tests/construction_golden.rs` pins it.
     ///
     /// # Errors
     ///
@@ -647,14 +351,6 @@ impl PolarGridBuilder {
     ///     .build_store_with_report(&store)?;
     /// tree.validate(Some(6))?;
     /// assert!(report.delay <= report.bound);
-    ///
-    /// // Bit-identical to the legacy array-of-structs path:
-    /// let mut rng = SmallRng::seed_from_u64(5);
-    /// let points = Disk::unit().sample_n(&mut rng, 2000);
-    /// let legacy = PolarGridBuilder::new()
-    ///     .max_out_degree(6)
-    ///     .build(Point2::ORIGIN, &points)?;
-    /// assert_eq!(tree, legacy);
     /// # Ok(())
     /// # }
     /// ```
@@ -713,8 +409,7 @@ impl PolarGridBuilder {
         }
 
         // The store's polar columns are the precomputed source-relative
-        // coordinates — bit-identical to the AoS conversion by the
-        // `PointStore2` contract.
+        // coordinates.
         let partition_span = omt_obs::obs_span!("polar_grid/partition");
         let polar = PolarSlices {
             radius: store.radius(),
@@ -832,23 +527,27 @@ impl PolarGridBuilder {
                 let cell_seg = grid.segment(ring, u64::from(seg));
                 let inner_mid =
                     PolarPoint::new(cell_seg.r_lo(), cell_seg.arc().mid()).to_cartesian();
-                self.pick_rep_soa(polar, &members_ro[cs..ce], inner_mid)
+                self.pick_rep(polar, &members_ro[cs..ce], inner_mid)
             })
         };
         drop(occupied_list);
         drop(rep_span);
 
-        // Same two-pass wiring as the legacy path: a sequential core pass
-        // capturing one window-job per cell, then the bisection pass.
+        // Wire the tree in two passes: a sequential core pass (one edge
+        // per occupied cell) capturing one window-job per cell, then the
+        // bisection pass, which is where the algorithm spends its time and
+        // where the worker pool pays off. Cell order is fixed by the
+        // (ring, seg) sweep, so the job list — and with it the final edge
+        // set — is the same for every thread count.
         let mut core_delay = 0.0f64;
-        let mut jobs: Vec<SoaCellJob> = Vec::with_capacity(reps.len() + 1);
+        let mut jobs: Vec<CellJob> = Vec::with_capacity(reps.len() + 1);
         let mut next_rep = reps.iter().copied();
         if deg6 {
             let core_span = omt_obs::obs_span!("polar_grid/core");
             // rep_ref[cell] = the representative the cell's children attach to.
             let mut rep_ref: Vec<NodeId> = vec![PACKED_SOURCE; cells];
             // Ring 0: the source is the representative; bisect the rest.
-            jobs.push(SoaCellJob {
+            jobs.push(CellJob {
                 ring: 0,
                 seg: 0,
                 parent: PACKED_SOURCE,
@@ -873,12 +572,12 @@ impl PolarGridBuilder {
                         core_delay.max(arena.depth_of(rep as usize).expect("just attached"));
                     rep_ref[c] = rep;
                     // Order-preserving removal of the representative from
-                    // the window (the legacy path's `filter(p != rep)`):
-                    // rotate it to the back and shrink the job range.
+                    // the window: rotate it to the back and shrink the job
+                    // range.
                     let sub = &mut members[cs..ce];
                     let pos = sub.iter().position(|&p| p == rep).expect("rep is a member");
                     sub[pos..].rotate_left(1);
-                    jobs.push(SoaCellJob {
+                    jobs.push(CellJob {
                         ring,
                         seg: seg as u32,
                         parent: rep,
@@ -895,7 +594,7 @@ impl PolarGridBuilder {
             // connector and bisection-source picks stay in the sequential
             // core pass: unlike the rep pick they run over a window the
             // pass has already permuted, so hoisting them would change the
-            // comparison order and break bit parity.
+            // comparison order and with it the tree.
             let mut connector: Vec<NodeId> = vec![PACKED_SOURCE; cells];
             // Ring 0 — the source is the representative.
             {
@@ -903,7 +602,7 @@ impl PolarGridBuilder {
                 let has_core_children =
                     k >= 1 && (nonempty(cell_index(1, 0)) || nonempty(cell_index(1, 1)));
                 let (cs, ce) = cell_range(0);
-                let (conn, job) = self.wire_cell_deg2_soa(
+                let (conn, job) = self.wire_cell_deg2(
                     &mut arena,
                     polar,
                     0,
@@ -941,7 +640,7 @@ impl PolarGridBuilder {
                             counts[cc] != counts[cc + 1]
                         }),
                     };
-                    let (conn, job) = self.wire_cell_deg2_soa(
+                    let (conn, job) = self.wire_cell_deg2(
                         &mut arena,
                         polar,
                         ring,
@@ -966,7 +665,7 @@ impl PolarGridBuilder {
 
         {
             let _cells_span = omt_obs::obs_span!("polar_grid/cells");
-            run_cell_jobs_soa(&mut arena, polar, &grid, jobs, &mut members, !deg6, threads)?;
+            run_cell_jobs(&mut arena, polar, &grid, jobs, &mut members, !deg6, threads)?;
         }
         drop(members);
 
@@ -985,9 +684,9 @@ impl PolarGridBuilder {
         Ok((tree, report))
     }
 
-    /// SoA twin of [`PolarGridBuilder::pick_rep`]: identical comparator
-    /// expressions and tie rules over the slice view.
-    fn pick_rep_soa(&self, polar: PolarSlices<'_>, members: &[u32], inner_mid: Point2) -> u32 {
+    /// Chooses the representative of a non-empty cell; `inner_mid` is the
+    /// midpoint of the cell's inner arc in the source-relative frame.
+    fn pick_rep(&self, polar: PolarSlices<'_>, members: &[u32], inner_mid: Point2) -> u32 {
         debug_assert!(!members.is_empty());
         match self.rep_strategy {
             RepStrategy::InnerArcMid => *members
@@ -1010,15 +709,20 @@ impl PolarGridBuilder {
         }
     }
 
-    /// SoA twin of [`PolarGridBuilder::wire_cell_deg2`], operating in place
-    /// on the cell's window `[cs, ce)` of the flat member array.
+    /// Wires the scaffold of one cell in the degree-2 scheme, in place on
+    /// the cell's window `[cs, ce)` of the flat member array, and returns
+    /// the cell's connector — the node (or source) with ≥ 2 spare
+    /// out-links that will adopt the representatives of the occupied child
+    /// cells — plus the deferred in-cell bisection job, if the cell has
+    /// enough points to need one.
     ///
-    /// The legacy `Vec` manipulations map onto window operations that
-    /// provably preserve the surviving member order: the `filter(p != rep)`
-    /// copy becomes a rotate-to-back, and each `swap_remove` becomes a
-    /// swap-to-back plus a window shrink.
+    /// `rep` is `None` for the inner disk (the source is the
+    /// representative there and `rep_ref` is `PACKED_SOURCE`). Wired points
+    /// leave the window from the back: the representative by a rotate that
+    /// keeps the others in order, the connector and the bisection source by
+    /// a swap with the last member.
     #[allow(clippy::too_many_arguments)]
-    fn wire_cell_deg2_soa(
+    fn wire_cell_deg2(
         &self,
         arena: &mut TreeArena<'_, 2>,
         polar: PolarSlices<'_>,
@@ -1030,7 +734,7 @@ impl PolarGridBuilder {
         ce: usize,
         rep: Option<u32>,
         has_core_children: bool,
-    ) -> Result<(NodeId, Option<SoaCellJob>), BuildError> {
+    ) -> Result<(NodeId, Option<CellJob>), BuildError> {
         // The rep's radius is derivable from the packed reference: the
         // source sits at radius 0, anything else is a point id.
         let rep_radius = if rep_ref == PACKED_SOURCE {
@@ -1061,8 +765,13 @@ impl PolarGridBuilder {
             }
             _ => {
                 // Case 3: rep -> {bisection source, connector}; the
-                // connector keeps both links for the child cells.
+                // connector keeps both links for the child cells. When the
+                // cell has no occupied children the connector is skipped
+                // and every spare point goes through the bisection.
                 let connector = if has_core_children {
+                    // The point nearest the representative: the extra
+                    // rep -> connector hop stays short, so the core costs
+                    // roughly one degree-6 hop per ring plus a local step.
                     let rep_pos = if rep_ref == PACKED_SOURCE {
                         omt_geom::Point2::ORIGIN
                     } else {
@@ -1107,150 +816,12 @@ impl PolarGridBuilder {
                     let s = sub[last];
                     end -= 1;
                     attach(arena, s as usize, unpack_parent(rep_ref))?;
-                    job = Some(SoaCellJob {
+                    job = Some(CellJob {
                         ring,
                         seg,
                         parent: s,
                         start: cs as u32,
                         end: end as u32,
-                    });
-                }
-                Ok((connector.unwrap_or(rep_ref), job))
-            }
-        }
-    }
-
-    /// Chooses the representative of a non-empty cell; `inner_mid` is the
-    /// midpoint of the cell's inner arc in the source-relative frame.
-    fn pick_rep(&self, polar: &[PolarPoint], members: &[u32], inner_mid: Point2) -> u32 {
-        debug_assert!(!members.is_empty());
-        match self.rep_strategy {
-            RepStrategy::InnerArcMid => *members
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let da = polar[a as usize]
-                        .to_cartesian()
-                        .distance_squared(&inner_mid);
-                    let db = polar[b as usize]
-                        .to_cartesian()
-                        .distance_squared(&inner_mid);
-                    da.total_cmp(&db)
-                })
-                .expect("nonempty"),
-            RepStrategy::MinRadius => *members
-                .iter()
-                .min_by(|&&a, &&b| {
-                    polar[a as usize]
-                        .radius
-                        .total_cmp(&polar[b as usize].radius)
-                })
-                .expect("nonempty"),
-            RepStrategy::MaxRadius => *members
-                .iter()
-                .max_by(|&&a, &&b| {
-                    polar[a as usize]
-                        .radius
-                        .total_cmp(&polar[b as usize].radius)
-                })
-                .expect("nonempty"),
-            RepStrategy::First => members[0],
-        }
-    }
-
-    /// Wires the scaffold of one cell in the degree-2 scheme and returns
-    /// the cell's connector — the node (or source) with ≥ 2 spare
-    /// out-links that will adopt the representatives of the occupied child
-    /// cells — plus the deferred in-cell bisection job, if the cell has
-    /// enough points to need one.
-    ///
-    /// `rep` is `None` for the inner disk (the source is the
-    /// representative there and `rep_ref` is `ParentRef::Source`).
-    #[allow(clippy::too_many_arguments)]
-    fn wire_cell_deg2(
-        &self,
-        builder: &mut TreeBuilder<2>,
-        polar: &[PolarPoint],
-        grid: &PolarGrid2,
-        ring: u32,
-        seg: u64,
-        rep_ref: ParentRef,
-        rep_radius: f64,
-        members: &[u32],
-        rep: Option<u32>,
-        has_core_children: bool,
-    ) -> Result<(ParentRef, Option<CellJob>), BuildError> {
-        // The points still to be wired inside the cell.
-        let mut rest: Vec<u32> = members
-            .iter()
-            .copied()
-            .filter(|&p| Some(p) != rep)
-            .collect();
-        match rest.len() {
-            0 => {
-                // Case 1: the representative alone (or the bare source for
-                // the inner disk); it has both links spare.
-                Ok((rep_ref, None))
-            }
-            1 => {
-                // Case 2: rep -> other; the other point becomes the
-                // connector with both links spare.
-                let other = rest[0];
-                attach(builder, other as usize, rep_ref)?;
-                Ok((ParentRef::Node(other as usize), None))
-            }
-            _ => {
-                // Case 3: rep -> {bisection source, connector}; the
-                // connector keeps both links for the child cells. When the
-                // cell has no occupied children the connector is skipped
-                // and every spare point goes through the bisection.
-                let connector = if has_core_children {
-                    // The point nearest the representative: the extra
-                    // rep -> connector hop stays short, so the core costs
-                    // roughly one degree-6 hop per ring plus a local step.
-                    let rep_pos = match rep_ref {
-                        ParentRef::Source => omt_geom::Point2::ORIGIN,
-                        ParentRef::Node(r) => polar[r].to_cartesian(),
-                    };
-                    let pos = rest
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| {
-                            let da = polar[*a.1 as usize]
-                                .to_cartesian()
-                                .distance_squared(&rep_pos);
-                            let db = polar[*b.1 as usize]
-                                .to_cartesian()
-                                .distance_squared(&rep_pos);
-                            da.total_cmp(&db)
-                        })
-                        .map(|(i, _)| i)
-                        .expect("nonempty");
-                    let x = rest.swap_remove(pos);
-                    attach(builder, x as usize, rep_ref)?;
-                    Some(ParentRef::Node(x as usize))
-                } else {
-                    None
-                };
-                let mut job = None;
-                if !rest.is_empty() {
-                    // Bisection source: radius closest to the representative.
-                    let pos = rest
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| {
-                            (polar[*a.1 as usize].radius - rep_radius)
-                                .abs()
-                                .total_cmp(&(polar[*b.1 as usize].radius - rep_radius).abs())
-                        })
-                        .map(|(i, _)| i)
-                        .expect("nonempty");
-                    let s = rest.swap_remove(pos);
-                    attach(builder, s as usize, rep_ref)?;
-                    job = Some(CellJob {
-                        seg: grid.segment(ring, seg),
-                        parent: ParentRef::Node(s as usize),
-                        q: polar[s as usize].radius,
-                        idx: rest,
                     });
                 }
                 Ok((connector.unwrap_or(rep_ref), job))

@@ -1,19 +1,19 @@
-//! Edge sinks: the seam that lets one bisection implementation serve both
-//! the sequential and the parallel construction paths.
+//! Edge sinks: the seam that lets one bisection implementation serve the
+//! sequential and the parallel per-cell fill as well as the standalone
+//! bisection builders.
 //!
 //! The bisection subroutines are pure functions of their inputs — they
 //! never read back from the tree under construction — so *what* they
 //! attach is independent of *where* the attachments go. Sequentially they
-//! write straight into the [`TreeBuilder`] or [`TreeArena`]; in the
-//! parallel store path each cell job writes **directly** into the shared
-//! arena through [`SharedArena`], exploiting the disjointness of the
-//! counting-sort cell windows (each job's write set is its own window plus
-//! its already-attached representative — no two jobs overlap). Either way
-//! the edge set is identical, so the finished tree is bit-identical
-//! (parent, depth, hop and CSR arrays only depend on the edge set, not on
-//! attachment order). [`EdgeList`] remains as the deferred-recording sink
-//! for callers that genuinely need to replay (the legacy builder's
-//! parallel path).
+//! write straight into the [`TreeArena`] (or, in the standalone
+//! [`crate::Bisection`] builders, a [`TreeBuilder`]); in the parallel fill
+//! each cell job writes **directly** into the shared arena through
+//! [`SharedArena`], exploiting the disjointness of the counting-sort cell
+//! windows (each job's write set is its own window plus its
+//! already-attached representative — no two jobs overlap). Either way the
+//! edge set is identical, so the finished tree is bit-identical (parent,
+//! depth, hop and CSR arrays only depend on the edge set, not on
+//! attachment order).
 
 use omt_tree::{NodeId, ParentRef, TreeArena, TreeBuilder, TreeError};
 
@@ -77,18 +77,6 @@ impl<const D: usize> AttachSink for SharedArena<'_, '_, D> {
     }
 }
 
-/// A deferred edge list: infallible recording, validated later when the
-/// list is replayed into the real builder.
-#[derive(Debug, Default)]
-pub(crate) struct EdgeList(pub Vec<(u32, ParentRef)>);
-
-impl AttachSink for EdgeList {
-    fn attach_edge(&mut self, child: u32, parent: ParentRef) -> Result<(), TreeError> {
-        self.0.push((child, parent));
-        Ok(())
-    }
-}
-
 /// Attaches `child` under `parent` in any sink (the shared helper the
 /// 2-D and 3-D construction code calls).
 pub(crate) fn attach<S: AttachSink + ?Sized>(
@@ -103,17 +91,6 @@ pub(crate) fn attach<S: AttachSink + ?Sized>(
 mod tests {
     use super::*;
     use omt_geom::Point2;
-
-    #[test]
-    fn edge_list_records_in_emission_order() {
-        let mut list = EdgeList::default();
-        attach(&mut list, 3, ParentRef::Source).unwrap();
-        attach(&mut list, 1, ParentRef::Node(3)).unwrap();
-        assert_eq!(
-            list.0,
-            vec![(3, ParentRef::Source), (1, ParentRef::Node(3))]
-        );
-    }
 
     #[test]
     fn shared_arena_sink_matches_sequential_arena() {

@@ -4,13 +4,9 @@
 //! (2 core + 8 bisection links), or the degree-2 wiring.
 
 use omt_geom::{Point3, PointStore3, ShellCell, SphericalPoint};
-use omt_tree::{
-    check_node_capacity, MulticastTree, NodeId, ParentRef, TreeArena, TreeBuilder, TreeError,
-};
+use omt_tree::{check_node_capacity, MulticastTree, NodeId, ParentRef, TreeArena, TreeError};
 
-use crate::bisect3d::{
-    attach3, bisect2_3d, bisect2_3d_soa, bisect8, bisect8_soa, fanout_chain3, Scratch3, SphSlices,
-};
+use crate::bisect3d::{attach3, bisect2_3d, bisect8, Scratch3, SphSlices};
 use crate::error::BuildError;
 use crate::fanout::fanout_sink;
 use crate::grid3::SphereGrid3;
@@ -18,78 +14,17 @@ use crate::kselect::{
     bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments,
 };
 use crate::polar_grid::{PolarGridReport, RepStrategy, SOA_CHUNK};
-use crate::sink::{unpack_parent, EdgeList, SharedArena, PACKED_SOURCE};
+use crate::sink::{unpack_parent, SharedArena, PACKED_SOURCE};
 
-/// One deferred in-cell bisection (the 3-D twin of the 2-D `CellJob`):
-/// pure data, independent across cells, safe to run on any thread.
-struct CellJob3 {
-    cell: ShellCell,
-    parent: ParentRef,
-    q: f64,
-    idx: Vec<u32>,
-}
-
-/// Runs the per-cell bisections: directly against the builder with one
-/// thread, or via private per-cell edge lists replayed in cell order with
-/// more. Both paths produce the identical edge set and therefore a
-/// bit-identical tree (see `crate::sink`).
-fn run_cell_jobs3(
-    builder: &mut TreeBuilder<3>,
-    sph: &[SphericalPoint],
-    jobs: Vec<CellJob3>,
-    binary: bool,
-    threads: usize,
-) -> Result<(), TreeError> {
-    if threads <= 1 || jobs.len() <= 1 {
-        for job in jobs {
-            if binary {
-                bisect2_3d(builder, sph, job.cell, job.parent, job.q, job.idx)?;
-            } else {
-                bisect8(builder, sph, job.cell, job.parent, job.q, job.idx)?;
-            }
-        }
-        return Ok(());
-    }
-    let lists = omt_par::par_map_indexed(&jobs, threads, |_, job| {
-        let mut edges = EdgeList::default();
-        let result = if binary {
-            bisect2_3d(
-                &mut edges,
-                sph,
-                job.cell,
-                job.parent,
-                job.q,
-                job.idx.clone(),
-            )
-        } else {
-            bisect8(
-                &mut edges,
-                sph,
-                job.cell,
-                job.parent,
-                job.q,
-                job.idx.clone(),
-            )
-        };
-        result.map(|()| edges.0)
-    });
-    for list in lists {
-        for (child, parent) in list? {
-            attach3(builder, child as usize, parent)?;
-        }
-    }
-    Ok(())
-}
-
-/// The SoA twin of [`CellJob3`], packed to 20 bytes (the 3-D analogue of
-/// the 2-D `SoaCellJob`): the job names its cell by `(ring, seg)` — the
+/// One deferred in-cell bisection, packed to 20 bytes (the 3-D analogue of
+/// the 2-D `CellJob`): the job names its cell by `(ring, seg)` — the
 /// [`ShellCell`] geometry is pure arithmetic, re-derived from the grid at
 /// dispatch — its local root by a packed [`NodeId`] (`PACKED_SOURCE` = the
 /// source; the bisection offset `q` is always that root's radius, 0 for
 /// the source), and its members by a window `[start, end)` of the shared
 /// flat member array.
 #[derive(Clone, Copy, Debug)]
-struct SoaCellJob3 {
+struct CellJob3 {
     ring: u32,
     seg: u32,
     parent: NodeId,
@@ -97,21 +32,22 @@ struct SoaCellJob3 {
     end: u32,
 }
 
-/// 3-D twin of `run_cell_jobs_soa` (see `crate::polar_grid`): sequentially
+/// Runs the per-cell bisections (the 3-D analogue of the 2-D
+/// `run_cell_jobs` in `crate::polar_grid`): sequentially
 /// each job bisects its window of the flat member array in place; in
 /// parallel the disjoint windows are split out with `split_at_mut` and
 /// every worker writes directly into the shared arena through the
 /// [`SharedArena`] sink — no edge buffers, no replay.
-fn run_cell_jobs3_soa(
+fn run_cell_jobs3(
     arena: &mut TreeArena<'_, 3>,
     sph: SphSlices<'_>,
     grid: &SphereGrid3,
-    jobs: Vec<SoaCellJob3>,
+    jobs: Vec<CellJob3>,
     members: &mut [u32],
     binary: bool,
     threads: usize,
 ) -> Result<(), TreeError> {
-    let job_geometry = |job: &SoaCellJob3| -> (ShellCell, ParentRef, f64) {
+    let job_geometry = |job: &CellJob3| -> (ShellCell, ParentRef, f64) {
         let cell = grid.cell(job.ring, u64::from(job.seg));
         let (parent, q) = if job.parent == PACKED_SOURCE {
             (ParentRef::Source, 0.0)
@@ -129,9 +65,9 @@ fn run_cell_jobs3_soa(
             let (cell, parent, q) = job_geometry(&job);
             let idx = &mut members[job.start as usize..job.end as usize];
             if binary {
-                bisect2_3d_soa(arena, sph, cell, parent, q, idx, &mut scratch)?;
+                bisect2_3d(arena, sph, cell, parent, q, idx, &mut scratch)?;
             } else {
-                bisect8_soa(arena, sph, cell, parent, q, idx, &mut scratch)?;
+                bisect8(arena, sph, cell, parent, q, idx, &mut scratch)?;
             }
         }
         return Ok(());
@@ -139,7 +75,7 @@ fn run_cell_jobs3_soa(
     // Exclusive per-job windows out of the flat member array (ascending and
     // disjoint by construction of the counting-sort partition).
     let mut filled = 0usize;
-    let mut work: Vec<(SoaCellJob3, &mut [u32])> = Vec::with_capacity(jobs.len());
+    let mut work: Vec<(CellJob3, &mut [u32])> = Vec::with_capacity(jobs.len());
     {
         let mut rest: &mut [u32] = members;
         let mut base = 0usize;
@@ -164,9 +100,9 @@ fn run_cell_jobs3_soa(
             let win: &mut [u32] = win;
             let mut sink = SharedArena(shared);
             if binary {
-                bisect2_3d_soa(&mut sink, sph, cell, parent, q, win, scratch)
+                bisect2_3d(&mut sink, sph, cell, parent, q, win, scratch)
             } else {
-                bisect8_soa(&mut sink, sph, cell, parent, q, win, scratch)
+                bisect8(&mut sink, sph, cell, parent, q, win, scratch)
             }
         },
     );
@@ -272,6 +208,9 @@ impl SphereGridBuilder {
 
     /// Builds the multicast tree and returns the diagnostics.
     ///
+    /// The points are copied into a [`PointStore3`] relative to `source`
+    /// and built by [`SphereGridBuilder::build_store_with_report`].
+    ///
     /// The report's `bound` field is the 3-D analogue of equation (7):
     /// `ρ + c·D_0 + Σ_{i=1}^{k-1} D_i`, where `D_i` is the largest angular
     /// diameter of a ring-`i` cell and `c` is 2 (degree ≥ 10) or 4
@@ -279,212 +218,16 @@ impl SphereGridBuilder {
     ///
     /// # Errors
     ///
-    /// Same conditions as
-    /// [`PolarGridBuilder::build_with_report`](crate::PolarGridBuilder::build_with_report).
+    /// Same conditions, in the same order, as
+    /// [`PolarGridBuilder::build_with_report`](crate::PolarGridBuilder::build_with_report),
+    /// including [`BuildError::TooManyPoints`] for more than
+    /// [`omt_tree::MAX_NODES`] points.
     pub fn build_with_report(
         &self,
         source: Point3,
         points: &[Point3],
     ) -> Result<(MulticastTree<3>, PolarGridReport), BuildError> {
-        if self.max_out_degree < 2 {
-            return Err(BuildError::DegreeTooSmall {
-                got: self.max_out_degree,
-                min: 2,
-            });
-        }
-        if !source.is_finite() {
-            return Err(BuildError::NonFiniteSource);
-        }
-        if let Some(bad) = points.iter().position(|p| !p.is_finite()) {
-            return Err(BuildError::NonFinitePoint { index: bad });
-        }
-        let n = points.len();
-        let _build_span = omt_obs::obs_span!("sphere_grid/build");
-        omt_obs::obs_count!("sphere_grid/builds");
-        let mut builder =
-            TreeBuilder::new(source, points.to_vec()).max_out_degree(self.max_out_degree);
-        if n == 0 {
-            let tree = builder.finish()?;
-            return Ok((tree, trivial_report(0)));
-        }
-        let partition_span = omt_obs::obs_span!("sphere_grid/partition");
-        let sph: Vec<SphericalPoint> = points
-            .iter()
-            .map(|p| SphericalPoint::from_cartesian(&(*p - source)))
-            .collect();
-        let lower_bound = sph.iter().map(|p| p.radius).fold(0.0, f64::max);
-        if lower_bound == 0.0 {
-            fanout_chain3(&mut builder, self.max_out_degree)?;
-            let tree = builder.finish()?;
-            let mut report = trivial_report(1);
-            report.occupied_cells = 1;
-            return Ok((tree, report));
-        }
-        let rho = lower_bound * (1.0 + 1e-9);
-
-        let k_max = finest_level(n);
-        let finest = SphereGrid3::new(k_max, rho);
-        let assignments = Assignments {
-            k_max,
-            ring: sph
-                .iter()
-                .map(|p| finest.ring_of_radius(p.radius))
-                .collect(),
-            path: sph.iter().map(|p| finest.angular_path(p) as u32).collect(),
-        };
-        let (k_auto, _) = select_rings(&assignments);
-        let k = match self.rings_override {
-            None => k_auto,
-            Some(req) if req <= k_auto => req,
-            Some(req) => {
-                return Err(BuildError::InfeasibleRings {
-                    requested: req,
-                    feasible: k_auto,
-                })
-            }
-        };
-        let grid = SphereGrid3::new(k, rho);
-        let deg10 = self.max_out_degree >= 10;
-
-        // Bucket points per cell.
-        let cells = cell_count(k);
-        let (counts, members) = bucket_cells(&assignments, k);
-        let cell_members = |c: usize| &members[counts[c] as usize..counts[c + 1] as usize];
-        let occupied_cells = (0..cells).filter(|&c| counts[c] != counts[c + 1]).count();
-        omt_obs::obs_observe!("sphere_grid/occupied_cells", occupied_cells as u64);
-        drop(partition_span);
-
-        // Two passes, exactly like the 2-D builder: sequential core
-        // wiring capturing one bisection job per cell, then the jobs.
-        let threads = omt_par::resolve_threads(self.threads);
-        let mut core_delay = 0.0f64;
-        let mut jobs: Vec<CellJob3> = Vec::new();
-        if deg10 {
-            let core_span = omt_obs::obs_span!("sphere_grid/core");
-            let mut rep_ref: Vec<ParentRef> = vec![ParentRef::Source; cells];
-            jobs.push(CellJob3 {
-                cell: grid.cell(0, 0),
-                parent: ParentRef::Source,
-                q: 0.0,
-                idx: cell_members(0).to_vec(),
-            });
-            for ring in 1..=k {
-                for seg in 0..(1u64 << ring) {
-                    let c = cell_index(ring, seg);
-                    let mem = cell_members(c);
-                    if mem.is_empty() {
-                        continue;
-                    }
-                    let rep = pick_rep(
-                        self.rep_strategy,
-                        &sph,
-                        mem,
-                        inner_arc_mid(&grid, ring, seg),
-                    );
-                    let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
-                    attach3(&mut builder, rep as usize, rep_ref[cell_index(pr, ps)])?;
-                    core_delay =
-                        core_delay.max(builder.depth_of(rep as usize).expect("just attached"));
-                    rep_ref[c] = ParentRef::Node(rep as usize);
-                    let rest: Vec<u32> = mem.iter().copied().filter(|&p| p != rep).collect();
-                    jobs.push(CellJob3 {
-                        cell: grid.cell(ring, seg),
-                        parent: ParentRef::Node(rep as usize),
-                        q: sph[rep as usize].radius,
-                        idx: rest,
-                    });
-                }
-            }
-            drop(core_span);
-            let _cells_span = omt_obs::obs_span!("sphere_grid/cells");
-            run_cell_jobs3(&mut builder, &sph, jobs, false, threads)?;
-        } else {
-            let core_span = omt_obs::obs_span!("sphere_grid/core");
-            let mut connector: Vec<ParentRef> = vec![ParentRef::Source; cells];
-            {
-                let mem = cell_members(0);
-                let has_core_children = k >= 1
-                    && (!cell_members(cell_index(1, 0)).is_empty()
-                        || !cell_members(cell_index(1, 1)).is_empty());
-                let (conn, job) = wire_cell_deg2_3d(
-                    self.rep_strategy,
-                    &mut builder,
-                    &sph,
-                    &grid,
-                    0,
-                    0,
-                    ParentRef::Source,
-                    0.0,
-                    mem,
-                    None,
-                    has_core_children,
-                )?;
-                connector[0] = conn;
-                jobs.extend(job);
-            }
-            for ring in 1..=k {
-                for seg in 0..(1u64 << ring) {
-                    let c = cell_index(ring, seg);
-                    let mem = cell_members(c);
-                    if mem.is_empty() {
-                        continue;
-                    }
-                    let rep = pick_rep(
-                        self.rep_strategy,
-                        &sph,
-                        mem,
-                        inner_arc_mid(&grid, ring, seg),
-                    );
-                    let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
-                    attach3(&mut builder, rep as usize, connector[cell_index(pr, ps)])?;
-                    core_delay =
-                        core_delay.max(builder.depth_of(rep as usize).expect("just attached"));
-                    let has_core_children = match grid.children(ring, seg) {
-                        None => false,
-                        Some(kids) => kids
-                            .iter()
-                            .any(|&(r, s)| !cell_members(cell_index(r, s)).is_empty()),
-                    };
-                    let (conn, job) = wire_cell_deg2_3d(
-                        self.rep_strategy,
-                        &mut builder,
-                        &sph,
-                        &grid,
-                        ring,
-                        seg,
-                        ParentRef::Node(rep as usize),
-                        sph[rep as usize].radius,
-                        mem,
-                        Some(rep),
-                        has_core_children,
-                    )?;
-                    connector[c] = conn;
-                    jobs.extend(job);
-                }
-            }
-            drop(core_span);
-            let _cells_span = omt_obs::obs_span!("sphere_grid/cells");
-            run_cell_jobs3(&mut builder, &sph, jobs, true, threads)?;
-        }
-
-        let _finish_span = omt_obs::obs_span!("sphere_grid/finish");
-        let tree = builder.finish()?;
-        let delay = tree.radius();
-        let c = if deg10 { 2.0 } else { 4.0 };
-        let mut bound = rho + c * grid.max_angular_diameter(0);
-        for i in 1..k {
-            bound += grid.max_angular_diameter(i);
-        }
-        let report = PolarGridReport {
-            rings: k,
-            delay,
-            core_delay,
-            bound,
-            lower_bound,
-            cells,
-            occupied_cells,
-        };
-        Ok((tree, report))
+        self.build_store_with_report(&PointStore3::from_points(source, points))
     }
 
     /// Builds the multicast tree from a structure-of-arrays point store
@@ -500,12 +243,12 @@ impl SphereGridBuilder {
     /// Builds the multicast tree from a structure-of-arrays point store and
     /// returns the diagnostics.
     ///
-    /// The 3-D twin of
-    /// [`PolarGridBuilder::build_store_with_report`](crate::PolarGridBuilder::build_store_with_report):
-    /// arena tree construction over the store's borrowed coordinate
-    /// columns, counting-sort cell partition, in-place window bisections —
-    /// **bit-identical** to [`SphereGridBuilder::build_with_report`] on the
-    /// same input for every thread count.
+    /// The 3-D analogue of
+    /// [`PolarGridBuilder::build_store_with_report`](crate::PolarGridBuilder::build_store_with_report)
+    /// and the one 3-D construction path: arena tree construction over the
+    /// store's borrowed coordinate columns, counting-sort cell partition,
+    /// in-place window bisections. The tree is bit-identical for every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -527,11 +270,6 @@ impl SphereGridBuilder {
     /// let (tree, report) = SphereGridBuilder::new().build_store_with_report(&store)?;
     /// tree.validate(Some(10))?;
     /// assert!(report.delay <= report.bound);
-    ///
-    /// let mut rng = SmallRng::seed_from_u64(5);
-    /// let points = Ball::<3>::unit().sample_n(&mut rng, 3000);
-    /// let legacy = SphereGridBuilder::new().build(Point3::ORIGIN, &points)?;
-    /// assert_eq!(tree, legacy);
     /// # Ok(())
     /// # }
     /// ```
@@ -577,11 +315,7 @@ impl SphereGridBuilder {
             return Ok((tree, trivial_report(0)));
         }
         let partition_span = omt_obs::obs_span!("sphere_grid/partition");
-        let sph = SphSlices {
-            radius: store.radius(),
-            azimuth: store.azimuth(),
-            cos_polar: store.cos_polar(),
-        };
+        let sph = SphSlices::of(store);
         // Chunked parallel max (associative over finite non-negative radii,
         // so bit-identical to the flat fold).
         let lower_bound = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
@@ -665,7 +399,7 @@ impl SphereGridBuilder {
             let members_ro: &[u32] = &members;
             omt_par::par_map_indexed(&occupied_list, threads, |_, &(ring, seg)| {
                 let (cs, ce) = cell_range(cell_index(ring, u64::from(seg)));
-                pick_rep_soa(
+                pick_rep(
                     self.rep_strategy,
                     sph,
                     &members_ro[cs..ce],
@@ -677,12 +411,12 @@ impl SphereGridBuilder {
         drop(rep_span);
 
         let mut core_delay = 0.0f64;
-        let mut jobs: Vec<SoaCellJob3> = Vec::with_capacity(reps.len() + 1);
+        let mut jobs: Vec<CellJob3> = Vec::with_capacity(reps.len() + 1);
         let mut next_rep = reps.iter().copied();
         if deg10 {
             let core_span = omt_obs::obs_span!("sphere_grid/core");
             let mut rep_ref: Vec<NodeId> = vec![PACKED_SOURCE; cells];
-            jobs.push(SoaCellJob3 {
+            jobs.push(CellJob3 {
                 ring: 0,
                 seg: 0,
                 parent: PACKED_SOURCE,
@@ -710,7 +444,7 @@ impl SphereGridBuilder {
                     let sub = &mut members[cs..ce];
                     let pos = sub.iter().position(|&p| p == rep).expect("rep is a member");
                     sub[pos..].rotate_left(1);
-                    jobs.push(SoaCellJob3 {
+                    jobs.push(CellJob3 {
                         ring,
                         seg: seg as u32,
                         parent: rep,
@@ -729,7 +463,7 @@ impl SphereGridBuilder {
                 let has_core_children =
                     k >= 1 && (nonempty(cell_index(1, 0)) || nonempty(cell_index(1, 1)));
                 let (cs, ce) = cell_range(0);
-                let (conn, job) = wire_cell_deg2_3d_soa(
+                let (conn, job) = wire_cell_deg2_3d(
                     &mut arena,
                     sph,
                     0,
@@ -767,7 +501,7 @@ impl SphereGridBuilder {
                             counts[cc] != counts[cc + 1]
                         }),
                     };
-                    let (conn, job) = wire_cell_deg2_3d_soa(
+                    let (conn, job) = wire_cell_deg2_3d(
                         &mut arena,
                         sph,
                         ring,
@@ -792,7 +526,7 @@ impl SphereGridBuilder {
 
         {
             let _cells_span = omt_obs::obs_span!("sphere_grid/cells");
-            run_cell_jobs3_soa(&mut arena, sph, &grid, jobs, &mut members, !deg10, threads)?;
+            run_cell_jobs3(&mut arena, sph, &grid, jobs, &mut members, !deg10, threads)?;
         }
         drop(members);
 
@@ -837,121 +571,9 @@ fn inner_arc_mid(grid: &SphereGrid3, ring: u32, seg: u64) -> Point3 {
     SphericalPoint::new(cell.r_lo(), cell.arc().mid(), 0.5 * (z_lo + z_hi)).to_cartesian()
 }
 
-fn pick_rep(
-    strategy: RepStrategy,
-    sph: &[SphericalPoint],
-    members: &[u32],
-    inner_mid: Point3,
-) -> u32 {
-    debug_assert!(!members.is_empty());
-    match strategy {
-        RepStrategy::InnerArcMid => *members
-            .iter()
-            .min_by(|&&a, &&b| {
-                let da = sph[a as usize].to_cartesian().distance_squared(&inner_mid);
-                let db = sph[b as usize].to_cartesian().distance_squared(&inner_mid);
-                da.total_cmp(&db)
-            })
-            .expect("nonempty"),
-        RepStrategy::MinRadius => *members
-            .iter()
-            .min_by(|&&a, &&b| sph[a as usize].radius.total_cmp(&sph[b as usize].radius))
-            .expect("nonempty"),
-        RepStrategy::MaxRadius => *members
-            .iter()
-            .max_by(|&&a, &&b| sph[a as usize].radius.total_cmp(&sph[b as usize].radius))
-            .expect("nonempty"),
-        RepStrategy::First => members[0],
-    }
-}
-
-/// Degree-2 in-cell wiring (3-D twin of the 2-D version): returns the
-/// cell's connector and the deferred in-cell bisection job, if any.
-#[allow(clippy::too_many_arguments)]
-fn wire_cell_deg2_3d(
-    strategy: RepStrategy,
-    builder: &mut TreeBuilder<3>,
-    sph: &[SphericalPoint],
-    grid: &SphereGrid3,
-    ring: u32,
-    seg: u64,
-    rep_ref: ParentRef,
-    rep_radius: f64,
-    members: &[u32],
-    rep: Option<u32>,
-    has_core_children: bool,
-) -> Result<(ParentRef, Option<CellJob3>), BuildError> {
-    let _ = strategy;
-    let mut rest: Vec<u32> = members
-        .iter()
-        .copied()
-        .filter(|&p| Some(p) != rep)
-        .collect();
-    match rest.len() {
-        0 => Ok((rep_ref, None)),
-        1 => {
-            let other = rest[0];
-            attach3(builder, other as usize, rep_ref)?;
-            Ok((ParentRef::Node(other as usize), None))
-        }
-        _ => {
-            let connector = if has_core_children {
-                // Nearest point to the representative (see the 2-D wiring
-                // for the rationale: the extra hop stays local).
-                let rep_pos = match rep_ref {
-                    ParentRef::Source => omt_geom::Point3::ORIGIN,
-                    ParentRef::Node(r) => sph[r].to_cartesian(),
-                };
-                let pos = rest
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        let da = sph[*a.1 as usize].to_cartesian().distance_squared(&rep_pos);
-                        let db = sph[*b.1 as usize].to_cartesian().distance_squared(&rep_pos);
-                        da.total_cmp(&db)
-                    })
-                    .map(|(i, _)| i)
-                    .expect("nonempty");
-                let x = rest.swap_remove(pos);
-                attach3(builder, x as usize, rep_ref)?;
-                Some(ParentRef::Node(x as usize))
-            } else {
-                None
-            };
-            let mut job = None;
-            if !rest.is_empty() {
-                let pos = rest
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        (sph[*a.1 as usize].radius - rep_radius)
-                            .abs()
-                            .total_cmp(&(sph[*b.1 as usize].radius - rep_radius).abs())
-                    })
-                    .map(|(i, _)| i)
-                    .expect("nonempty");
-                let s = rest.swap_remove(pos);
-                attach3(builder, s as usize, rep_ref)?;
-                job = Some(CellJob3 {
-                    cell: grid.cell(ring, seg),
-                    parent: ParentRef::Node(s as usize),
-                    q: sph[s as usize].radius,
-                    idx: rest,
-                });
-            }
-            Ok((connector.unwrap_or(rep_ref), job))
-        }
-    }
-}
-
-/// SoA twin of [`pick_rep`]: identical comparator expressions and tie
-/// rules over the slice view.
-fn pick_rep_soa(
-    strategy: RepStrategy,
-    sph: SphSlices<'_>,
-    members: &[u32],
-    inner_mid: Point3,
-) -> u32 {
+/// Chooses the representative of a non-empty cell; `inner_mid` is the
+/// midpoint of the cell's inner boundary in the source-relative frame.
+fn pick_rep(strategy: RepStrategy, sph: SphSlices<'_>, members: &[u32], inner_mid: Point3) -> u32 {
     debug_assert!(!members.is_empty());
     match strategy {
         RepStrategy::InnerArcMid => *members
@@ -974,11 +596,12 @@ fn pick_rep_soa(
     }
 }
 
-/// SoA twin of [`wire_cell_deg2_3d`], operating in place on the cell's
-/// window `[cs, ce)` of the flat member array (rotate-to-back for the
-/// order-preserving `filter`, swap-to-back for each `swap_remove`).
+/// Degree-2 in-cell wiring (the 3-D analogue of the 2-D
+/// `wire_cell_deg2`), in place on the cell's window `[cs, ce)` of the flat
+/// member array: returns the cell's connector and the deferred in-cell
+/// bisection job, if any.
 #[allow(clippy::too_many_arguments)]
-fn wire_cell_deg2_3d_soa(
+fn wire_cell_deg2_3d(
     arena: &mut TreeArena<'_, 3>,
     sph: SphSlices<'_>,
     ring: u32,
@@ -989,7 +612,7 @@ fn wire_cell_deg2_3d_soa(
     ce: usize,
     rep: Option<u32>,
     has_core_children: bool,
-) -> Result<(NodeId, Option<SoaCellJob3>), BuildError> {
+) -> Result<(NodeId, Option<CellJob3>), BuildError> {
     // The rep's radius is derivable from the packed reference: the source
     // sits at radius 0, anything else is a point id.
     let rep_radius = if rep_ref == PACKED_SOURCE {
@@ -1013,6 +636,8 @@ fn wire_cell_deg2_3d_soa(
         }
         _ => {
             let connector = if has_core_children {
+                // Nearest point to the representative (see the 2-D wiring
+                // for the rationale: the extra hop stays local).
                 let rep_pos = if rep_ref == PACKED_SOURCE {
                     omt_geom::Point3::ORIGIN
                 } else {
@@ -1056,7 +681,7 @@ fn wire_cell_deg2_3d_soa(
                 let s = sub[last];
                 end -= 1;
                 attach3(arena, s as usize, unpack_parent(rep_ref))?;
-                job = Some(SoaCellJob3 {
+                job = Some(CellJob3 {
                     ring,
                     seg,
                     parent: s,

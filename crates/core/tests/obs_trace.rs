@@ -52,30 +52,7 @@ fn phase_spans_cover_the_build_and_metrics_match_the_work() {
         wall_ns
     );
 
-    // The four phases tile the build span: together they must account
-    // for at least 90% of it (the remainder is validation glue), and
-    // nesting means they can never exceed it.
-    let mut phase_sum = 0u64;
-    for phase in [
-        "polar_grid/partition",
-        "polar_grid/core",
-        "polar_grid/cells",
-        "polar_grid/finish",
-    ] {
-        let s = reg.span(phase).unwrap_or_else(|| panic!("{phase} missing"));
-        assert!(s.count >= 1, "{phase} never entered");
-        phase_sum += s.total_ns;
-    }
-    assert!(
-        phase_sum <= build.total_ns,
-        "nested phases ({phase_sum} ns) exceed the build span ({} ns)",
-        build.total_ns
-    );
-    assert!(
-        phase_sum * 10 >= build.total_ns * 9,
-        "phases cover only {phase_sum} of {} ns (< 90%)",
-        build.total_ns
-    );
+    assert_phases_tile(&reg, build.total_ns, "slice build");
 
     // Counters and histograms reflect the work done.
     assert_eq!(reg.counter("polar_grid/builds"), 1);
@@ -91,8 +68,7 @@ fn phase_spans_cover_the_build_and_metrics_match_the_work() {
     assert_eq!(reg2.counter("polar_grid/builds"), 1);
     assert_eq!(reg2.span("polar_grid/build").map(|s| s.count), Some(1));
 
-    // The arena/SoA store path records the same instrumentation: the
-    // build span with the four phases tiling at least 90% of it.
+    // The store entry point records the same instrumentation.
     let mut rng = SmallRng::seed_from_u64(77);
     let store = omt_geom::PointStore2::sample_region(Point2::ORIGIN, &Disk::unit(), &mut rng, n);
     let _ = omt_obs::take_local();
@@ -102,24 +78,34 @@ fn phase_spans_cover_the_build_and_metrics_match_the_work() {
     let build = reg3.span("polar_grid/build").expect("store build span");
     assert_eq!(build.count, 1);
     assert_eq!(reg3.counter("polar_grid/builds"), 1);
+    assert_phases_tile(&reg3, build.total_ns, "store build");
+}
+
+/// The five phases tile the build span: together they must account for
+/// at least 90% of it (the remainder is validation glue), and nesting
+/// means they can never exceed it.
+fn assert_phases_tile(reg: &omt_obs::Registry, build_ns: u64, label: &str) {
     let mut phase_sum = 0u64;
     for phase in [
         "polar_grid/partition",
+        "polar_grid/reps",
         "polar_grid/core",
         "polar_grid/cells",
         "polar_grid/finish",
     ] {
-        let s = reg3
+        let s = reg
             .span(phase)
-            .unwrap_or_else(|| panic!("{phase} missing on store path"));
-        assert!(s.count >= 1, "{phase} never entered on store path");
+            .unwrap_or_else(|| panic!("{label}: {phase} missing"));
+        assert!(s.count >= 1, "{label}: {phase} never entered");
         phase_sum += s.total_ns;
     }
-    assert!(phase_sum <= build.total_ns);
     assert!(
-        phase_sum * 10 >= build.total_ns * 9,
-        "store-path phases cover only {phase_sum} of {} ns (< 90%)",
-        build.total_ns
+        phase_sum <= build_ns,
+        "{label}: nested phases ({phase_sum} ns) exceed the build span ({build_ns} ns)"
+    );
+    assert!(
+        phase_sum * 10 >= build_ns * 9,
+        "{label}: phases cover only {phase_sum} of {build_ns} ns (< 90%)"
     );
 }
 

@@ -6,33 +6,24 @@
 //! cargo run --release -p omt-experiments --bin table1            # full paper sweep
 //! cargo run --release -p omt-experiments --bin table1 -- --quick # up to 50k nodes
 //! cargo run --release -p omt-experiments --bin table1 -- --trials 200 --out results/
-//! cargo run --release -p omt-experiments --bin table1 -- --store # arena/SoA path
 //! ```
-//!
-//! `--store` routes construction through the arena/SoA million-scale
-//! path; all quality columns are bit-identical, only "CPU Sec" changes.
 
 use omt_experiments::cli::ExpArgs;
 use omt_experiments::report::{metrics_markdown, table1_csv, table1_markdown, write_result};
-use omt_experiments::runner::{run_table1_row, run_table1_row_store};
+use omt_experiments::runner::run_table1_row;
 
 fn main() {
     let args = ExpArgs::from_env();
     let mut rows = Vec::new();
     eprintln!(
-        "# Table I — {} sizes, seed {}{}",
+        "# Table I — {} sizes, seed {}",
         args.sizes().len(),
-        args.seed(),
-        if args.store { ", arena/SoA path" } else { "" }
+        args.seed()
     );
     for n in args.sizes() {
         let trials = args.trials_for(n);
         eprintln!("running n = {n} ({trials} trials)...");
-        let row = if args.store {
-            run_table1_row_store(args.seed(), n, trials)
-        } else {
-            run_table1_row(args.seed(), n, trials)
-        };
+        let row = run_table1_row(args.seed(), n, trials);
         println!(
             "n={:>9}  rings={:>5.2}  deg6: core={:.2} delay={:.3} dev={:.2} bound={:.2} cpu={:.4}s \
              | deg2: core={:.2} delay={:.3} dev={:.2} bound={:.2} cpu={:.4}s",

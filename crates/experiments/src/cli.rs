@@ -10,9 +10,6 @@
 //! * `--seed 2004` — experiment seed;
 //! * `--out results/` — also write CSV files into this directory;
 //! * `--quick` — use the short size sweep (up to 50k nodes).
-//! * `--store` — build through the arena/SoA million-scale path
-//!   (`build_store_with_report`); quality columns are bit-identical to
-//!   the default path, only "CPU Sec" (and memory) change.
 //! * `--shards 4` — experiments that support it (churn) drive the
 //!   sharded batch engine instead of the per-event path; results are
 //!   bit-identical, only throughput changes. Must be a power of two.
@@ -34,9 +31,6 @@ pub struct ExpArgs {
     pub out: Option<PathBuf>,
     /// Use the quick size sweep.
     pub quick: bool,
-    /// Build through the arena/SoA store path where the experiment
-    /// supports it (Table I).
-    pub store: bool,
     /// Shard count for the batched churn engine (default 1 = unsharded).
     pub shards: Option<u32>,
 }
@@ -79,7 +73,6 @@ impl ExpArgs {
                 }
                 "--out" => out.out = Some(PathBuf::from(value("--out")?)),
                 "--quick" => out.quick = true,
-                "--store" => out.store = true,
                 "--shards" => {
                     let v = value("--shards")?;
                     let shards: u32 = v
@@ -105,7 +98,7 @@ impl ExpArgs {
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: [--sizes 100,1000] [--trials N] [--seed N] [--out DIR] [--quick] [--store] [--shards N]"
+                    "usage: [--sizes 100,1000] [--trials N] [--seed N] [--out DIR] [--quick] [--shards N]"
                 );
                 std::process::exit(2);
             }
@@ -148,16 +141,13 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let a = parse("--sizes 10,20 --trials 5 --seed 9 --out res --quick --store --shards 8")
-            .unwrap();
+        let a = parse("--sizes 10,20 --trials 5 --seed 9 --out res --quick --shards 8").unwrap();
         assert_eq!(a.sizes(), vec![10, 20]);
         assert_eq!(a.trials_for(1_000_000), 5);
         assert_eq!(a.seed(), 9);
         assert_eq!(a.out, Some(PathBuf::from("res")));
         assert!(a.quick);
-        assert!(a.store);
         assert_eq!(a.shards(), 8);
-        assert!(!parse("").unwrap().store);
     }
 
     #[test]

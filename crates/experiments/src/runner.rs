@@ -4,10 +4,10 @@
 use std::time::Instant;
 
 use omt_core::{PolarGridBuilder, SphereGridBuilder};
-use omt_geom::{Point2, Point3};
+use omt_geom::Point3;
 
 use crate::stats::Accumulator;
-use crate::workload::{ball_trial, disk_trial, disk_trial_store, par_trials};
+use crate::workload::{ball_trial, disk_trial_store, par_trials};
 
 /// Aggregates for one out-degree setting of Table I.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,19 +42,10 @@ pub struct Table1Row {
 
 /// Runs one Table-I row: `trials` independent unit-disk instances of size
 /// `n`, each built with both the degree-6 and degree-2 algorithms.
+///
+/// Each trial is sampled straight into a point store, so "CPU Sec" times
+/// the construction alone, not the polar conversion of the input.
 pub fn run_table1_row(seed: u64, n: usize, trials: usize) -> Table1Row {
-    table1_row_impl(seed, n, trials, false)
-}
-
-/// The same Table-I row built through the arena/SoA million-scale path
-/// (`build_store_with_report`). Trees and reports are bit-identical to
-/// [`run_table1_row`], so every quality column matches exactly; only
-/// "CPU Sec" (and peak memory) reflect the different construction path.
-pub fn run_table1_row_store(seed: u64, n: usize, trials: usize) -> Table1Row {
-    table1_row_impl(seed, n, trials, true)
-}
-
-fn table1_row_impl(seed: u64, n: usize, trials: usize, store: bool) -> Table1Row {
     assert!(trials > 0, "need at least one trial");
     let _row_span = omt_obs::obs_span!("experiments/table1_row");
     omt_obs::obs_observe!("experiments/trials", trials as u64);
@@ -68,26 +59,12 @@ fn table1_row_impl(seed: u64, n: usize, trials: usize, store: bool) -> Table1Row
     let b6 = PolarGridBuilder::new().max_out_degree(6).threads(1);
     let b2 = PolarGridBuilder::new().max_out_degree(2).threads(1);
     let results = par_trials(trials, |trial| {
-        if store {
-            let store = disk_trial_store(seed, n, trial);
-            let t0 = Instant::now();
-            let (_, r6) = b6.build_store_with_report(&store).expect("valid workload");
-            let cpu6 = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let (_, r2) = b2.build_store_with_report(&store).expect("valid workload");
-            let cpu2 = t0.elapsed().as_secs_f64();
-            return (r6, cpu6, r2, cpu2);
-        }
-        let points = disk_trial(seed, n, trial);
+        let store = disk_trial_store(seed, n, trial);
         let t0 = Instant::now();
-        let (_, r6) = b6
-            .build_with_report(Point2::ORIGIN, &points)
-            .expect("valid workload");
+        let (_, r6) = b6.build_store_with_report(&store).expect("valid workload");
         let cpu6 = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let (_, r2) = b2
-            .build_with_report(Point2::ORIGIN, &points)
-            .expect("valid workload");
+        let (_, r2) = b2.build_store_with_report(&store).expect("valid workload");
         let cpu2 = t0.elapsed().as_secs_f64();
         (r6, cpu6, r2, cpu2)
     });
@@ -239,21 +216,6 @@ mod tests {
         assert!(row.deg6.core < row.deg6.delay);
         assert!(row.deg6.delay < row.deg6.bound);
         assert!(row.lower_bound <= 1.0);
-    }
-
-    #[test]
-    fn store_row_matches_legacy_row_exactly_except_cpu() {
-        let legacy = run_table1_row(2004, 1500, 8);
-        let store = run_table1_row_store(2004, 1500, 8);
-        assert_eq!(legacy.n, store.n);
-        assert_eq!(legacy.rings.to_bits(), store.rings.to_bits());
-        assert_eq!(legacy.lower_bound.to_bits(), store.lower_bound.to_bits());
-        for (l, s) in [(legacy.deg6, store.deg6), (legacy.deg2, store.deg2)] {
-            assert_eq!(l.core.to_bits(), s.core.to_bits());
-            assert_eq!(l.delay.to_bits(), s.delay.to_bits());
-            assert_eq!(l.dev.to_bits(), s.dev.to_bits());
-            assert_eq!(l.bound.to_bits(), s.bound.to_bits());
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Structure-of-arrays point stores for the million-scale construction path.
+//! Structure-of-arrays point stores for the grid builders' construction path.
 //!
 //! The grid builders in `omt-core` consume points twice: once in Cartesian
 //! form (edge lengths, tree depths) and once in source-relative polar form
-//! (ring assignment, angular bisection). The array-of-structs pipeline
+//! (ring assignment, angular bisection). An array-of-structs pipeline
 //! materializes both as `Vec<Point2>` / `Vec<PolarPoint>` — two full copies
 //! plus per-cell index `Vec`s. At the paper's largest configurations
 //! (Table I runs up to n = 5,000,000) that layout is memory-bandwidth-bound
@@ -12,8 +12,8 @@
 //! [`PointStore2`] and [`PointStore3`] keep one flat `f64` array per
 //! coordinate instead: absolute Cartesian components plus the
 //! source-relative polar components, computed **once, at insertion time**,
-//! with exactly the float operations the AoS path uses
-//! ([`PolarPoint::from_cartesian`] on `p - source`). Sampling a workload
+//! with exactly the float operations of [`PolarPoint::from_cartesian`] on
+//! `p - source`. Sampling a workload
 //! via [`PointStore2::sample_region`] streams points straight from the
 //! region sampler into the arrays in bounded chunks, so no intermediate
 //! `Vec<Point2>` of all n points ever exists and the RNG stream is
@@ -21,9 +21,9 @@
 //!
 //! Bit-identity contract: for every index `i`,
 //! `store.polar(i) == PolarPoint::from_cartesian(&(points[i] - source))`
-//! down to the last bit (and the spherical analogue in 3-D). The parity
-//! tests in `omt-core` lean on this to prove the arena/SoA construction
-//! path reproduces the legacy trees edge-for-edge.
+//! down to the last bit (and the spherical analogue in 3-D), so a store
+//! filled by [`PointStore2::from_points`] and one sampled from the same
+//! RNG stream by [`PointStore2::sample_region`] build the same tree.
 
 use omt_rng::Rng;
 
@@ -95,8 +95,8 @@ impl PointStore2 {
     ///
     /// Non-finite coordinates are stored as-is (the polar components then
     /// hold whatever IEEE arithmetic produces); consumers that require
-    /// finite inputs validate the Cartesian arrays, exactly like the AoS
-    /// builders validate their input slice.
+    /// finite inputs validate the Cartesian arrays (the grid builders
+    /// report the first non-finite index).
     pub fn push(&mut self, p: Point2) {
         let rel = p - self.source;
         self.xs.push(p.x());
@@ -105,8 +105,8 @@ impl PointStore2 {
         self.angle.push(rel.angle());
     }
 
-    /// Builds a store from an existing point slice (used by the parity
-    /// tests to feed both construction paths the same workload).
+    /// Builds a store from an existing point slice (how the slice grid
+    /// builders enter the store construction path).
     #[must_use]
     pub fn from_points(source: Point2, points: &[Point2]) -> Self {
         let mut store = Self::with_capacity(source, points.len());

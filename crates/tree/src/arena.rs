@@ -36,8 +36,9 @@
 //! from [`crate::TreeBuilder`] operation-for-operation, so a sequence of
 //! attachments performed against a `TreeArena` produces a tree bit-identical
 //! to the same sequence against a `TreeBuilder` over the same coordinates.
-//! The parity suite in `omt-core` (`tests/arena_parity.rs`) holds both paths
-//! to that contract end-to-end, across thread counts.
+//! The golden construction pins in `omt-core`
+//! (`tests/construction_golden.rs`) fix the trees the grid builders make
+//! with it, across thread counts.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
