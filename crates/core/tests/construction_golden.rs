@@ -8,8 +8,9 @@
 //! every thread count in [`THREADS`]: the per-cell parallel fill must give
 //! the same tree as the sequential one.
 //!
-//! The 1k/10k matrices run everywhere; the 100k and 1M golden radii are
-//! `#[ignore]`d (debug-build cost) and run in release:
+//! The 1k/10k matrices run everywhere; the 100k and 1M golden radii and
+//! the 1M fingerprints are `#[ignore]`d (debug-build cost) and run in
+//! release:
 //! `cargo test --release -p omt-core --test construction_golden -- --ignored`.
 
 use omt_core::{
@@ -604,4 +605,43 @@ fn error_cases_match() {
         slice_and_store3(SphereGridBuilder::new(), Point3::ORIGIN, &bad3),
         BuildError::NonFinitePoint { index: 17 }
     );
+}
+
+/// Full fingerprints at n = 1M, where the cell windows are largest and the
+/// parallel fill has the most cells to spread: the 2-D grid at degrees 6
+/// and 2 and the 3-D grid at degree 10, each on one and two threads.
+#[test]
+#[ignore = "n = 1M; run in release (CI large-n job)"]
+fn golden_fingerprints_1m() {
+    let n = 1_000_000;
+    let mut rng = SmallRng::seed_from_u64(2004);
+    let store = PointStore2::sample_region(Point2::ORIGIN, &Disk::unit(), &mut rng, n);
+    for (deg, want) in [
+        (6, pin(0x3ff0_2c67_fc12_603a, 0x4022_dd4d_0f06_16f7)),
+        (2, pin(0x3ff0_62aa_5aa0_2465, 0x6bc1_ac26_7fa4_9d07)),
+    ] {
+        for threads in [1, 2] {
+            let tree = PolarGridBuilder::new()
+                .max_out_degree(deg)
+                .threads(threads)
+                .build_store(&store)
+                .unwrap();
+            assert_pinned(&format!("2d n=1M deg={deg} threads={threads}"), &tree, want);
+        }
+    }
+    drop(store);
+    let mut rng = SmallRng::seed_from_u64(2004);
+    let store = PointStore3::sample_region(Point3::ORIGIN, &Ball::<3>::unit(), &mut rng, n);
+    for threads in [1, 2] {
+        let tree = SphereGridBuilder::new()
+            .max_out_degree(10)
+            .threads(threads)
+            .build_store(&store)
+            .unwrap();
+        assert_pinned(
+            &format!("3d n=1M deg=10 threads={threads}"),
+            &tree,
+            pin(0x3ff3_b57f_adce_b5cd, 0x5460_1ccb_1bbc_ef49),
+        );
+    }
 }
