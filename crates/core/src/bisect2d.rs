@@ -45,14 +45,16 @@ impl Axis {
     }
 }
 
-/// A read-only structure-of-arrays view of the polar coordinates consumed
+/// A read-only structure-of-arrays view of polar coordinates, as consumed
 /// by the bisection kernels ([`bisect4`], [`bisect2`]).
 ///
-/// `radius[i]` / `angle[i]` are the polar components of point `i` in the
-/// frame the segment lives in: the source-relative columns of
-/// `omt_geom::PointStore2` for the grid, the far-pole columns of a
-/// [`CoveringFrame`] for the standalone builder. The view is `Copy` so
-/// parallel cell workers can capture it by value.
+/// `radius[i]` / `angle[i]` are the polar components of the point at
+/// position `i` in the frame the segment lives in. For the grid the view
+/// is one cell's window of the cell-major source-relative columns, so `i`
+/// is a local position and an id window maps it to a point id; for the
+/// standalone builder it is the far-pole columns of a [`CoveringFrame`],
+/// indexed by point id. The view is `Copy` so parallel cell workers can
+/// capture it by value.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PolarSlices<'a> {
     /// Source-relative radii.
@@ -62,7 +64,7 @@ pub(crate) struct PolarSlices<'a> {
 }
 
 impl PolarSlices<'_> {
-    /// Reassembles point `i` as a [`PolarPoint`].
+    /// Reassembles the point at position `i` as a [`PolarPoint`].
     #[inline]
     pub fn get(&self, i: u32) -> PolarPoint {
         PolarPoint {
@@ -71,14 +73,14 @@ impl PolarSlices<'_> {
         }
     }
 
-    /// Radius of point `i`.
+    /// Radius of the point at position `i`.
     #[inline]
     pub fn radius_of(&self, i: u32) -> f64 {
         self.radius[i as usize]
     }
 }
 
-/// A 4-way work frame over a range of the shared flat index array.
+/// A 4-way work frame over a range of the scratch position array.
 #[derive(Clone, Debug)]
 struct Frame4 {
     seg: RingSegment,
@@ -89,7 +91,7 @@ struct Frame4 {
     depth: u32,
 }
 
-/// A binary work frame over a range of the shared flat index array.
+/// A binary work frame over a range of the scratch position array.
 #[derive(Clone, Debug)]
 struct Frame2 {
     seg: RingSegment,
@@ -101,23 +103,26 @@ struct Frame2 {
     depth: u32,
 }
 
-/// Reusable scratch for the bisection kernels: the explicit work
-/// stacks plus the staging buffers for stable in-place partitions. One
-/// instance is carried across all cell jobs of a build (or one per worker
-/// in the parallel path), so the steady state allocates nothing per frame.
+/// Reusable scratch for the bisection kernels: the window's local
+/// positions (which the kernels permute in place of the read-only ids),
+/// the explicit work stacks, and the staging buffers for stable in-place
+/// partitions. One instance is carried across all cell jobs of a build
+/// (one per worker in the parallel fill), so the steady state allocates
+/// nothing per frame.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch2 {
+    loc: Vec<u32>,
     perm: Vec<u32>,
     class: Vec<u8>,
     stack4: Vec<Frame4>,
     stack2: Vec<Frame2>,
 }
 
-/// Picks the index in `idx` whose radius is closest to `q` (the paper's
-/// representative rule: "radius closest to the radius of the source
-/// node"; the first minimum wins ties), swaps it to the back of `idx` and
-/// returns it. The rest of `idx` keeps its order except for the one
-/// element that took the chosen slot, as with `Vec::swap_remove`.
+/// Picks the position in `idx` whose radius is closest to `q` (the
+/// paper's representative rule: "radius closest to the radius of the
+/// source node"; the first minimum wins ties), swaps it to the back of
+/// `idx` and returns it. The rest of `idx` keeps its order except for the
+/// one element that took the chosen slot, as with `Vec::swap_remove`.
 pub(crate) fn take_closest_radius(radius: &[f64], idx: &mut [u32], q: f64) -> u32 {
     debug_assert!(!idx.is_empty());
     let mut best = 0;
@@ -134,34 +139,43 @@ pub(crate) fn take_closest_radius(radius: &[f64], idx: &mut [u32], q: f64) -> u3
     idx[last]
 }
 
-/// Connects every point in `idx` below `src` with out-degree at most 4 per
-/// node, following the 4-way bisection of `seg`.
+/// Fills `loc` with the window's local positions `0..len`, in window order.
+pub(crate) fn reset_positions(loc: &mut Vec<u32>, len: usize) {
+    loc.clear();
+    loc.extend(0..len as u32);
+}
+
+/// Connects every point of a window below `src` with out-degree at most 4
+/// per node, following the 4-way bisection of `seg`.
 ///
-/// Works in place on `idx`, a window of the flat member-index array, using
-/// `scratch` for the work stack and the stable 4-way partition.
-/// `src_radius` is the local source's radius in the frame of `polar`.
+/// `polar` holds the window's coordinates and `ids` its point ids, both
+/// by local position; the kernel permutes local positions in `scratch`
+/// and translates to an id only when it attaches. `src_radius` is the
+/// local source's radius in the frame of `polar`.
 pub(crate) fn bisect4<S: AttachSink>(
     b: &mut S,
     polar: PolarSlices<'_>,
+    ids: &[u32],
     seg: RingSegment,
     src: ParentRef,
     src_radius: f64,
-    idx: &mut [u32],
     scratch: &mut Scratch2,
 ) -> Result<(), TreeError> {
     let Scratch2 {
+        loc,
         perm,
         class,
         stack4,
         ..
     } = scratch;
+    reset_positions(loc, ids.len());
     stack4.clear();
     stack4.push(Frame4 {
         seg,
         src,
         q: src_radius,
         start: 0,
-        end: idx.len() as u32,
+        end: loc.len() as u32,
         depth: 0,
     });
     while let Some(f) = stack4.pop() {
@@ -178,13 +192,13 @@ pub(crate) fn bisect4<S: AttachSink>(
         let children = f.seg.split4();
         class.clear();
         let mut counts = [0u32; 4];
-        for &p in &idx[start..end] {
+        for &p in &loc[start..end] {
             let c = f.seg.classify4(&polar.get(p));
             class.push(c as u8);
             counts[c] += 1;
         }
         perm.clear();
-        perm.extend_from_slice(&idx[start..end]);
+        perm.extend_from_slice(&loc[start..end]);
         let mut bounds = [0usize; 5];
         bounds[0] = start;
         for c in 0..4 {
@@ -193,7 +207,7 @@ pub(crate) fn bisect4<S: AttachSink>(
         let mut cursors = [bounds[0], bounds[1], bounds[2], bounds[3]];
         for (j, &p) in perm.iter().enumerate() {
             let c = class[j] as usize;
-            idx[cursors[c]] = p;
+            loc[cursors[c]] = p;
             cursors[c] += 1;
         }
         for c in 0..4 {
@@ -201,12 +215,13 @@ pub(crate) fn bisect4<S: AttachSink>(
             if cs == ce {
                 continue;
             }
-            let rep = take_closest_radius(polar.radius, &mut idx[cs..ce], f.q);
-            attach(b, rep as usize, f.src)?;
+            let rep = take_closest_radius(polar.radius, &mut loc[cs..ce], f.q);
+            let rep_id = ids[rep as usize] as usize;
+            attach(b, rep_id, f.src)?;
             if ce - cs > 1 {
                 stack4.push(Frame4 {
                     seg: children[c],
-                    src: ParentRef::Node(rep as usize),
+                    src: ParentRef::Node(rep_id),
                     q: polar.radius_of(rep),
                     start: cs as u32,
                     end: (ce - 1) as u32,
@@ -218,22 +233,26 @@ pub(crate) fn bisect4<S: AttachSink>(
     Ok(())
 }
 
-/// Connects every point in `idx` below `src` with out-degree at most 2 per
-/// node: the source adopts the two points with radius closest to its own,
-/// which then take over the two halves of the segment (split along
+/// Connects every point of a window below `src` with out-degree at most 2
+/// per node: the source adopts the two points with radius closest to its
+/// own, which then take over the two halves of the segment (split along
 /// alternating axes — the binary refinement of the paper's 4-way step).
 ///
-/// Works in place on `idx`, a window of the flat member-index array.
+/// The window is given as in [`bisect4`]: coordinates and ids by local
+/// position, with the positions permuted in `scratch`.
 pub(crate) fn bisect2<S: AttachSink>(
     b: &mut S,
     polar: PolarSlices<'_>,
+    ids: &[u32],
     seg: RingSegment,
     src: ParentRef,
     src_radius: f64,
-    idx: &mut [u32],
     scratch: &mut Scratch2,
 ) -> Result<(), TreeError> {
-    let Scratch2 { perm, stack2, .. } = scratch;
+    let Scratch2 {
+        loc, perm, stack2, ..
+    } = scratch;
+    reset_positions(loc, ids.len());
     stack2.clear();
     stack2.push(Frame2 {
         seg,
@@ -241,7 +260,7 @@ pub(crate) fn bisect2<S: AttachSink>(
         src,
         q: src_radius,
         start: 0,
-        end: idx.len() as u32,
+        end: loc.len() as u32,
         depth: 0,
     });
     while let Some(f) = stack2.pop() {
@@ -249,22 +268,22 @@ pub(crate) fn bisect2<S: AttachSink>(
         match end - start {
             0 => continue,
             1 => {
-                attach(b, idx[start] as usize, f.src)?;
+                attach(b, ids[loc[start] as usize] as usize, f.src)?;
                 continue;
             }
             2 => {
-                attach(b, idx[start] as usize, f.src)?;
-                attach(b, idx[start + 1] as usize, f.src)?;
+                attach(b, ids[loc[start] as usize] as usize, f.src)?;
+                attach(b, ids[loc[start + 1] as usize] as usize, f.src)?;
                 continue;
             }
             _ => {}
         }
         omt_obs::obs_observe!("bisect2d/depth", u64::from(f.depth));
         omt_obs::obs_count!("bisect2d/splits");
-        let a = take_closest_radius(polar.radius, &mut idx[start..end], f.q);
-        let c = take_closest_radius(polar.radius, &mut idx[start..end - 1], f.q);
-        attach(b, a as usize, f.src)?;
-        attach(b, c as usize, f.src)?;
+        let a = take_closest_radius(polar.radius, &mut loc[start..end], f.q);
+        let c = take_closest_radius(polar.radius, &mut loc[start..end - 1], f.q);
+        attach(b, ids[a as usize] as usize, f.src)?;
+        attach(b, ids[c as usize] as usize, f.src)?;
         // Split the segment and hand each half to one carrier.
         let (lo_seg, hi_seg) = match f.axis {
             Axis::Radius => {
@@ -298,18 +317,18 @@ pub(crate) fn bisect2<S: AttachSink>(
             Axis::Angle => polar.angle[p as usize] >= am,
         };
         perm.clear();
-        perm.extend_from_slice(&idx[start..rest_end]);
+        perm.extend_from_slice(&loc[start..rest_end]);
         let mut w = start;
         for &p in perm.iter() {
             if !is_hi(p) {
-                idx[w] = p;
+                loc[w] = p;
                 w += 1;
             }
         }
         let mid = w;
         for &p in perm.iter() {
             if is_hi(p) {
-                idx[w] = p;
+                loc[w] = p;
                 w += 1;
             }
         }
@@ -336,7 +355,7 @@ pub(crate) fn bisect2<S: AttachSink>(
         stack2.push(Frame2 {
             seg: lo_seg,
             axis: f.axis.next(),
-            src: ParentRef::Node(carrier_lo as usize),
+            src: ParentRef::Node(ids[carrier_lo as usize] as usize),
             q: polar.radius_of(carrier_lo),
             start: start as u32,
             end: mid as u32,
@@ -345,7 +364,7 @@ pub(crate) fn bisect2<S: AttachSink>(
         stack2.push(Frame2 {
             seg: hi_seg,
             axis: f.axis.next(),
-            src: ParentRef::Node(carrier_hi as usize),
+            src: ParentRef::Node(ids[carrier_hi as usize] as usize),
             q: polar.radius_of(carrier_hi),
             start: mid as u32,
             end: rest_end as u32,
@@ -510,27 +529,29 @@ impl Bisection {
                 fanout_chain(&mut builder, self.max_out_degree)?;
             }
             Some(frame) => {
-                let mut idx: Vec<u32> = (0..points.len() as u32).collect();
+                // The frame's columns are indexed by point id, so the ids
+                // are the identity.
+                let ids: Vec<u32> = (0..points.len() as u32).collect();
                 let (polar, seg, q) = (frame.slices(), frame.segment, frame.source_polar.radius);
                 let mut scratch = Scratch2::default();
                 if self.max_out_degree >= 4 {
                     bisect4(
                         &mut builder,
                         polar,
+                        &ids,
                         seg,
                         ParentRef::Source,
                         q,
-                        &mut idx,
                         &mut scratch,
                     )?;
                 } else {
                     bisect2(
                         &mut builder,
                         polar,
+                        &ids,
                         seg,
                         ParentRef::Source,
                         q,
-                        &mut idx,
                         &mut scratch,
                     )?;
                 }

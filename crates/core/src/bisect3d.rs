@@ -9,7 +9,7 @@ use omt_tree::{ParentRef, TreeBuilder, TreeError};
 pub(crate) use crate::fanout::fanout_chain as fanout_chain3;
 pub(crate) use crate::sink::attach as attach3;
 
-use crate::bisect2d::take_closest_radius;
+use crate::bisect2d::{reset_positions, take_closest_radius};
 use crate::sink::AttachSink;
 
 /// The axis a binary split halves, cycling radius → azimuth → z.
@@ -30,9 +30,10 @@ impl Axis3 {
     }
 }
 
-/// A read-only structure-of-arrays view of spherical coordinates: the
-/// columns of `omt_geom::PointStore3`, consumed by the 3-D bisection
-/// kernels ([`bisect8`], [`bisect2_3d`]).
+/// A read-only structure-of-arrays view of spherical coordinates, as
+/// consumed by the 3-D bisection kernels ([`bisect8`], [`bisect2_3d`]):
+/// the columns of `omt_geom::PointStore3` (indexed by point id), or one
+/// cell's window of their cell-major copy (indexed by local position).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SphSlices<'a> {
     /// Source-relative radii.
@@ -53,7 +54,7 @@ impl SphSlices<'_> {
         }
     }
 
-    /// Reassembles point `i` as a [`SphericalPoint`].
+    /// Reassembles the point at position `i` as a [`SphericalPoint`].
     #[inline]
     pub fn get(&self, i: u32) -> SphericalPoint {
         SphericalPoint {
@@ -63,14 +64,14 @@ impl SphSlices<'_> {
         }
     }
 
-    /// Radius of point `i`.
+    /// Radius of the point at position `i`.
     #[inline]
     pub fn radius_of(&self, i: u32) -> f64 {
         self.radius[i as usize]
     }
 }
 
-/// An 8-way work frame over a range of the shared flat index array.
+/// An 8-way work frame over a range of the scratch position array.
 #[derive(Clone, Debug)]
 struct Frame8 {
     cell: ShellCell,
@@ -81,7 +82,7 @@ struct Frame8 {
     depth: u32,
 }
 
-/// A binary 3-D work frame over a range of the shared flat index array.
+/// A binary 3-D work frame over a range of the scratch position array.
 #[derive(Clone, Debug)]
 struct Frame2x3 {
     cell: ShellCell,
@@ -97,37 +98,42 @@ struct Frame2x3 {
 /// `bisect2d::Scratch2` for the rationale).
 #[derive(Debug, Default)]
 pub(crate) struct Scratch3 {
+    loc: Vec<u32>,
     perm: Vec<u32>,
     class: Vec<u8>,
     stack8: Vec<Frame8>,
     stack2: Vec<Frame2x3>,
 }
 
-/// Connects every point in `idx` below `src` with out-degree at most 8 per
-/// node, following the 8-way octant split of the shell cell. Works in
-/// place on `idx`, a window of the flat member-index array.
+/// Connects every point of a window below `src` with out-degree at most 8
+/// per node, following the 8-way octant split of the shell cell. `sph`
+/// and `ids` give the window's coordinates and point ids by local
+/// position; the kernel permutes local positions in `scratch` (see
+/// `bisect2d::bisect4`).
 pub(crate) fn bisect8<S: AttachSink>(
     b: &mut S,
     sph: SphSlices<'_>,
+    ids: &[u32],
     cell: ShellCell,
     src: ParentRef,
     src_radius: f64,
-    idx: &mut [u32],
     scratch: &mut Scratch3,
 ) -> Result<(), TreeError> {
     let Scratch3 {
+        loc,
         perm,
         class,
         stack8,
         ..
     } = scratch;
+    reset_positions(loc, ids.len());
     stack8.clear();
     stack8.push(Frame8 {
         cell,
         src,
         q: src_radius,
         start: 0,
-        end: idx.len() as u32,
+        end: loc.len() as u32,
         depth: 0,
     });
     while let Some(f) = stack8.pop() {
@@ -142,13 +148,13 @@ pub(crate) fn bisect8<S: AttachSink>(
         // staged copy, so each octant keeps its input order.
         class.clear();
         let mut counts = [0u32; 8];
-        for &p in &idx[start..end] {
+        for &p in &loc[start..end] {
             let c = f.cell.classify8(&sph.get(p));
             class.push(c as u8);
             counts[c] += 1;
         }
         perm.clear();
-        perm.extend_from_slice(&idx[start..end]);
+        perm.extend_from_slice(&loc[start..end]);
         let mut bounds = [0usize; 9];
         bounds[0] = start;
         for c in 0..8 {
@@ -158,7 +164,7 @@ pub(crate) fn bisect8<S: AttachSink>(
         cursors.copy_from_slice(&bounds[..8]);
         for (j, &p) in perm.iter().enumerate() {
             let c = class[j] as usize;
-            idx[cursors[c]] = p;
+            loc[cursors[c]] = p;
             cursors[c] += 1;
         }
         for c in 0..8 {
@@ -166,12 +172,13 @@ pub(crate) fn bisect8<S: AttachSink>(
             if cs == ce {
                 continue;
             }
-            let rep = take_closest_radius(sph.radius, &mut idx[cs..ce], f.q);
-            attach3(b, rep as usize, f.src)?;
+            let rep = take_closest_radius(sph.radius, &mut loc[cs..ce], f.q);
+            let rep_id = ids[rep as usize] as usize;
+            attach3(b, rep_id, f.src)?;
             if ce - cs > 1 {
                 stack8.push(Frame8 {
                     cell: children[c],
-                    src: ParentRef::Node(rep as usize),
+                    src: ParentRef::Node(rep_id),
                     q: sph.radius_of(rep),
                     start: cs as u32,
                     end: (ce - 1) as u32,
@@ -183,20 +190,23 @@ pub(crate) fn bisect8<S: AttachSink>(
     Ok(())
 }
 
-/// Connects every point in `idx` below `src` with out-degree at most 2 per
-/// node: binary splits along cycling radius → azimuth → z axes, two
-/// carriers per step chosen by radius proximity to the local source.
-/// Works in place on `idx`, a window of the flat member-index array.
+/// Connects every point of a window below `src` with out-degree at most 2
+/// per node: binary splits along cycling radius → azimuth → z axes, two
+/// carriers per step chosen by radius proximity to the local source. The
+/// window is given as in [`bisect8`].
 pub(crate) fn bisect2_3d<S: AttachSink>(
     b: &mut S,
     sph: SphSlices<'_>,
+    ids: &[u32],
     cell: ShellCell,
     src: ParentRef,
     src_radius: f64,
-    idx: &mut [u32],
     scratch: &mut Scratch3,
 ) -> Result<(), TreeError> {
-    let Scratch3 { perm, stack2, .. } = scratch;
+    let Scratch3 {
+        loc, perm, stack2, ..
+    } = scratch;
+    reset_positions(loc, ids.len());
     stack2.clear();
     stack2.push(Frame2x3 {
         cell,
@@ -204,7 +214,7 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         src,
         q: src_radius,
         start: 0,
-        end: idx.len() as u32,
+        end: loc.len() as u32,
         depth: 0,
     });
     while let Some(f) = stack2.pop() {
@@ -212,22 +222,22 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         match end - start {
             0 => continue,
             1 => {
-                attach3(b, idx[start] as usize, f.src)?;
+                attach3(b, ids[loc[start] as usize] as usize, f.src)?;
                 continue;
             }
             2 => {
-                attach3(b, idx[start] as usize, f.src)?;
-                attach3(b, idx[start + 1] as usize, f.src)?;
+                attach3(b, ids[loc[start] as usize] as usize, f.src)?;
+                attach3(b, ids[loc[start + 1] as usize] as usize, f.src)?;
                 continue;
             }
             _ => {}
         }
         omt_obs::obs_observe!("bisect3d/depth", u64::from(f.depth));
         omt_obs::obs_count!("bisect3d/splits");
-        let a = take_closest_radius(sph.radius, &mut idx[start..end], f.q);
-        let c = take_closest_radius(sph.radius, &mut idx[start..end - 1], f.q);
-        attach3(b, a as usize, f.src)?;
-        attach3(b, c as usize, f.src)?;
+        let a = take_closest_radius(sph.radius, &mut loc[start..end], f.q);
+        let c = take_closest_radius(sph.radius, &mut loc[start..end - 1], f.q);
+        attach3(b, ids[a as usize] as usize, f.src)?;
+        attach3(b, ids[c as usize] as usize, f.src)?;
         let rm = 0.5 * (f.cell.r_lo() + f.cell.r_hi());
         let am = f.cell.arc().mid();
         let (z_lo, z_hi) = f.cell.z_range();
@@ -263,12 +273,12 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         // past `rest_end`).
         let rest_end = end - 2;
         perm.clear();
-        perm.extend_from_slice(&idx[start..rest_end]);
+        perm.extend_from_slice(&loc[start..rest_end]);
         let mut w = start;
         for &p in perm.iter() {
             let (v, mid) = coordinate(&sph.get(p));
             if v < mid {
-                idx[w] = p;
+                loc[w] = p;
                 w += 1;
             }
         }
@@ -276,7 +286,7 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         for &p in perm.iter() {
             let (v, mid) = coordinate(&sph.get(p));
             if v >= mid {
-                idx[w] = p;
+                loc[w] = p;
                 w += 1;
             }
         }
@@ -288,7 +298,7 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         stack2.push(Frame2x3 {
             cell: lo_cell,
             axis: f.axis.next(),
-            src: ParentRef::Node(carrier_lo as usize),
+            src: ParentRef::Node(ids[carrier_lo as usize] as usize),
             q: sph.radius_of(carrier_lo),
             start: start as u32,
             end: mid_pos as u32,
@@ -297,7 +307,7 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         stack2.push(Frame2x3 {
             cell: hi_cell,
             axis: f.axis.next(),
-            src: ParentRef::Node(carrier_hi as usize),
+            src: ParentRef::Node(ids[carrier_hi as usize] as usize),
             q: sph.radius_of(carrier_hi),
             start: mid_pos as u32,
             end: rest_end as u32,
@@ -319,23 +329,23 @@ mod tests {
         let pts = Ball::<3>::unit().sample_n(&mut rng, n);
         let store = PointStore3::from_points(Point3::ORIGIN, &pts);
         let b = TreeBuilder::new(Point3::ORIGIN, pts);
-        let idx = (0..n as u32).collect();
-        (b, store, idx)
+        let ids = (0..n as u32).collect();
+        (b, store, ids)
     }
 
     #[test]
     fn bisect8_produces_valid_degree8_tree() {
         let mut scratch = Scratch3::default();
         for n in [1usize, 5, 64, 500] {
-            let (b, store, mut idx) = setup(n, n as u64);
+            let (b, store, ids) = setup(n, n as u64);
             let mut b = b.max_out_degree(8);
             bisect8(
                 &mut b,
                 SphSlices::of(&store),
+                &ids,
                 ShellCell::ball(1.0 + 1e-9),
                 ParentRef::Source,
                 0.0,
-                &mut idx,
                 &mut scratch,
             )
             .unwrap();
@@ -349,15 +359,15 @@ mod tests {
     fn bisect2_3d_produces_valid_degree2_tree() {
         let mut scratch = Scratch3::default();
         for n in [1usize, 2, 3, 9, 200] {
-            let (b, store, mut idx) = setup(n, 90 + n as u64);
+            let (b, store, ids) = setup(n, 90 + n as u64);
             let mut b = b.max_out_degree(2);
             bisect2_3d(
                 &mut b,
                 SphSlices::of(&store),
+                &ids,
                 ShellCell::ball(1.0 + 1e-9),
                 ParentRef::Source,
                 0.0,
-                &mut idx,
                 &mut scratch,
             )
             .unwrap();
@@ -373,28 +383,27 @@ mod tests {
         let store = PointStore3::from_points(Point3::ORIGIN, &pts);
         let mut scratch = Scratch3::default();
         let mut b = TreeBuilder::new(Point3::ORIGIN, pts.clone()).max_out_degree(8);
-        let mut idx: Vec<u32> = (0..40).collect();
+        let ids: Vec<u32> = (0..40).collect();
         bisect8(
             &mut b,
             SphSlices::of(&store),
+            &ids,
             ShellCell::ball(1.0),
             ParentRef::Source,
             0.0,
-            &mut idx,
             &mut scratch,
         )
         .unwrap();
         b.finish().unwrap().validate(Some(8)).unwrap();
 
         let mut b = TreeBuilder::new(Point3::ORIGIN, pts).max_out_degree(2);
-        let mut idx: Vec<u32> = (0..40).collect();
         bisect2_3d(
             &mut b,
             SphSlices::of(&store),
+            &ids,
             ShellCell::ball(1.0),
             ParentRef::Source,
             0.0,
-            &mut idx,
             &mut scratch,
         )
         .unwrap();
@@ -403,16 +412,16 @@ mod tests {
 
     #[test]
     fn radius_stays_within_constant_factor_of_direct() {
-        let (b, store, mut idx) = setup(1000, 7);
+        let (b, store, ids) = setup(1000, 7);
         let opt_lb = store.radius().iter().copied().fold(0.0, f64::max);
         let mut b = b.max_out_degree(8);
         bisect8(
             &mut b,
             SphSlices::of(&store),
+            &ids,
             ShellCell::ball(1.0 + 1e-9),
             ParentRef::Source,
             0.0,
-            &mut idx,
             &mut Scratch3::default(),
         )
         .unwrap();
@@ -512,26 +521,27 @@ impl Bisection3 {
             return Ok(builder.finish()?);
         }
         let (sph, cell) = (SphSlices::of(&store), ShellCell::ball(rho * (1.0 + 1e-9)));
-        let mut idx: Vec<u32> = (0..points.len() as u32).collect();
+        // The store's columns are indexed by point id: identity ids.
+        let ids: Vec<u32> = (0..points.len() as u32).collect();
         let mut scratch = Scratch3::default();
         if self.max_out_degree >= 8 {
             bisect8(
                 &mut builder,
                 sph,
+                &ids,
                 cell,
                 ParentRef::Source,
                 0.0,
-                &mut idx,
                 &mut scratch,
             )?;
         } else {
             bisect2_3d(
                 &mut builder,
                 sph,
+                &ids,
                 cell,
                 ParentRef::Source,
                 0.0,
-                &mut idx,
                 &mut scratch,
             )?;
         }

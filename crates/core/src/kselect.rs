@@ -26,6 +26,25 @@
 //! pure integer arithmetic — `ring' = max(ring - d, 0)`,
 //! `seg' = path >> (k_max - ring')` — so occupancy at every level is
 //! derived from one consistent assignment with no floating-point re-binning.
+//!
+//! # Per-ring bitsets
+//!
+//! [`select_rings`] keeps the occupancy as one `u64` bitset per ring
+//! ([`RingBits`]). Coarsening a level is a pair-OR of each ring's adjacent
+//! bits, done a word at a time (64 cells in, 32 out), plus folding ring 1
+//! into the inner disk; the feasibility check folds the active set inward
+//! the same way and stops at the first active, unoccupied cell. At
+//! `n = 5M` the finest grid (`k_max = 23`) is 16.7 M cells, i.e. 1 MB of
+//! words.
+//!
+//! # Partition
+//!
+//! [`bucket_cells`] turns the assignments at the selected level into a
+//! counting-sort member order, and [`CellMajor::gather`] copies the
+//! point columns into that order, so each cell's points are one
+//! contiguous window of every column.
+
+use crate::polar_grid::SOA_CHUNK;
 
 /// Per-point finest-level grid assignments plus the finest level itself.
 #[derive(Clone, Debug)]
@@ -72,80 +91,116 @@ pub(crate) fn cell_count(k: u32) -> usize {
     ((1u64 << (k + 1)) - 1) as usize
 }
 
-/// Builds the occupancy bitmap of the `k_max`-level grid.
-fn finest_occupancy(a: &Assignments) -> Vec<bool> {
-    let mut occ = vec![false; cell_count(a.k_max)];
-    for p in 0..a.ring.len() {
-        let (r, s) = a.cell_at(p, a.k_max);
-        occ[cell_index(r, s)] = true;
-    }
-    occ
+/// Cell occupancy of a grid, one bitset per ring: bit `s` of ring `r` is
+/// set iff cell `(r, s)` holds a point. Ring `r`'s `2^r` cells pack into
+/// `⌈2^r / 64⌉` words, so a `k_max = 23` grid is 1 MB of words rather
+/// than 16.7 M flags, and coarsening and the feasibility check both run a
+/// word at a time.
+#[derive(Debug)]
+pub(crate) struct RingBits {
+    /// `rings[r]` is the bitset of ring `r`; the grid level is
+    /// `rings.len() - 1`.
+    rings: Vec<Vec<u64>>,
 }
 
-/// Coarsens a level-`t` occupancy bitmap into level `t - 1`:
-/// the new inner disk absorbs the old inner disk and old ring 1; every other
-/// new cell is the union of an aligned pair one ring further out.
-fn coarsen(occ: &[bool], t: u32) -> Vec<bool> {
-    debug_assert_eq!(occ.len(), cell_count(t));
-    debug_assert!(t >= 1);
-    let mut out = vec![false; cell_count(t - 1)];
-    out[0] = occ[0] || occ[1] || occ[2];
-    for i in 1..t {
-        for j in 0..(1u64 << i) {
-            let merged = occ[cell_index(i + 1, 2 * j)] || occ[cell_index(i + 1, 2 * j + 1)];
-            out[cell_index(i, j)] = merged;
-        }
-    }
-    out
+/// Pair-OR of one word: bit `j` of the low half of the result is bit `2j`
+/// OR bit `2j + 1` of `w` (the aligned-pair merge of one coarsening step).
+#[inline]
+fn squeeze(w: u64) -> u64 {
+    let mut x = (w | (w >> 1)) & 0x5555_5555_5555_5555;
+    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
+    x = (x | (x >> 2)) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | (x >> 4)) & 0x00ff_00ff_00ff_00ff;
+    x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
+    (x | (x >> 16)) & 0x0000_0000_ffff_ffff
 }
 
-/// Whether every **active** non-outermost cell of a level-`t` grid is
-/// occupied. Active = the cell or any cell in its outward cone is occupied.
-/// Ring 0 is exempt: the source sits at the pole and acts as its
-/// representative.
-fn feasible(occ: &[bool], t: u32) -> bool {
-    if t <= 1 {
-        return true;
+/// Halves a ring bitset in place: cell `j` of the result is the union of
+/// cells `2j` and `2j + 1`.
+fn halve(ring: &mut Vec<u64>) {
+    let words = ring.len().div_ceil(2);
+    for w in 0..words {
+        let hi = ring.get(2 * w + 1).map_or(0, |&h| squeeze(h) << 32);
+        ring[w] = squeeze(ring[2 * w]) | hi;
     }
-    // Compute active flags bottom-up: a cell is active if occupied or
-    // either aligned child on the next ring is active.
-    let mut active = occ.to_vec();
-    for i in (1..t).rev() {
-        for j in 0..(1u64 << i) {
-            let idx = cell_index(i, j);
-            active[idx] = active[idx]
-                || active[cell_index(i + 1, 2 * j)]
-                || active[cell_index(i + 1, 2 * j + 1)];
+    ring.truncate(words);
+}
+
+impl RingBits {
+    /// The occupancy of the `k_max`-level grid.
+    pub fn finest(a: &Assignments) -> Self {
+        let mut rings: Vec<Vec<u64>> = (0..=a.k_max)
+            .map(|r| vec![0u64; (1usize << r).div_ceil(64)])
+            .collect();
+        for p in 0..a.ring.len() {
+            let (r, s) = a.cell_at(p, a.k_max);
+            rings[r as usize][(s / 64) as usize] |= 1 << (s % 64);
+        }
+        Self { rings }
+    }
+
+    /// The grid level `t`.
+    pub fn level(&self) -> u32 {
+        (self.rings.len() - 1) as u32
+    }
+
+    /// Whether cell `(ring, seg)` holds a point.
+    #[cfg(test)]
+    pub fn occupied(&self, ring: u32, seg: u64) -> bool {
+        self.rings[ring as usize][(seg / 64) as usize] >> (seg % 64) & 1 == 1
+    }
+
+    /// Coarsens a level-`t` occupancy into level `t - 1`: the new inner
+    /// disk absorbs the old inner disk and old ring 1; every other new
+    /// cell is the union of an aligned pair one ring further out.
+    pub fn coarsen(&mut self) {
+        debug_assert!(self.level() >= 1);
+        let inner = (self.rings[0][0] | self.rings[1][0]) != 0;
+        self.rings.remove(0);
+        self.rings[0] = vec![u64::from(inner)];
+        for ring in &mut self.rings[1..] {
+            halve(ring);
         }
     }
-    for i in 1..t {
-        for j in 0..(1u64 << i) {
-            let idx = cell_index(i, j);
-            if active[idx] && !occ[idx] {
-                return false;
+
+    /// Whether every **active** non-outermost cell is occupied. Active =
+    /// the cell or any cell in its outward cone is occupied. Ring 0 is
+    /// exempt: the source sits at the pole and acts as its
+    /// representative.
+    ///
+    /// The active set is folded inward ring by ring — ring `i` is its own
+    /// occupancy plus the pair-OR of ring `i + 1`'s active set — and the
+    /// check stops at the first active, unoccupied cell.
+    pub fn feasible(&self) -> bool {
+        let t = self.rings.len() - 1;
+        if t <= 1 {
+            return true;
+        }
+        let mut active = self.rings[t].clone();
+        for occ in self.rings[1..t].iter().rev() {
+            halve(&mut active);
+            for (a, &o) in active.iter_mut().zip(occ) {
+                if *a & !o != 0 {
+                    return false;
+                }
+                *a |= o;
             }
         }
+        true
     }
-    true
 }
 
-/// Selects the largest feasible number of rings `k ≤ k_max`, together with
-/// the occupancy bitmap at that level.
+/// Selects the largest feasible number of rings `k ≤ k_max`.
 ///
 /// Feasibility is monotone (coarsening a feasible grid stays feasible), so
 /// a downward scan with pairwise coarsening finds the maximum in
-/// `O(n + 2^k_max)`.
-pub(crate) fn select_rings(a: &Assignments) -> (u32, Vec<bool>) {
-    let mut occ = finest_occupancy(a);
-    let mut t = a.k_max;
-    while t > 0 {
-        if feasible(&occ, t) {
-            return (t, occ);
-        }
-        occ = coarsen(&occ, t);
-        t -= 1;
+/// `O(n + 2^k_max / 64)` word operations.
+pub(crate) fn select_rings(a: &Assignments) -> u32 {
+    let mut occ = RingBits::finest(a);
+    while occ.level() > 0 && !occ.feasible() {
+        occ.coarsen();
     }
-    (0, occ)
+    occ.level()
 }
 
 /// Buckets points into the cells of a level-`k` grid as a CSR structure:
@@ -173,6 +228,66 @@ pub(crate) fn bucket_cells(a: &Assignments, k: u32) -> (Vec<u32>, Vec<u32>) {
         cursor[c] += 1;
     }
     (counts, members)
+}
+
+/// The point columns in cell-major order: position `pos` of every column
+/// describes point `ids[pos]`, so the counting-sort window
+/// `counts[c]..counts[c + 1]` of cell `c` is one contiguous slice of each
+/// column, and per-cell work reads its window sequentially instead of
+/// gathering through permuted ids.
+#[derive(Debug)]
+pub(crate) struct CellMajor<const C: usize> {
+    /// The point id at each position (the counting-sort member order).
+    pub ids: Vec<u32>,
+    /// The gathered columns: `cols[c][pos] = source[c][ids[pos]]`.
+    pub cols: [Vec<f64>; C],
+}
+
+impl<const C: usize> CellMajor<C> {
+    /// Gathers `columns` into the order of `ids`, in parallel over
+    /// disjoint output chunks of [`SOA_CHUNK`] positions.
+    pub fn gather(ids: Vec<u32>, columns: [&[f64]; C], threads: usize) -> Self {
+        let n = ids.len();
+        let mut cols: [Vec<f64>; C] = core::array::from_fn(|_| vec![0.0; n]);
+        {
+            let mut chunks: Vec<(usize, [&mut [f64]; C])> = Vec::new();
+            let mut rest = cols.each_mut().map(|c| &mut c[..]);
+            let mut base = 0;
+            while base < n {
+                let len = SOA_CHUNK.min(n - base);
+                let mut heads = rest.map(|c| c.split_at_mut(len));
+                chunks.push((base, heads.each_mut().map(|h| core::mem::take(&mut h.0))));
+                rest = heads.map(|h| h.1);
+                base += len;
+            }
+            omt_par::par_map_indexed_mut(&mut chunks, threads, |_, (base, outs)| {
+                let ids = &ids[*base..*base + outs[0].len()];
+                for (out, column) in outs.iter_mut().zip(columns) {
+                    for (o, &id) in out.iter_mut().zip(ids) {
+                        *o = column[id as usize];
+                    }
+                }
+            });
+        }
+        Self { ids, cols }
+    }
+
+    /// Order-preserving removal: moves position `pos` to `end - 1` and
+    /// shifts `pos + 1..end` down by one, in the ids and every column.
+    pub fn rotate_to_back(&mut self, pos: usize, end: usize) {
+        self.ids[pos..end].rotate_left(1);
+        for col in &mut self.cols {
+            col[pos..end].rotate_left(1);
+        }
+    }
+
+    /// Swaps positions `a` and `b` in the ids and every column.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        self.ids.swap(a, b);
+        for col in &mut self.cols {
+            col.swap(a, b);
+        }
+    }
 }
 
 /// The finest level to assign at, given `n` points: the largest `k` that
@@ -254,8 +369,7 @@ mod tests {
             cells.push((2, j));
         }
         let a = asg(2, &cells);
-        let (k, _) = select_rings(&a);
-        assert_eq!(k, 2);
+        assert_eq!(select_rings(&a), 2);
     }
 
     #[test]
@@ -264,12 +378,17 @@ mod tests {
         // (whose ring-1 ancestor is segment 1) is occupied -> ring-1 hole
         // under an active cone -> must coarsen to k = 1.
         let a = asg(2, &[(1, 0), (2, 3)]);
-        let (k, occ) = select_rings(&a);
-        assert_eq!(k, 1);
+        assert_eq!(select_rings(&a), 1);
+        let mut occ = RingBits::finest(&a);
+        assert!(!occ.feasible());
+        occ.coarsen();
+        assert!(occ.feasible());
         // At k = 1: the old ring-1 points are in the inner disk; the old
         // ring-2 segment 3 becomes ring-1 segment 1.
-        assert!(occ[cell_index(0, 0)]);
-        assert!(occ[cell_index(1, 1)]);
+        assert_eq!(occ.level(), 1);
+        assert!(occ.occupied(0, 0));
+        assert!(occ.occupied(1, 1));
+        assert!(!occ.occupied(1, 0));
     }
 
     #[test]
@@ -277,26 +396,28 @@ mod tests {
         // Ring 1 segment 1 is empty AND nothing lies outward of it: the
         // grid is still feasible at k = 2 because the cell is inactive.
         let a = asg(2, &[(1, 0), (2, 0), (2, 1)]);
-        let (k, _) = select_rings(&a);
-        assert_eq!(k, 2);
+        assert_eq!(select_rings(&a), 2);
     }
 
     #[test]
     fn outermost_ring_may_have_holes() {
         // Full ring 1, partially empty ring 2 (outermost): feasible at k=2.
         let a = asg(2, &[(1, 0), (1, 1), (2, 2)]);
-        let (k, _) = select_rings(&a);
-        assert_eq!(k, 2);
+        assert_eq!(select_rings(&a), 2);
     }
 
     #[test]
     fn single_point_selects_k1() {
         let a = asg(3, &[(3, 5)]);
-        let (k, occ) = select_rings(&a);
         // Rings 1 and 2 are on the point's active chain but empty, so the
         // grid coarsens until only the (exempt) inner disk is interior.
-        assert_eq!(k, 1);
-        assert!(occ[cell_index(1, 1)]); // 5 >> 2 == 1
+        assert_eq!(select_rings(&a), 1);
+        let mut occ = RingBits::finest(&a);
+        occ.coarsen();
+        occ.coarsen();
+        assert!(occ.occupied(1, 1)); // 5 >> 2 == 1
+        assert!(!occ.occupied(1, 0));
+        assert!(!occ.occupied(0, 0));
     }
 
     #[test]
@@ -306,27 +427,35 @@ mod tests {
             ring: vec![],
             path: vec![],
         };
-        let (k, occ) = select_rings(&a);
-        assert_eq!(k, 0);
-        assert_eq!(occ.len(), 1);
-        assert!(!occ[0]);
+        assert_eq!(select_rings(&a), 0);
+        let occ = RingBits::finest(&a);
+        assert_eq!(occ.level(), 0);
+        assert!(!occ.occupied(0, 0));
     }
 
     #[test]
     fn coarsen_merges_pairs() {
         // Level 2 occupancy with ring-2 segments 2 and 3 occupied.
-        let mut occ = vec![false; cell_count(2)];
-        occ[cell_index(2, 2)] = true;
-        occ[cell_index(2, 3)] = true;
-        let out = coarsen(&occ, 2);
-        assert!(out[cell_index(1, 1)]);
-        assert!(!out[cell_index(1, 0)]);
-        assert!(!out[0]);
+        let mut occ = RingBits::finest(&asg(2, &[(2, 2), (2, 3)]));
+        occ.coarsen();
+        assert_eq!(occ.level(), 1);
+        assert!(occ.occupied(1, 1));
+        assert!(!occ.occupied(1, 0));
+        assert!(!occ.occupied(0, 0));
         // Ring-1 and inner-disk occupancy folds into the new inner disk.
-        let mut occ = vec![false; cell_count(2)];
-        occ[cell_index(1, 1)] = true;
-        let out = coarsen(&occ, 2);
-        assert!(out[0]);
+        let mut occ = RingBits::finest(&asg(2, &[(1, 1)]));
+        occ.coarsen();
+        assert!(occ.occupied(0, 0));
+        // Ring 8 spans four words; its cells 127/128 straddle a word
+        // boundary and land in ring-7 cells 63/64, on either side of the
+        // coarser ring's own word boundary.
+        let mut occ = RingBits::finest(&asg(8, &[(8, 127), (8, 128), (8, 255), (7, 3)]));
+        occ.coarsen();
+        assert_eq!(occ.level(), 7);
+        let set: Vec<u64> = (0..128).filter(|&s| occ.occupied(7, s)).collect();
+        assert_eq!(set, [63, 64, 127]);
+        assert_eq!((0..64).filter(|&s| occ.occupied(6, s)).count(), 1);
+        assert!(occ.occupied(6, 1));
     }
 
     #[test]
@@ -339,19 +468,17 @@ mod tests {
         ];
         for cells in patterns {
             let a = asg(3, &cells);
-            let mut occ = finest_occupancy(&a);
-            let mut t = 3;
+            let mut occ = RingBits::finest(&a);
             let mut seen_feasible = false;
-            while t > 0 {
-                let f = feasible(&occ, t);
+            while occ.level() > 0 {
+                let f = occ.feasible();
                 if seen_feasible {
                     assert!(f, "feasibility must be monotone");
                 }
                 seen_feasible |= f;
-                occ = coarsen(&occ, t);
-                t -= 1;
+                occ.coarsen();
             }
-            assert!(seen_feasible || t == 0);
+            assert!(seen_feasible);
         }
     }
 
@@ -444,6 +571,20 @@ mod tests {
 #[cfg(test)]
 mod brute_force_tests {
     use super::*;
+    use omt_rng::rngs::SmallRng;
+    use omt_rng::{RngExt, SeedableRng};
+
+    /// Assignments placing one point in each listed finest-level cell.
+    fn assignments(k_max: u32, cells: &[(u32, u64)]) -> Assignments {
+        Assignments {
+            k_max,
+            ring: cells.iter().map(|c| c.0).collect(),
+            path: cells
+                .iter()
+                .map(|&(r, s)| if r == 0 { 0 } else { (s << (k_max - r)) as u32 })
+                .collect(),
+        }
+    }
 
     /// Feasibility by direct definition: at level `t`, every non-outermost
     /// cell whose outward cone contains a point must itself contain one.
@@ -487,28 +628,12 @@ mod brute_force_tests {
             }
             v
         };
-        let mk = |chosen: &[(u32, u64)]| -> Assignments {
-            Assignments {
-                k_max,
-                ring: chosen.iter().map(|c| c.0).collect(),
-                path: chosen
-                    .iter()
-                    .map(|c| {
-                        if c.0 == 0 {
-                            0
-                        } else {
-                            (c.1 << (k_max - c.0)) as u32
-                        }
-                    })
-                    .collect(),
-            }
-        };
         let mut checked = 0;
         for i in 0..cells.len() {
             for j in i..cells.len() {
                 for k in j..cells.len() {
-                    let a = mk(&[cells[i], cells[j], cells[k]]);
-                    let (selected, _) = select_rings(&a);
+                    let a = assignments(k_max, &[cells[i], cells[j], cells[k]]);
+                    let selected = select_rings(&a);
                     // Selected level must be feasible...
                     assert!(
                         feasible_brute(&a, selected),
@@ -528,5 +653,87 @@ mod brute_force_tests {
             }
         }
         assert_eq!(checked, 15 * 16 * 17 / 6); // C(15+2, 3) patterns
+    }
+
+    /// A uniformly random cell of a level-`k_max` grid.
+    fn uniform_cell(rng: &mut SmallRng, k_max: u32) -> (u32, u64) {
+        let c = rng.random_range(0..cell_count(k_max) as u64) + 1;
+        let ring = 63 - c.leading_zeros();
+        (ring, c - (1 << ring))
+    }
+
+    /// Seeded random assignments with `k_max` up to 10, so the rings past
+    /// 6 span several 64-bit words: at every level the bitset occupancy
+    /// and feasibility verdict must match the brute-force definition, and
+    /// `select_rings` must return the largest feasible level. Three
+    /// shapes: uniform over all cells, a narrow cone behind one ancestor
+    /// cell, and uniform with one finest-level cell emptied.
+    #[test]
+    fn select_rings_matches_brute_force_on_random_assignments() {
+        let mut rng = SmallRng::seed_from_u64(0x6b73_656c);
+        let mut feasible_multiword = 0;
+        for case in 0..42u32 {
+            let k_max = 4 + case % 7;
+            let n = rng.random_range(1..=400usize);
+            let cells: Vec<(u32, u64)> = match case % 3 {
+                0 => (0..n).map(|_| uniform_cell(&mut rng, k_max)).collect(),
+                1 => {
+                    let m = rng.random_range(1..=k_max.min(5));
+                    let prefix = rng.random_range(0..1u64 << m);
+                    (0..n)
+                        .map(|_| {
+                            let r = rng.random_range(0..=k_max);
+                            let seg = if r < m {
+                                prefix >> (m - r)
+                            } else {
+                                (prefix << (r - m)) | rng.random_range(0..1u64 << (r - m))
+                            };
+                            (r, seg)
+                        })
+                        .collect()
+                }
+                _ => {
+                    let hole_ring = rng.random_range(1..k_max);
+                    let hole = (hole_ring, rng.random_range(0..1u64 << hole_ring));
+                    (0..n)
+                        .map(|_| uniform_cell(&mut rng, k_max))
+                        .filter(|&c| c != hole)
+                        .collect()
+                }
+            };
+            let a = assignments(k_max, &cells);
+            let mut occ = RingBits::finest(&a);
+            let mut selected = None;
+            for t in (0..=k_max).rev() {
+                assert_eq!(occ.level(), t);
+                let occupied: std::collections::HashSet<(u32, u64)> =
+                    (0..a.ring.len()).map(|p| a.cell_at(p, t)).collect();
+                for ring in 0..=t {
+                    for seg in 0..(1u64 << ring) {
+                        assert_eq!(
+                            occ.occupied(ring, seg),
+                            occupied.contains(&(ring, seg)),
+                            "case {case}: cell ({ring}, {seg}) at level {t}"
+                        );
+                    }
+                }
+                let want = feasible_brute(&a, t);
+                assert_eq!(occ.feasible(), want, "case {case}: level {t} of {k_max}");
+                if want && selected.is_none() {
+                    selected = Some(t);
+                    if t >= 7 {
+                        feasible_multiword += 1;
+                    }
+                }
+                if t > 0 {
+                    occ.coarsen();
+                }
+            }
+            assert_eq!(Some(select_rings(&a)), selected, "case {case}");
+        }
+        assert!(
+            feasible_multiword > 0,
+            "no case selected a level with multi-word rings"
+        );
     }
 }

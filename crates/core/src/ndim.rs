@@ -279,7 +279,7 @@ impl NdGridBuilder {
                 .map(|q| angular_path(q, k_max) as u32)
                 .collect(),
         };
-        let (k_auto, _) = select_rings(&assignments);
+        let k_auto = select_rings(&assignments);
         let k = match self.rings_override {
             None => k_auto,
             Some(req) if req <= k_auto => req,

@@ -21,7 +21,7 @@
 //! (Section IV-C): the covering disk is built around the source, and the
 //! active-cell rule tolerates the empty cells outside the region.
 
-use omt_geom::{Point2, PointStore2, PolarPoint, RingSegment};
+use omt_geom::{Point2, PointStore2, PolarPoint};
 use omt_tree::{check_node_capacity, MulticastTree, NodeId, ParentRef, TreeArena, TreeError};
 
 use crate::bisect2d::{attach, bisect2, bisect4, PolarSlices, Scratch2};
@@ -30,24 +30,26 @@ use crate::error::BuildError;
 use crate::fanout::fanout_sink;
 use crate::grid2::PolarGrid2;
 use crate::kselect::{
-    bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments,
+    bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments, CellMajor,
 };
 use crate::sink::{unpack_parent, SharedArena, PACKED_SOURCE};
 
 /// Chunk length for the batched column pre-passes (finiteness scan, lower
-/// bound, polar-column ring/path binning): large enough to amortize the
-/// dispatch, small enough to load-balance on skewed machines.
+/// bound, polar-column ring/path binning, cell-major gather): large enough
+/// to amortize the dispatch, small enough to load-balance on skewed
+/// machines. A build of at most this many points runs every pass inline on
+/// the calling thread.
 pub(crate) const SOA_CHUNK: usize = 1 << 16;
 
 /// One deferred in-cell bisection, packed to 20 bytes, captured in
 /// deterministic cell order during core wiring. The job names its cell by
-/// `(ring, seg)` (the [`RingSegment`] geometry is pure arithmetic,
-/// re-derived from the grid at dispatch), its local root by a packed
-/// [`NodeId`] (`PACKED_SOURCE` = the source; the bisection offset `q` is
-/// always that root's radius, 0 for the source), and its members by a
-/// window `[start, end)` of the shared flat member array produced by the
-/// counting-sort partition. `Copy`, so the parallel path can hand jobs to
-/// workers without cloning index lists.
+/// `(ring, seg)` (the [`RingSegment`](omt_geom::RingSegment) geometry is
+/// pure arithmetic, re-derived from the grid at dispatch), its local root
+/// by a packed [`NodeId`] (`PACKED_SOURCE` = the source; the bisection
+/// offset `q` is always that root's radius, 0 for the source), and its
+/// members by a window `[start, end)` of the cell-major columns produced
+/// by the counting-sort partition. `Copy`, so the parallel path can hand
+/// jobs to workers without cloning index lists.
 #[derive(Clone, Copy, Debug)]
 struct CellJob {
     ring: u32,
@@ -57,96 +59,61 @@ struct CellJob {
     end: u32,
 }
 
-/// Runs the per-cell bisections. Sequentially each job bisects its window
-/// of the flat member array **in place** (one shared scratch, zero per-job
-/// allocation). In parallel the window slices are split out of the member
-/// array up front — the counting-sort windows are sorted and disjoint, so
-/// this is a chain of `split_at_mut` — and every worker writes
-/// **directly** into the shared arena through its exclusive window and the
-/// [`SharedArena`] sink: no per-job edge buffers, no sequential replay. The edge set (and therefore the finished tree) is
-/// identical either way, because each attachment is a pure function of the
-/// job and the shared read-only polar columns.
+/// Cell-major positions `s..e` as a kernel view.
+fn window(cells: &CellMajor<2>, s: usize, e: usize) -> PolarSlices<'_> {
+    PolarSlices {
+        radius: &cells.cols[0][s..e],
+        angle: &cells.cols[1][s..e],
+    }
+}
+
+/// Runs the per-cell bisections. Every job reads its window of the
+/// cell-major ids and polar columns, which are read-only here, and its
+/// bisection permutes local positions in the worker's scratch. Each worker
+/// writes **directly** into the shared arena through the [`SharedArena`]
+/// sink: no per-job edge buffers, no sequential replay. With `threads <= 1`
+/// the jobs run inline, in order, with one scratch. The edge set (and
+/// therefore the finished tree) is the same for every thread count,
+/// because each attachment is a pure function of the job and the
+/// read-only columns. `radius` is the store's radius column, by point id.
 fn run_cell_jobs(
     arena: &mut TreeArena<'_, 2>,
-    polar: PolarSlices<'_>,
+    cells: &CellMajor<2>,
+    radius: &[f64],
     grid: &PolarGrid2,
-    jobs: Vec<CellJob>,
-    members: &mut [u32],
+    jobs: &[CellJob],
     binary: bool,
     threads: usize,
 ) -> Result<(), TreeError> {
-    // Unpack the 20-byte job: cell geometry from pure grid arithmetic, and
-    // the bisection offset `q` as the local root's radius (0 at the
-    // source) — exactly the values the core pass computed when it emitted
-    // the job.
-    let job_geometry = |job: &CellJob| -> (RingSegment, ParentRef, f64) {
+    let shared: &TreeArena<'_, 2> = arena;
+    let results = omt_par::par_map_with(jobs, threads, Scratch2::default, |scratch, _, job| {
+        // Unpack the 20-byte job: cell geometry from pure grid arithmetic,
+        // and the bisection offset `q` as the local root's radius (0 at
+        // the source) — exactly the values the core pass computed when it
+        // emitted the job.
         let seg = grid.segment(job.ring, u64::from(job.seg));
         let (parent, q) = if job.parent == PACKED_SOURCE {
             (ParentRef::Source, 0.0)
         } else {
             (
                 ParentRef::Node(job.parent as usize),
-                polar.radius_of(job.parent),
+                radius[job.parent as usize],
             )
         };
-        (seg, parent, q)
-    };
-    if threads <= 1 || jobs.len() <= 1 {
-        let mut scratch = Scratch2::default();
-        for job in jobs {
-            let (seg, parent, q) = job_geometry(&job);
-            let idx = &mut members[job.start as usize..job.end as usize];
-            if binary {
-                bisect2(arena, polar, seg, parent, q, idx, &mut scratch)?;
-            } else {
-                bisect4(arena, polar, seg, parent, q, idx, &mut scratch)?;
-            }
+        let (s, e) = (job.start as usize, job.end as usize);
+        let (polar, ids) = (window(cells, s, e), &cells.ids[s..e]);
+        let mut sink = SharedArena(shared);
+        if binary {
+            bisect2(&mut sink, polar, ids, seg, parent, q, scratch)
+        } else {
+            bisect4(&mut sink, polar, ids, seg, parent, q, scratch)
         }
-        return Ok(());
-    }
-    // Slice the member array into exclusive per-job windows. Job windows
-    // are emitted in ascending, non-overlapping order (cell order over a
-    // counting-sort permutation), so a forward chain of `split_at_mut`
-    // hands each job its own `&mut` window with no copying.
-    let mut filled = 0usize;
-    let mut work: Vec<(CellJob, &mut [u32])> = Vec::with_capacity(jobs.len());
-    {
-        let mut rest: &mut [u32] = members;
-        let mut base = 0usize;
-        for job in jobs {
-            let (start, end) = (job.start as usize, job.end as usize);
-            debug_assert!(start >= base && end >= start, "job windows must ascend");
-            let tail = rest.split_at_mut(start - base).1;
-            let (win, tail) = tail.split_at_mut(end - start);
-            base = end;
-            rest = tail;
-            filled += win.len();
-            work.push((job, win));
-        }
-    }
-    let shared: &TreeArena<'_, 2> = arena;
-    let results = omt_par::par_map_with_mut(
-        &mut work,
-        threads,
-        Scratch2::default,
-        |scratch, _, (job, win)| {
-            let (seg, parent, q) = job_geometry(job);
-            let win: &mut [u32] = win;
-            let mut sink = SharedArena(shared);
-            if binary {
-                bisect2(&mut sink, polar, seg, parent, q, win, scratch)
-            } else {
-                bisect4(&mut sink, polar, seg, parent, q, win, scratch)
-            }
-        },
-    );
-    for r in results {
-        r?;
-    }
+    });
+    results.into_iter().collect::<Result<(), _>>()?;
     // Every window member was attached exactly once by its job; fold the
-    // statically known total into the arena's counter (the parallel attach
+    // statically known total into the arena's counter (the shared attach
     // methods leave it alone so the fill stays coordination-free).
-    arena.add_attached(filled);
+    arena.add_attached(jobs.iter().map(|j| (j.end - j.start) as usize).sum());
     Ok(())
 }
 
@@ -262,13 +229,17 @@ impl PolarGridBuilder {
         self
     }
 
-    /// Pins the worker-thread count for the per-cell bisection phase.
+    /// Pins the worker-thread count for the chunked pre-passes and the
+    /// per-cell bisection phase.
     ///
     /// `1` forces the sequential path (no threads are spawned). Unset, the
     /// builder follows `OMT_THREADS` / the machine's available parallelism.
-    /// The constructed tree is **bit-identical for every thread count** —
-    /// cells are independent and results join in deterministic cell order —
-    /// so this knob only affects wall-clock, never results.
+    /// Builds of at most 65,536 points (one pre-pass chunk) run every pass
+    /// inline on the calling thread whatever this is set to: at that size
+    /// spawning workers costs more than it saves. The constructed tree is
+    /// **bit-identical for every thread count** — cells are independent and
+    /// results join in deterministic cell order — so this knob only affects
+    /// wall-clock, never results.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -364,8 +335,7 @@ impl PolarGridBuilder {
                 min: 2,
             });
         }
-        let source = store.source();
-        if !source.is_finite() {
+        if !store.source().is_finite() {
             return Err(BuildError::NonFiniteSource);
         }
         let n = store.len();
@@ -373,23 +343,47 @@ impl PolarGridBuilder {
             nodes: n,
             max: omt_tree::MAX_NODES,
         })?;
+        let threads = if n <= SOA_CHUNK {
+            1
+        } else {
+            omt_par::resolve_threads(self.threads)
+        };
+        self.build_on(store, threads)
+    }
+
+    /// The build after the argument checks, on `threads` workers.
+    fn build_on(
+        &self,
+        store: &PointStore2,
+        threads: usize,
+    ) -> Result<(MulticastTree<2>, PolarGridReport), BuildError> {
+        let source = store.source();
+        let n = store.len();
         let (xs, ys) = (store.xs(), store.ys());
-        let threads = omt_par::resolve_threads(self.threads);
-        // Chunked parallel finiteness scan: each chunk reports its first
-        // offending index (or none), and the first `Some` in chunk order is
-        // the global first — the same index the sequential scan finds.
+        // The store's polar columns are the precomputed source-relative
+        // coordinates, indexed by point id.
+        let (radius, angle) = (store.radius(), store.angle());
+        let _build_span = omt_obs::obs_span!("polar_grid/build");
+        let partition_span = omt_obs::obs_span!("polar_grid/partition");
+
+        // Finiteness scan and lower bound in one chunked pass. Each chunk
+        // reports its first offending index (the first `Some` in chunk
+        // order is the global first, as a sequential scan finds it) and its
+        // largest radius; `f64::max` is associative over the finite,
+        // non-negative radii, so folding the chunk maxima in chunk order is
+        // bit-identical to the flat fold.
+        let bound_span = omt_obs::obs_span!("polar_grid/partition/bound");
         let chunk_starts: Vec<usize> = (0..n).step_by(SOA_CHUNK).collect();
-        let first_bad = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
+        let per_chunk = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
             let e = (s + SOA_CHUNK).min(n);
-            (s..e).find(|&i| !(xs[i].is_finite() && ys[i].is_finite()))
-        })
-        .into_iter()
-        .flatten()
-        .next();
-        if let Some(bad) = first_bad {
+            let bad = (s..e).find(|&i| !(xs[i].is_finite() && ys[i].is_finite()));
+            (bad, radius[s..e].iter().copied().fold(0.0, f64::max))
+        });
+        if let Some(bad) = per_chunk.iter().find_map(|c| c.0) {
             return Err(BuildError::NonFinitePoint { index: bad });
         }
-        let _build_span = omt_obs::obs_span!("polar_grid/build");
+        let lower_bound = per_chunk.iter().map(|c| c.1).fold(0.0, f64::max);
+        drop(bound_span);
         omt_obs::obs_count!("polar_grid/builds");
         if n == 0 {
             let arena = TreeArena::new(source, [xs, ys]).max_out_degree(self.max_out_degree);
@@ -407,23 +401,6 @@ impl PolarGridBuilder {
                 },
             ));
         }
-
-        // The store's polar columns are the precomputed source-relative
-        // coordinates.
-        let partition_span = omt_obs::obs_span!("polar_grid/partition");
-        let polar = PolarSlices {
-            radius: store.radius(),
-            angle: store.angle(),
-        };
-        // Chunked parallel max: `f64::max` is associative over the finite,
-        // non-negative radii, so folding per-chunk maxima in chunk order is
-        // bit-identical to the flat fold.
-        let lower_bound = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
-            let e = (s + SOA_CHUNK).min(n);
-            polar.radius[s..e].iter().copied().fold(0.0, f64::max)
-        })
-        .into_iter()
-        .fold(0.0, f64::max);
         if lower_bound == 0.0 {
             // Every point coincides with the source.
             let mut arena = TreeArena::new(source, [xs, ys]).max_out_degree(self.max_out_degree);
@@ -449,6 +426,7 @@ impl PolarGridBuilder {
         // Assign every point once at the finest level, then select k. The
         // ring/path binning is pure per-point math (a log2-guess ring locate
         // plus an angle-to-bits scale), batched over disjoint column chunks.
+        let bin_span = omt_obs::obs_span!("polar_grid/partition/bin");
         let k_max = finest_level(n);
         let finest = PolarGrid2::new(k_max, rho);
         let scale = (1u64 << k_max) as f64 / core::f64::consts::TAU;
@@ -464,13 +442,16 @@ impl PolarGridBuilder {
             omt_par::par_map_indexed_mut(&mut chunks, threads, |_, (base, rc, pc)| {
                 for j in 0..rc.len() {
                     let i = *base + j;
-                    rc[j] = finest.ring_of_radius(polar.radius[i]);
-                    pc[j] = ((polar.angle[i] * scale) as u64).min((1u64 << k_max) - 1) as u32;
+                    rc[j] = finest.ring_of_radius(radius[i]);
+                    pc[j] = ((angle[i] * scale) as u64).min((1u64 << k_max) - 1) as u32;
                 }
             });
         }
         let assignments = Assignments { k_max, ring, path };
-        let (k_auto, _) = select_rings(&assignments);
+        drop(bin_span);
+        let select_span = omt_obs::obs_span!("polar_grid/partition/select");
+        let k_auto = select_rings(&assignments);
+        drop(select_span);
         let k = match self.rings_override {
             None => k_auto,
             Some(req) => {
@@ -488,19 +469,27 @@ impl PolarGridBuilder {
         let grid = PolarGrid2::new(k, rho);
         let deg6 = self.max_out_degree >= 6;
 
-        // Bucket points per cell (counting sort into CSR lists). `members`
-        // stays mutable: every downstream stage — representative removal,
-        // connector picks, in-place bisection — permutes windows of this
-        // one flat array instead of materializing per-cell Vecs. The
+        // Bucket points per cell (counting sort into CSR lists). The
         // assignments (two u32 columns) are dead after this and freed
-        // before the arena's node arrays are allocated, keeping them out of
-        // the peak-RSS window.
+        // before the cell-major columns and the arena's node arrays are
+        // allocated, keeping them out of the peak-RSS window.
+        let bucket_span = omt_obs::obs_span!("polar_grid/partition/bucket");
         let cells = cell_count(k);
-        let (counts, mut members) = bucket_cells(&assignments, k);
+        let (counts, members) = bucket_cells(&assignments, k);
         drop(assignments);
         let cell_range = |c: usize| (counts[c] as usize, counts[c + 1] as usize);
         let occupied_cells = (0..cells).filter(|&c| counts[c] != counts[c + 1]).count();
         omt_obs::obs_observe!("polar_grid/occupied_cells", occupied_cells as u64);
+        drop(bucket_span);
+
+        // Copy the polar columns into member order once, so every cell is
+        // one contiguous window of each column. Every later stage —
+        // representative picks, connector picks, in-place bisection —
+        // reads its cell's window by local position and translates to a
+        // point id only when it attaches.
+        let gather_span = omt_obs::obs_span!("polar_grid/partition/gather");
+        let mut cm = CellMajor::gather(members, [radius, angle], threads);
+        drop(gather_span);
         drop(partition_span);
 
         let mut arena = TreeArena::new(source, [xs, ys]).max_out_degree(self.max_out_degree);
@@ -510,7 +499,8 @@ impl PolarGridBuilder {
         // scan over the whole window — and it reads only the window's
         // original counting-sort order (a cell's window is first permuted
         // during its *own* core step, after its pick). So the picks for
-        // every occupied ring ≥ 1 cell run in parallel up front, and the
+        // every occupied ring ≥ 1 cell run in parallel up front, each
+        // returning the rep's local position in its window, and the
         // sequential core pass consumes them via a cursor.
         let rep_span = omt_obs::obs_span!("polar_grid/reps");
         let occupied_list: Vec<(u32, u32)> = (1..=k)
@@ -520,16 +510,14 @@ impl PolarGridBuilder {
                 counts[c] != counts[c + 1]
             })
             .collect();
-        let reps: Vec<u32> = {
-            let members_ro: &[u32] = &members;
+        let reps: Vec<u32> =
             omt_par::par_map_indexed(&occupied_list, threads, |_, &(ring, seg)| {
                 let (cs, ce) = cell_range(cell_index(ring, u64::from(seg)));
                 let cell_seg = grid.segment(ring, u64::from(seg));
                 let inner_mid =
                     PolarPoint::new(cell_seg.r_lo(), cell_seg.arc().mid()).to_cartesian();
-                self.pick_rep(polar, &members_ro[cs..ce], inner_mid)
-            })
-        };
+                self.pick_rep(window(&cm, cs, ce), inner_mid)
+            });
         drop(occupied_list);
         drop(rep_span);
 
@@ -538,7 +526,9 @@ impl PolarGridBuilder {
         // bisection pass, which is where the algorithm spends its time and
         // where the worker pool pays off. Cell order is fixed by the
         // (ring, seg) sweep, so the job list — and with it the final edge
-        // set — is the same for every thread count.
+        // set — is the same for every thread count. The core pass is the
+        // one stage that reorders windows, and it moves ids and columns
+        // together so they stay aligned.
         let mut core_delay = 0.0f64;
         let mut jobs: Vec<CellJob> = Vec::with_capacity(reps.len() + 1);
         let mut next_rep = reps.iter().copied();
@@ -561,7 +551,8 @@ impl PolarGridBuilder {
                     if cs == ce {
                         continue;
                     }
-                    let rep = next_rep.next().expect("one pre-picked rep per cell");
+                    let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
+                    let rep = cm.ids[pos];
                     let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
                     attach(
                         &mut arena,
@@ -574,9 +565,7 @@ impl PolarGridBuilder {
                     // Order-preserving removal of the representative from
                     // the window: rotate it to the back and shrink the job
                     // range.
-                    let sub = &mut members[cs..ce];
-                    let pos = sub.iter().position(|&p| p == rep).expect("rep is a member");
-                    sub[pos..].rotate_left(1);
+                    cm.rotate_to_back(pos, ce);
                     jobs.push(CellJob {
                         ring,
                         seg: seg as u32,
@@ -604,11 +593,9 @@ impl PolarGridBuilder {
                 let (cs, ce) = cell_range(0);
                 let (conn, job) = self.wire_cell_deg2(
                     &mut arena,
-                    polar,
+                    &mut cm,
                     0,
                     0,
-                    PACKED_SOURCE,
-                    &mut members,
                     cs,
                     ce,
                     None,
@@ -624,7 +611,8 @@ impl PolarGridBuilder {
                     if cs == ce {
                         continue;
                     }
-                    let rep = next_rep.next().expect("one pre-picked rep per cell");
+                    let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
+                    let rep = cm.ids[pos];
                     let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
                     attach(
                         &mut arena,
@@ -642,14 +630,12 @@ impl PolarGridBuilder {
                     };
                     let (conn, job) = self.wire_cell_deg2(
                         &mut arena,
-                        polar,
+                        &mut cm,
                         ring,
                         seg as u32,
-                        rep,
-                        &mut members,
                         cs,
                         ce,
-                        Some(rep),
+                        Some(pos),
                         has_core_children,
                     )?;
                     connector[c] = conn;
@@ -665,9 +651,10 @@ impl PolarGridBuilder {
 
         {
             let _cells_span = omt_obs::obs_span!("polar_grid/cells");
-            run_cell_jobs(&mut arena, polar, &grid, jobs, &mut members, !deg6, threads)?;
+            run_cell_jobs(&mut arena, &cm, radius, &grid, &jobs, !deg6, threads)?;
+            drop(jobs);
+            drop(cm);
         }
-        drop(members);
 
         let _finish_span = omt_obs::obs_span!("polar_grid/finish");
         let tree = arena.into_tree()?;
@@ -684,70 +671,72 @@ impl PolarGridBuilder {
         Ok((tree, report))
     }
 
-    /// Chooses the representative of a non-empty cell; `inner_mid` is the
-    /// midpoint of the cell's inner arc in the source-relative frame.
-    fn pick_rep(&self, polar: PolarSlices<'_>, members: &[u32], inner_mid: Point2) -> u32 {
-        debug_assert!(!members.is_empty());
+    /// Chooses the representative of a non-empty cell and returns its
+    /// local position in the cell's window `win`; `inner_mid` is the
+    /// midpoint of the cell's inner arc in the source-relative frame. The
+    /// first minimum wins ties, and for `MaxRadius` the last maximum.
+    fn pick_rep(&self, win: PolarSlices<'_>, inner_mid: Point2) -> u32 {
+        let len = win.radius.len() as u32;
+        debug_assert!(len > 0);
         match self.rep_strategy {
-            RepStrategy::InnerArcMid => *members
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let da = polar.get(a).to_cartesian().distance_squared(&inner_mid);
-                    let db = polar.get(b).to_cartesian().distance_squared(&inner_mid);
+            RepStrategy::InnerArcMid => (0..len)
+                .min_by(|&a, &b| {
+                    let da = win.get(a).to_cartesian().distance_squared(&inner_mid);
+                    let db = win.get(b).to_cartesian().distance_squared(&inner_mid);
                     da.total_cmp(&db)
                 })
                 .expect("nonempty"),
-            RepStrategy::MinRadius => *members
-                .iter()
-                .min_by(|&&a, &&b| polar.radius_of(a).total_cmp(&polar.radius_of(b)))
+            RepStrategy::MinRadius => (0..len)
+                .min_by(|&a, &b| win.radius_of(a).total_cmp(&win.radius_of(b)))
                 .expect("nonempty"),
-            RepStrategy::MaxRadius => *members
-                .iter()
-                .max_by(|&&a, &&b| polar.radius_of(a).total_cmp(&polar.radius_of(b)))
+            RepStrategy::MaxRadius => (0..len)
+                .max_by(|&a, &b| win.radius_of(a).total_cmp(&win.radius_of(b)))
                 .expect("nonempty"),
-            RepStrategy::First => members[0],
+            RepStrategy::First => 0,
         }
     }
 
     /// Wires the scaffold of one cell in the degree-2 scheme, in place on
-    /// the cell's window `[cs, ce)` of the flat member array, and returns
+    /// the cell's window `[cs, ce)` of the cell-major columns, and returns
     /// the cell's connector — the node (or source) with ≥ 2 spare
     /// out-links that will adopt the representatives of the occupied child
     /// cells — plus the deferred in-cell bisection job, if the cell has
     /// enough points to need one.
     ///
-    /// `rep` is `None` for the inner disk (the source is the
-    /// representative there and `rep_ref` is `PACKED_SOURCE`). Wired points
-    /// leave the window from the back: the representative by a rotate that
-    /// keeps the others in order, the connector and the bisection source by
-    /// a swap with the last member.
+    /// `rep` is the representative's position, or `None` for the inner
+    /// disk (the source is the representative there). Wired points leave
+    /// the window from the back: the representative by a rotate that keeps
+    /// the others in order, the connector and the bisection source by a
+    /// swap with the last member.
     #[allow(clippy::too_many_arguments)]
     fn wire_cell_deg2(
         &self,
         arena: &mut TreeArena<'_, 2>,
-        polar: PolarSlices<'_>,
+        cm: &mut CellMajor<2>,
         ring: u32,
         seg: u32,
-        rep_ref: NodeId,
-        members: &mut [u32],
         cs: usize,
         ce: usize,
-        rep: Option<u32>,
+        rep: Option<usize>,
         has_core_children: bool,
     ) -> Result<(NodeId, Option<CellJob>), BuildError> {
-        // The rep's radius is derivable from the packed reference: the
-        // source sits at radius 0, anything else is a point id.
-        let rep_radius = if rep_ref == PACKED_SOURCE {
-            0.0
-        } else {
-            polar.radius_of(rep_ref)
+        // The representative's packed reference and coordinates; the
+        // source sits at the pole.
+        let (rep_ref, rep_polar) = match rep {
+            None => (PACKED_SOURCE, None),
+            Some(pos) => (
+                cm.ids[pos],
+                Some(PolarPoint {
+                    radius: cm.cols[0][pos],
+                    angle: cm.cols[1][pos],
+                }),
+            ),
         };
+        let rep_radius = rep_polar.map_or(0.0, |p| p.radius);
         // Drop the representative from the window, preserving order.
         let mut end = ce;
-        if let Some(r) = rep {
-            let sub = &mut members[cs..end];
-            let pos = sub.iter().position(|&p| p == r).expect("rep is a member");
-            sub[pos..].rotate_left(1);
+        if let Some(pos) = rep {
+            cm.rotate_to_back(pos, end);
             end -= 1;
         }
         match end - cs {
@@ -759,7 +748,7 @@ impl PolarGridBuilder {
             1 => {
                 // Case 2: rep -> other; the other point becomes the
                 // connector with both links spare.
-                let other = members[cs];
+                let other = cm.ids[cs];
                 attach(arena, other as usize, unpack_parent(rep_ref))?;
                 Ok((other, None))
             }
@@ -772,26 +761,18 @@ impl PolarGridBuilder {
                     // The point nearest the representative: the extra
                     // rep -> connector hop stays short, so the core costs
                     // roughly one degree-6 hop per ring plus a local step.
-                    let rep_pos = if rep_ref == PACKED_SOURCE {
-                        omt_geom::Point2::ORIGIN
-                    } else {
-                        polar.get(rep_ref).to_cartesian()
-                    };
-                    let pos = members[cs..end]
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| {
-                            let da = polar.get(*a.1).to_cartesian().distance_squared(&rep_pos);
-                            let db = polar.get(*b.1).to_cartesian().distance_squared(&rep_pos);
+                    let rep_pos = rep_polar.map_or(Point2::ORIGIN, |p| p.to_cartesian());
+                    let win = window(cm, cs, end);
+                    let pos = (0..(end - cs) as u32)
+                        .min_by(|&a, &b| {
+                            let da = win.get(a).to_cartesian().distance_squared(&rep_pos);
+                            let db = win.get(b).to_cartesian().distance_squared(&rep_pos);
                             da.total_cmp(&db)
                         })
-                        .map(|(i, _)| i)
                         .expect("nonempty");
-                    let sub = &mut members[cs..end];
-                    let last = sub.len() - 1;
-                    sub.swap(pos, last);
-                    let x = sub[last];
+                    cm.swap(cs + pos as usize, end - 1);
                     end -= 1;
+                    let x = cm.ids[end];
                     attach(arena, x as usize, unpack_parent(rep_ref))?;
                     Some(x)
                 } else {
@@ -800,21 +781,17 @@ impl PolarGridBuilder {
                 let mut job = None;
                 if end > cs {
                     // Bisection source: radius closest to the representative.
-                    let pos = members[cs..end]
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| {
-                            (polar.radius_of(*a.1) - rep_radius)
+                    let win = window(cm, cs, end);
+                    let pos = (0..(end - cs) as u32)
+                        .min_by(|&a, &b| {
+                            (win.radius_of(a) - rep_radius)
                                 .abs()
-                                .total_cmp(&(polar.radius_of(*b.1) - rep_radius).abs())
+                                .total_cmp(&(win.radius_of(b) - rep_radius).abs())
                         })
-                        .map(|(i, _)| i)
                         .expect("nonempty");
-                    let sub = &mut members[cs..end];
-                    let last = sub.len() - 1;
-                    sub.swap(pos, last);
-                    let s = sub[last];
+                    cm.swap(cs + pos as usize, end - 1);
                     end -= 1;
+                    let s = cm.ids[end];
                     attach(arena, s as usize, unpack_parent(rep_ref))?;
                     job = Some(CellJob {
                         ring,
@@ -1151,6 +1128,25 @@ mod tests {
         let t1 = PolarGridBuilder::new().build(Point2::ORIGIN, &pts).unwrap();
         let t2 = PolarGridBuilder::new().build(Point2::ORIGIN, &pts).unwrap();
         assert_eq!(t1, t2);
+    }
+
+    /// A 10k build runs every pass inline through the public entry
+    /// points, so the threaded pre-passes and `run_cell_jobs` are driven
+    /// here directly: the trees at 2 and 4 threads must equal the inline
+    /// one, for both bisection kernels.
+    #[test]
+    fn threaded_passes_match_inline_at_10k() {
+        let store = PointStore2::from_points(Point2::ORIGIN, &disk_points(10_000, 2004));
+        for deg in [2, 6] {
+            let builder = PolarGridBuilder::new().max_out_degree(deg);
+            let (inline, inline_report) = builder.build_on(&store, 1).unwrap();
+            for threads in [2, 4] {
+                let (tree, report) = builder.build_on(&store, threads).unwrap();
+                assert_eq!(tree, inline, "deg {deg} threads {threads}");
+                assert_eq!(tree.radius().to_bits(), inline.radius().to_bits());
+                assert_eq!(report, inline_report);
+            }
+        }
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //!
 //! The bisection subroutines are pure functions of their inputs — they
 //! never read back from the tree under construction — so *what* they
-//! attach is independent of *where* the attachments go. Sequentially they
-//! write straight into the [`TreeArena`] (or, in the standalone
-//! [`crate::Bisection`] builders, a [`TreeBuilder`]); in the parallel fill
-//! each cell job writes **directly** into the shared arena through
-//! [`SharedArena`], exploiting the disjointness of the counting-sort cell
-//! windows (each job's write set is its own window plus its
-//! already-attached representative — no two jobs overlap). Either way the
-//! edge set is identical, so the finished tree is bit-identical (parent,
-//! depth, hop and CSR arrays only depend on the edge set, not on
-//! attachment order).
+//! attach is independent of *where* the attachments go. The standalone
+//! [`crate::Bisection`] builders write into a [`TreeBuilder`]; the grid
+//! builders' core pass writes straight into the [`TreeArena`], and their
+//! per-cell fill — on one thread or many — writes **directly** into the
+//! shared arena through [`SharedArena`], exploiting the disjointness of
+//! the counting-sort cell windows (each job's write set is its own window
+//! plus its already-attached representative — no two jobs overlap).
+//! Either way the edge set is identical, so the finished tree is
+//! bit-identical (parent, depth, hop and CSR arrays only depend on the
+//! edge set, not on attachment order).
 
 use omt_tree::{NodeId, ParentRef, TreeArena, TreeBuilder, TreeError};
 

@@ -3,7 +3,7 @@
 //! cell representatives, and 8-way bisection inside cells — out-degree 10
 //! (2 core + 8 bisection links), or the degree-2 wiring.
 
-use omt_geom::{Point3, PointStore3, ShellCell, SphericalPoint};
+use omt_geom::{Point3, PointStore3, SphericalPoint};
 use omt_tree::{check_node_capacity, MulticastTree, NodeId, ParentRef, TreeArena, TreeError};
 
 use crate::bisect3d::{attach3, bisect2_3d, bisect8, Scratch3, SphSlices};
@@ -11,18 +11,18 @@ use crate::error::BuildError;
 use crate::fanout::fanout_sink;
 use crate::grid3::SphereGrid3;
 use crate::kselect::{
-    bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments,
+    bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments, CellMajor,
 };
 use crate::polar_grid::{PolarGridReport, RepStrategy, SOA_CHUNK};
 use crate::sink::{unpack_parent, SharedArena, PACKED_SOURCE};
 
 /// One deferred in-cell bisection, packed to 20 bytes (the 3-D analogue of
 /// the 2-D `CellJob`): the job names its cell by `(ring, seg)` — the
-/// [`ShellCell`] geometry is pure arithmetic, re-derived from the grid at
-/// dispatch — its local root by a packed [`NodeId`] (`PACKED_SOURCE` = the
-/// source; the bisection offset `q` is always that root's radius, 0 for
-/// the source), and its members by a window `[start, end)` of the shared
-/// flat member array.
+/// [`ShellCell`](omt_geom::ShellCell) geometry is pure arithmetic,
+/// re-derived from the grid at dispatch — its local root by a packed
+/// [`NodeId`] (`PACKED_SOURCE` = the source; the bisection offset `q` is
+/// always that root's radius, 0 for the source), and its members by a
+/// window `[start, end)` of the cell-major columns.
 #[derive(Clone, Copy, Debug)]
 struct CellJob3 {
     ring: u32,
@@ -32,84 +32,52 @@ struct CellJob3 {
     end: u32,
 }
 
+/// Cell-major positions `s..e` as a kernel view.
+fn window3(cells: &CellMajor<3>, s: usize, e: usize) -> SphSlices<'_> {
+    SphSlices {
+        radius: &cells.cols[0][s..e],
+        azimuth: &cells.cols[1][s..e],
+        cos_polar: &cells.cols[2][s..e],
+    }
+}
+
 /// Runs the per-cell bisections (the 3-D analogue of the 2-D
-/// `run_cell_jobs` in `crate::polar_grid`): sequentially
-/// each job bisects its window of the flat member array in place; in
-/// parallel the disjoint windows are split out with `split_at_mut` and
-/// every worker writes directly into the shared arena through the
-/// [`SharedArena`] sink — no edge buffers, no replay.
+/// `run_cell_jobs` in `crate::polar_grid`): every job reads its read-only
+/// window of the cell-major ids and columns, permutes local positions in
+/// the worker's scratch, and writes directly into the shared arena through
+/// the [`SharedArena`] sink — no edge buffers, no replay. `radius` is the
+/// store's radius column, by point id.
 fn run_cell_jobs3(
     arena: &mut TreeArena<'_, 3>,
-    sph: SphSlices<'_>,
+    cells: &CellMajor<3>,
+    radius: &[f64],
     grid: &SphereGrid3,
-    jobs: Vec<CellJob3>,
-    members: &mut [u32],
+    jobs: &[CellJob3],
     binary: bool,
     threads: usize,
 ) -> Result<(), TreeError> {
-    let job_geometry = |job: &CellJob3| -> (ShellCell, ParentRef, f64) {
+    let shared: &TreeArena<'_, 3> = arena;
+    let results = omt_par::par_map_with(jobs, threads, Scratch3::default, |scratch, _, job| {
         let cell = grid.cell(job.ring, u64::from(job.seg));
         let (parent, q) = if job.parent == PACKED_SOURCE {
             (ParentRef::Source, 0.0)
         } else {
             (
                 ParentRef::Node(job.parent as usize),
-                sph.radius_of(job.parent),
+                radius[job.parent as usize],
             )
         };
-        (cell, parent, q)
-    };
-    if threads <= 1 || jobs.len() <= 1 {
-        let mut scratch = Scratch3::default();
-        for job in jobs {
-            let (cell, parent, q) = job_geometry(&job);
-            let idx = &mut members[job.start as usize..job.end as usize];
-            if binary {
-                bisect2_3d(arena, sph, cell, parent, q, idx, &mut scratch)?;
-            } else {
-                bisect8(arena, sph, cell, parent, q, idx, &mut scratch)?;
-            }
+        let (s, e) = (job.start as usize, job.end as usize);
+        let (sph, ids) = (window3(cells, s, e), &cells.ids[s..e]);
+        let mut sink = SharedArena(shared);
+        if binary {
+            bisect2_3d(&mut sink, sph, ids, cell, parent, q, scratch)
+        } else {
+            bisect8(&mut sink, sph, ids, cell, parent, q, scratch)
         }
-        return Ok(());
-    }
-    // Exclusive per-job windows out of the flat member array (ascending and
-    // disjoint by construction of the counting-sort partition).
-    let mut filled = 0usize;
-    let mut work: Vec<(CellJob3, &mut [u32])> = Vec::with_capacity(jobs.len());
-    {
-        let mut rest: &mut [u32] = members;
-        let mut base = 0usize;
-        for job in jobs {
-            let (start, end) = (job.start as usize, job.end as usize);
-            debug_assert!(start >= base && end >= start, "job windows must ascend");
-            let tail = rest.split_at_mut(start - base).1;
-            let (win, tail) = tail.split_at_mut(end - start);
-            base = end;
-            rest = tail;
-            filled += win.len();
-            work.push((job, win));
-        }
-    }
-    let shared: &TreeArena<'_, 3> = arena;
-    let results = omt_par::par_map_with_mut(
-        &mut work,
-        threads,
-        Scratch3::default,
-        |scratch, _, (job, win)| {
-            let (cell, parent, q) = job_geometry(job);
-            let win: &mut [u32] = win;
-            let mut sink = SharedArena(shared);
-            if binary {
-                bisect2_3d(&mut sink, sph, cell, parent, q, win, scratch)
-            } else {
-                bisect8(&mut sink, sph, cell, parent, q, win, scratch)
-            }
-        },
-    );
-    for r in results {
-        r?;
-    }
-    arena.add_attached(filled);
+    });
+    results.into_iter().collect::<Result<(), _>>()?;
+    arena.add_attached(jobs.iter().map(|j| (j.end - j.start) as usize).sum());
     Ok(())
 }
 
@@ -187,9 +155,11 @@ impl SphereGridBuilder {
         self
     }
 
-    /// Pins the worker-thread count for the per-cell bisection phase
-    /// (`1` = sequential path; unset = `OMT_THREADS` / available
-    /// parallelism). Trees are bit-identical for every thread count; see
+    /// Pins the worker-thread count for the chunked pre-passes and the
+    /// per-cell bisection phase (`1` = sequential path; unset =
+    /// `OMT_THREADS` / available parallelism). Builds of at most 65,536
+    /// points run every pass inline whatever this is set to. Trees are
+    /// bit-identical for every thread count; see
     /// [`PolarGridBuilder::threads`](crate::PolarGridBuilder::threads).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
@@ -283,8 +253,7 @@ impl SphereGridBuilder {
                 min: 2,
             });
         }
-        let source = store.source();
-        if !source.is_finite() {
+        if !store.source().is_finite() {
             return Err(BuildError::NonFiniteSource);
         }
         let n = store.len();
@@ -292,38 +261,49 @@ impl SphereGridBuilder {
             nodes: n,
             max: omt_tree::MAX_NODES,
         })?;
+        let threads = if n <= SOA_CHUNK {
+            1
+        } else {
+            omt_par::resolve_threads(self.threads)
+        };
+        self.build_on(store, threads)
+    }
+
+    /// The build after the argument checks, on `threads` workers.
+    fn build_on(
+        &self,
+        store: &PointStore3,
+        threads: usize,
+    ) -> Result<(MulticastTree<3>, PolarGridReport), BuildError> {
+        let source = store.source();
+        let n = store.len();
         let (xs, ys, zs) = (store.xs(), store.ys(), store.zs());
-        let threads = omt_par::resolve_threads(self.threads);
-        // Chunked parallel finiteness scan; the first `Some` in chunk order
-        // is the global first offending index.
+        let sph = SphSlices::of(store);
+        let _build_span = omt_obs::obs_span!("sphere_grid/build");
+        let partition_span = omt_obs::obs_span!("sphere_grid/partition");
+        // Finiteness scan and lower bound in one chunked pass (see the 2-D
+        // builder): the first `Some` in chunk order is the global first
+        // offending index, and the chunk maxima fold bit-identically to
+        // the flat fold.
+        let bound_span = omt_obs::obs_span!("sphere_grid/partition/bound");
         let chunk_starts: Vec<usize> = (0..n).step_by(SOA_CHUNK).collect();
-        let first_bad = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
+        let per_chunk = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
             let e = (s + SOA_CHUNK).min(n);
-            (s..e).find(|&i| !(xs[i].is_finite() && ys[i].is_finite() && zs[i].is_finite()))
-        })
-        .into_iter()
-        .flatten()
-        .next();
-        if let Some(bad) = first_bad {
+            let bad =
+                (s..e).find(|&i| !(xs[i].is_finite() && ys[i].is_finite() && zs[i].is_finite()));
+            (bad, sph.radius[s..e].iter().copied().fold(0.0, f64::max))
+        });
+        if let Some(bad) = per_chunk.iter().find_map(|c| c.0) {
             return Err(BuildError::NonFinitePoint { index: bad });
         }
-        let _build_span = omt_obs::obs_span!("sphere_grid/build");
+        let lower_bound = per_chunk.iter().map(|c| c.1).fold(0.0, f64::max);
+        drop(bound_span);
         omt_obs::obs_count!("sphere_grid/builds");
         if n == 0 {
             let arena = TreeArena::new(source, [xs, ys, zs]).max_out_degree(self.max_out_degree);
             let tree = arena.into_tree()?;
             return Ok((tree, trivial_report(0)));
         }
-        let partition_span = omt_obs::obs_span!("sphere_grid/partition");
-        let sph = SphSlices::of(store);
-        // Chunked parallel max (associative over finite non-negative radii,
-        // so bit-identical to the flat fold).
-        let lower_bound = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
-            let e = (s + SOA_CHUNK).min(n);
-            sph.radius[s..e].iter().copied().fold(0.0, f64::max)
-        })
-        .into_iter()
-        .fold(0.0, f64::max);
         if lower_bound == 0.0 {
             let mut arena =
                 TreeArena::new(source, [xs, ys, zs]).max_out_degree(self.max_out_degree);
@@ -336,6 +316,7 @@ impl SphereGridBuilder {
         let rho = lower_bound * (1.0 + 1e-9);
 
         // Finest-level assignment, batched over disjoint column chunks.
+        let bin_span = omt_obs::obs_span!("sphere_grid/partition/bin");
         let k_max = finest_level(n);
         let finest = SphereGrid3::new(k_max, rho);
         let mut ring = vec![0u32; n];
@@ -356,7 +337,10 @@ impl SphereGridBuilder {
             });
         }
         let assignments = Assignments { k_max, ring, path };
-        let (k_auto, _) = select_rings(&assignments);
+        drop(bin_span);
+        let select_span = omt_obs::obs_span!("sphere_grid/partition/select");
+        let k_auto = select_rings(&assignments);
+        drop(select_span);
         let k = match self.rings_override {
             None => k_auto,
             Some(req) if req <= k_auto => req,
@@ -370,23 +354,32 @@ impl SphereGridBuilder {
         let grid = SphereGrid3::new(k, rho);
         let deg10 = self.max_out_degree >= 10;
 
-        // Bucket points per cell (counting sort); every later stage
-        // permutes windows of this one flat array. The assignment columns
-        // are dead after this and freed before the arena's node arrays are
-        // allocated, keeping them out of the peak-RSS window.
+        // Bucket points per cell (counting sort). The assignment columns
+        // are dead after this and freed before the cell-major columns and
+        // the arena's node arrays are allocated, keeping them out of the
+        // peak-RSS window.
+        let bucket_span = omt_obs::obs_span!("sphere_grid/partition/bucket");
         let cells = cell_count(k);
-        let (counts, mut members) = bucket_cells(&assignments, k);
+        let (counts, members) = bucket_cells(&assignments, k);
         drop(assignments);
         let cell_range = |c: usize| (counts[c] as usize, counts[c + 1] as usize);
         let occupied_cells = (0..cells).filter(|&c| counts[c] != counts[c + 1]).count();
         omt_obs::obs_observe!("sphere_grid/occupied_cells", occupied_cells as u64);
+        drop(bucket_span);
+
+        // The spherical columns in member order: every cell is one
+        // contiguous window, read by local position (see the 2-D builder).
+        let gather_span = omt_obs::obs_span!("sphere_grid/partition/gather");
+        let mut cm = CellMajor::gather(members, [sph.radius, sph.azimuth, sph.cos_polar], threads);
+        drop(gather_span);
         drop(partition_span);
 
         let mut arena = TreeArena::new(source, [xs, ys, zs]).max_out_degree(self.max_out_degree);
 
         // Representative pre-pass (see `crate::polar_grid`): picks depend
         // only on the un-permuted window contents, so they run in parallel
-        // up front and the sequential core pass consumes them via a cursor.
+        // up front, each returning the rep's local position, and the
+        // sequential core pass consumes them via a cursor.
         let rep_span = omt_obs::obs_span!("sphere_grid/reps");
         let occupied_list: Vec<(u32, u32)> = (1..=k)
             .flat_map(|ring| (0..(1u64 << ring)).map(move |seg| (ring, seg as u32)))
@@ -395,18 +388,15 @@ impl SphereGridBuilder {
                 counts[c] != counts[c + 1]
             })
             .collect();
-        let reps: Vec<u32> = {
-            let members_ro: &[u32] = &members;
+        let reps: Vec<u32> =
             omt_par::par_map_indexed(&occupied_list, threads, |_, &(ring, seg)| {
                 let (cs, ce) = cell_range(cell_index(ring, u64::from(seg)));
                 pick_rep(
                     self.rep_strategy,
-                    sph,
-                    &members_ro[cs..ce],
+                    window3(&cm, cs, ce),
                     inner_arc_mid(&grid, ring, u64::from(seg)),
                 )
-            })
-        };
+            });
         drop(occupied_list);
         drop(rep_span);
 
@@ -430,7 +420,8 @@ impl SphereGridBuilder {
                     if cs == ce {
                         continue;
                     }
-                    let rep = next_rep.next().expect("one pre-picked rep per cell");
+                    let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
+                    let rep = cm.ids[pos];
                     let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
                     attach3(
                         &mut arena,
@@ -441,9 +432,7 @@ impl SphereGridBuilder {
                         core_delay.max(arena.depth_of(rep as usize).expect("just attached"));
                     rep_ref[c] = rep;
                     // Order-preserving removal of the representative.
-                    let sub = &mut members[cs..ce];
-                    let pos = sub.iter().position(|&p| p == rep).expect("rep is a member");
-                    sub[pos..].rotate_left(1);
+                    cm.rotate_to_back(pos, ce);
                     jobs.push(CellJob3 {
                         ring,
                         seg: seg as u32,
@@ -463,18 +452,8 @@ impl SphereGridBuilder {
                 let has_core_children =
                     k >= 1 && (nonempty(cell_index(1, 0)) || nonempty(cell_index(1, 1)));
                 let (cs, ce) = cell_range(0);
-                let (conn, job) = wire_cell_deg2_3d(
-                    &mut arena,
-                    sph,
-                    0,
-                    0,
-                    PACKED_SOURCE,
-                    &mut members,
-                    cs,
-                    ce,
-                    None,
-                    has_core_children,
-                )?;
+                let (conn, job) =
+                    wire_cell_deg2_3d(&mut arena, &mut cm, 0, 0, cs, ce, None, has_core_children)?;
                 connector[0] = conn;
                 jobs.extend(job);
             }
@@ -485,7 +464,8 @@ impl SphereGridBuilder {
                     if cs == ce {
                         continue;
                     }
-                    let rep = next_rep.next().expect("one pre-picked rep per cell");
+                    let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
+                    let rep = cm.ids[pos];
                     let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
                     attach3(
                         &mut arena,
@@ -503,14 +483,12 @@ impl SphereGridBuilder {
                     };
                     let (conn, job) = wire_cell_deg2_3d(
                         &mut arena,
-                        sph,
+                        &mut cm,
                         ring,
                         seg as u32,
-                        rep,
-                        &mut members,
                         cs,
                         ce,
-                        Some(rep),
+                        Some(pos),
                         has_core_children,
                     )?;
                     connector[c] = conn;
@@ -526,9 +504,10 @@ impl SphereGridBuilder {
 
         {
             let _cells_span = omt_obs::obs_span!("sphere_grid/cells");
-            run_cell_jobs3(&mut arena, sph, &grid, jobs, &mut members, !deg10, threads)?;
+            run_cell_jobs3(&mut arena, &cm, sph.radius, &grid, &jobs, !deg10, threads)?;
+            drop(jobs);
+            drop(cm);
         }
-        drop(members);
 
         let _finish_span = omt_obs::obs_span!("sphere_grid/finish");
         let tree = arena.into_tree()?;
@@ -571,66 +550,70 @@ fn inner_arc_mid(grid: &SphereGrid3, ring: u32, seg: u64) -> Point3 {
     SphericalPoint::new(cell.r_lo(), cell.arc().mid(), 0.5 * (z_lo + z_hi)).to_cartesian()
 }
 
-/// Chooses the representative of a non-empty cell; `inner_mid` is the
-/// midpoint of the cell's inner boundary in the source-relative frame.
-fn pick_rep(strategy: RepStrategy, sph: SphSlices<'_>, members: &[u32], inner_mid: Point3) -> u32 {
-    debug_assert!(!members.is_empty());
+/// Chooses the representative of a non-empty cell and returns its local
+/// position in the cell's window `win`; `inner_mid` is the midpoint of the
+/// cell's inner boundary in the source-relative frame. The first minimum
+/// wins ties, and for `MaxRadius` the last maximum.
+fn pick_rep(strategy: RepStrategy, win: SphSlices<'_>, inner_mid: Point3) -> u32 {
+    let len = win.radius.len() as u32;
+    debug_assert!(len > 0);
     match strategy {
-        RepStrategy::InnerArcMid => *members
-            .iter()
-            .min_by(|&&a, &&b| {
-                let da = sph.get(a).to_cartesian().distance_squared(&inner_mid);
-                let db = sph.get(b).to_cartesian().distance_squared(&inner_mid);
+        RepStrategy::InnerArcMid => (0..len)
+            .min_by(|&a, &b| {
+                let da = win.get(a).to_cartesian().distance_squared(&inner_mid);
+                let db = win.get(b).to_cartesian().distance_squared(&inner_mid);
                 da.total_cmp(&db)
             })
             .expect("nonempty"),
-        RepStrategy::MinRadius => *members
-            .iter()
-            .min_by(|&&a, &&b| sph.radius_of(a).total_cmp(&sph.radius_of(b)))
+        RepStrategy::MinRadius => (0..len)
+            .min_by(|&a, &b| win.radius_of(a).total_cmp(&win.radius_of(b)))
             .expect("nonempty"),
-        RepStrategy::MaxRadius => *members
-            .iter()
-            .max_by(|&&a, &&b| sph.radius_of(a).total_cmp(&sph.radius_of(b)))
+        RepStrategy::MaxRadius => (0..len)
+            .max_by(|&a, &b| win.radius_of(a).total_cmp(&win.radius_of(b)))
             .expect("nonempty"),
-        RepStrategy::First => members[0],
+        RepStrategy::First => 0,
     }
 }
 
 /// Degree-2 in-cell wiring (the 3-D analogue of the 2-D
-/// `wire_cell_deg2`), in place on the cell's window `[cs, ce)` of the flat
-/// member array: returns the cell's connector and the deferred in-cell
-/// bisection job, if any.
+/// `wire_cell_deg2`), in place on the cell's window `[cs, ce)` of the
+/// cell-major columns: returns the cell's connector and the deferred
+/// in-cell bisection job, if any. `rep` is the representative's position,
+/// or `None` for the inner disk.
 #[allow(clippy::too_many_arguments)]
 fn wire_cell_deg2_3d(
     arena: &mut TreeArena<'_, 3>,
-    sph: SphSlices<'_>,
+    cm: &mut CellMajor<3>,
     ring: u32,
     seg: u32,
-    rep_ref: NodeId,
-    members: &mut [u32],
     cs: usize,
     ce: usize,
-    rep: Option<u32>,
+    rep: Option<usize>,
     has_core_children: bool,
 ) -> Result<(NodeId, Option<CellJob3>), BuildError> {
-    // The rep's radius is derivable from the packed reference: the source
-    // sits at radius 0, anything else is a point id.
-    let rep_radius = if rep_ref == PACKED_SOURCE {
-        0.0
-    } else {
-        sph.radius_of(rep_ref)
+    // The representative's packed reference and coordinates; the source
+    // sits at the pole.
+    let (rep_ref, rep_sph) = match rep {
+        None => (PACKED_SOURCE, None),
+        Some(pos) => (
+            cm.ids[pos],
+            Some(SphericalPoint {
+                radius: cm.cols[0][pos],
+                azimuth: cm.cols[1][pos],
+                cos_polar: cm.cols[2][pos],
+            }),
+        ),
     };
+    let rep_radius = rep_sph.map_or(0.0, |p| p.radius);
     let mut end = ce;
-    if let Some(r) = rep {
-        let sub = &mut members[cs..end];
-        let pos = sub.iter().position(|&p| p == r).expect("rep is a member");
-        sub[pos..].rotate_left(1);
+    if let Some(pos) = rep {
+        cm.rotate_to_back(pos, end);
         end -= 1;
     }
     match end - cs {
         0 => Ok((rep_ref, None)),
         1 => {
-            let other = members[cs];
+            let other = cm.ids[cs];
             attach3(arena, other as usize, unpack_parent(rep_ref))?;
             Ok((other, None))
         }
@@ -638,26 +621,18 @@ fn wire_cell_deg2_3d(
             let connector = if has_core_children {
                 // Nearest point to the representative (see the 2-D wiring
                 // for the rationale: the extra hop stays local).
-                let rep_pos = if rep_ref == PACKED_SOURCE {
-                    omt_geom::Point3::ORIGIN
-                } else {
-                    sph.get(rep_ref).to_cartesian()
-                };
-                let pos = members[cs..end]
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        let da = sph.get(*a.1).to_cartesian().distance_squared(&rep_pos);
-                        let db = sph.get(*b.1).to_cartesian().distance_squared(&rep_pos);
+                let rep_pos = rep_sph.map_or(Point3::ORIGIN, |p| p.to_cartesian());
+                let win = window3(cm, cs, end);
+                let pos = (0..(end - cs) as u32)
+                    .min_by(|&a, &b| {
+                        let da = win.get(a).to_cartesian().distance_squared(&rep_pos);
+                        let db = win.get(b).to_cartesian().distance_squared(&rep_pos);
                         da.total_cmp(&db)
                     })
-                    .map(|(i, _)| i)
                     .expect("nonempty");
-                let sub = &mut members[cs..end];
-                let last = sub.len() - 1;
-                sub.swap(pos, last);
-                let x = sub[last];
+                cm.swap(cs + pos as usize, end - 1);
                 end -= 1;
+                let x = cm.ids[end];
                 attach3(arena, x as usize, unpack_parent(rep_ref))?;
                 Some(x)
             } else {
@@ -665,21 +640,17 @@ fn wire_cell_deg2_3d(
             };
             let mut job = None;
             if end > cs {
-                let pos = members[cs..end]
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        (sph.radius_of(*a.1) - rep_radius)
+                let win = window3(cm, cs, end);
+                let pos = (0..(end - cs) as u32)
+                    .min_by(|&a, &b| {
+                        (win.radius_of(a) - rep_radius)
                             .abs()
-                            .total_cmp(&(sph.radius_of(*b.1) - rep_radius).abs())
+                            .total_cmp(&(win.radius_of(b) - rep_radius).abs())
                     })
-                    .map(|(i, _)| i)
                     .expect("nonempty");
-                let sub = &mut members[cs..end];
-                let last = sub.len() - 1;
-                sub.swap(pos, last);
-                let s = sub[last];
+                cm.swap(cs + pos as usize, end - 1);
                 end -= 1;
+                let s = cm.ids[end];
                 attach3(arena, s as usize, unpack_parent(rep_ref))?;
                 job = Some(CellJob3 {
                     ring,
@@ -829,6 +800,24 @@ mod tests {
         assert_eq!(tree.radius(), 0.0);
         assert_eq!(report.delay, 0.0);
         tree.validate(Some(2)).unwrap();
+    }
+
+    /// The 3-D analogue of the 2-D `threaded_passes_match_inline_at_10k`:
+    /// `run_cell_jobs3` and the pre-passes at 2 and 4 threads give the
+    /// inline tree, for both bisection kernels.
+    #[test]
+    fn threaded_passes_match_inline_at_10k() {
+        let store = PointStore3::from_points(Point3::ORIGIN, &ball_points(10_000, 2004));
+        for deg in [2, 10] {
+            let builder = SphereGridBuilder::new().max_out_degree(deg);
+            let (inline, inline_report) = builder.build_on(&store, 1).unwrap();
+            for threads in [2, 4] {
+                let (tree, report) = builder.build_on(&store, threads).unwrap();
+                assert_eq!(tree, inline, "deg {deg} threads {threads}");
+                assert_eq!(tree.radius().to_bits(), inline.radius().to_bits());
+                assert_eq!(report, inline_report);
+            }
+        }
     }
 
     #[test]

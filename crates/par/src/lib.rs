@@ -173,87 +173,6 @@ where
         .collect()
 }
 
-/// [`par_map_indexed_mut`] with per-worker scratch state: exclusive mutable
-/// items **and** a reusable per-worker scratch value.
-///
-/// This is the direct-fill primitive for the parallel arena path: each item
-/// is one counting-sort cell window (an exclusive `&mut` slice of the
-/// member permutation) and the scratch is the bisection work stack reused
-/// across every window a worker claims. `init` runs once per worker (once
-/// total on the sequential path); items are claimed dynamically from an
-/// atomic cursor, each exactly once, so the mutable borrows never alias.
-///
-/// The determinism contract combines those of [`par_map_indexed_mut`] and
-/// [`par_map_with`]: the result (and final state) of item `i` must be a
-/// pure function of `(i, items[i])` at entry — never of scheduling or of
-/// scratch contents left by earlier items. With `threads <= 1` the items
-/// are mapped inline in order and no thread is spawned.
-pub fn par_map_with_mut<T, R, S, F, I>(items: &mut [T], threads: usize, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        let mut state = init();
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
-    }
-
-    let _pool_span = omt_obs::span("par/map_with_mut");
-    omt_obs::counter("par/maps", 1);
-    omt_obs::counter("par/items", n as u64);
-    // As in `par_map_indexed_mut`: each slot is locked exactly once, by the
-    // worker that claims its index from the cursor — the mutex hands out
-    // `&mut T` safely, it never arbitrates contention.
-    let slots: Vec<std::sync::Mutex<&mut T>> =
-        items.iter_mut().map(std::sync::Mutex::new).collect();
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<(Vec<(usize, R)>, omt_obs::Registry)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut guard = slots[i].lock().expect("claimed exactly once");
-                        out.push((i, f(&mut state, i, &mut guard)));
-                    }
-                    omt_obs::observe("par/worker_items", out.len() as u64);
-                    (out, omt_obs::take_local())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    });
-
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (worker_results, registry) in per_worker {
-        omt_obs::merge_into_local(registry);
-        for (i, r) in worker_results {
-            debug_assert!(results[i].is_none(), "index {i} computed twice");
-            results[i] = Some(r);
-        }
-    }
-    results
-        .into_iter()
-        .map(|s| s.expect("the cursor hands out every index exactly once"))
-        .collect()
-}
-
 /// [`par_map_indexed`] with per-worker scratch state.
 ///
 /// `init` runs once per worker (once total on the sequential path) and the
@@ -437,71 +356,6 @@ mod tests {
             }
             i
         });
-    }
-
-    #[test]
-    fn map_with_mut_combines_scratch_and_exclusive_items() {
-        for threads in [1, 2, 4, 8] {
-            // Items are disjoint windows of a conceptual array; each worker
-            // reuses one scratch Vec across the windows it claims.
-            let mut items: Vec<Vec<u64>> = (0..29).map(|i| vec![i, i + 1]).collect();
-            let out = par_map_with_mut(
-                &mut items,
-                threads,
-                Vec::<u64>::new,
-                |scratch, i, window| {
-                    scratch.clear();
-                    scratch.extend_from_slice(window);
-                    window.push(i as u64 * 10);
-                    scratch.iter().sum::<u64>()
-                },
-            );
-            assert_eq!(out, (0..29).map(|i| 2 * i + 1).collect::<Vec<u64>>());
-            for (i, item) in items.iter().enumerate() {
-                let i = i as u64;
-                assert_eq!(item, &vec![i, i + 1, i * 10]);
-            }
-        }
-    }
-
-    #[test]
-    fn map_with_mut_empty_and_single() {
-        let mut empty: Vec<u32> = vec![];
-        assert_eq!(
-            par_map_with_mut(&mut empty, 8, || (), |(), _, x| *x),
-            Vec::<u32>::new()
-        );
-        let mut one = vec![7u32];
-        assert_eq!(
-            par_map_with_mut(
-                &mut one,
-                8,
-                || 1u32,
-                |s, _, x| {
-                    *x += *s;
-                    *x
-                }
-            ),
-            vec![8]
-        );
-        assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "with-mut worker boom")]
-    fn map_with_mut_worker_panics_propagate() {
-        let mut items: Vec<usize> = (0..16).collect();
-        let _ = par_map_with_mut(
-            &mut items,
-            4,
-            || (),
-            |(), i, _| {
-                if i == 5 {
-                    panic!("with-mut worker boom");
-                }
-                i
-            },
-        );
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! owning a `Vec<Point<D>>`, it borrows one flat `f64` slice per coordinate
 //! axis (the structure-of-arrays layout of `omt_geom::PointStore2` /
 //! `PointStore3`) and preallocates every per-node array —
-//! `parent`/`depth`/`hops`/`out_degree` plus an intrusive
-//! `first_child`/`next_sibling` sibling list — in one shot from `n`. No
+//! `parent`/`depth`/`hops`/`out_degree` — in one shot from `n`. No
 //! allocation happens per attachment, and the only full `Vec<Point<D>>` copy
 //! is materialized once, at [`TreeArena::into_tree`] time, when the finished
 //! [`MulticastTree`] needs to own its geometry.
 //!
-//! Every link array holds [`NodeId`] (`u32`) values, so the arena carries
-//! five 4-byte words plus one 8-byte depth word per node; inputs beyond the
-//! `u32` id space are rejected up front by [`check_node_capacity`].
+//! Every link array holds [`NodeId`](crate::NodeId) (`u32`) values, so the
+//! arena carries three 4-byte words plus one 8-byte depth word per node
+//! (20 bytes); inputs beyond the `u32` id space are rejected up front by
+//! [`check_node_capacity`].
 //!
 //! # Shared-reference parallel fill
 //!
@@ -45,16 +45,13 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use omt_geom::Point;
 
 use crate::error::TreeError;
-use crate::tree::{MulticastTree, NodeId, SOURCE_PARENT};
-
-/// Sentinel for "no node" in the intrusive sibling list.
-const NO_NODE: NodeId = NodeId::MAX;
+use crate::tree::{MulticastTree, SOURCE_PARENT};
 
 /// Largest node count a [`TreeArena`] supports: `u32::MAX - 1`.
 ///
-/// Ids live in [`NodeId`] (`u32`) with `NodeId::MAX` reserved as the
-/// no-node/source sentinel, and cumulative CSR offsets reach `n`, so `n`
-/// itself must stay strictly below the sentinel.
+/// Ids live in [`NodeId`](crate::NodeId) (`u32`) with `NodeId::MAX`
+/// reserved as the no-node/source sentinel, and cumulative CSR offsets
+/// reach `n`, so `n` itself must stay strictly below the sentinel.
 pub const MAX_NODES: usize = (u32::MAX - 1) as usize;
 
 /// Checks that `n` nodes fit the arena's `u32` id space.
@@ -88,13 +85,11 @@ fn clone_atomic_u32(v: &[AtomicU32]) -> Vec<AtomicU32> {
 /// per-node `Point` storage: points are reassembled on demand from the
 /// borrowed columns.
 ///
-/// In addition to the parent-array bookkeeping shared with `TreeBuilder`,
-/// the arena maintains an intrusive first-child/next-sibling list updated
-/// in O(1) per attachment (children are prepended, so the list enumerates
-/// a node's children newest-first). The final CSR child layout produced by
-/// [`TreeArena::into_tree`] is derived from the parent array alone, exactly
-/// like [`crate::TreeBuilder::finish`], so the sibling list never influences the
-/// finished tree.
+/// The arena keeps the parent-array bookkeeping of `TreeBuilder` and
+/// nothing else: the CSR child layout produced by [`TreeArena::into_tree`]
+/// is derived from the parent array alone, exactly like
+/// [`crate::TreeBuilder::finish`], so no child list is maintained while
+/// the tree grows.
 ///
 /// Disjoint regions of one arena can be filled concurrently through shared
 /// references — see the [module docs](crate::arena) for the contract and
@@ -112,9 +107,9 @@ fn clone_atomic_u32(v: &[AtomicU32]) -> Vec<AtomicU32> {
 /// let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(2);
 /// arena.attach_to_source(0)?;
 /// arena.attach(1, 0)?;
-/// assert_eq!(arena.children_newest_first(Some(0)).collect::<Vec<_>>(), [1]);
 /// let tree = arena.into_tree()?;
 /// assert_eq!(tree.len(), 2);
+/// assert_eq!(tree.children(0), &[1]);
 /// # Ok(())
 /// # }
 /// ```
@@ -128,9 +123,6 @@ pub struct TreeArena<'a, const D: usize> {
     depth_bits: Vec<AtomicU64>,
     hops: Vec<AtomicU32>,
     out_degree: Vec<AtomicU32>,
-    first_child: Vec<AtomicU32>,
-    next_sibling: Vec<AtomicU32>,
-    source_first_child: AtomicU32,
     source_out_degree: AtomicU32,
     max_out_degree: Option<u32>,
     attached_count: usize,
@@ -149,9 +141,6 @@ impl<const D: usize> Clone for TreeArena<'_, D> {
                 .collect(),
             hops: clone_atomic_u32(&self.hops),
             out_degree: clone_atomic_u32(&self.out_degree),
-            first_child: clone_atomic_u32(&self.first_child),
-            next_sibling: clone_atomic_u32(&self.next_sibling),
-            source_first_child: AtomicU32::new(self.source_first_child.load(Relaxed)),
             source_out_degree: AtomicU32::new(self.source_out_degree.load(Relaxed)),
             max_out_degree: self.max_out_degree,
             attached_count: self.attached_count,
@@ -187,9 +176,6 @@ impl<'a, const D: usize> TreeArena<'a, D> {
             depth_bits: (0..n).map(|_| AtomicU64::new(0)).collect(),
             hops: (0..n).map(|_| AtomicU32::new(0)).collect(),
             out_degree: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            first_child: (0..n).map(|_| AtomicU32::new(NO_NODE)).collect(),
-            next_sibling: (0..n).map(|_| AtomicU32::new(NO_NODE)).collect(),
-            source_first_child: AtomicU32::new(NO_NODE),
             source_out_degree: AtomicU32::new(0),
             max_out_degree: None,
             attached_count: 0,
@@ -272,33 +258,6 @@ impl<'a, const D: usize> TreeArena<'a, D> {
             .then(|| f64::from_bits(self.depth_bits[i].load(Relaxed)))
     }
 
-    /// Iterates over the children of `parent` (`None` = the source) in
-    /// reverse attachment order, via the intrusive sibling list.
-    ///
-    /// Children are prepended on attach, so the most recently attached
-    /// child comes first. This is the O(1)-maintenance view used while the
-    /// tree is still under construction; the finished tree's CSR layout
-    /// ([`MulticastTree::children`]) lists children in index order instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is `Some(i)` with `i` out of range.
-    pub fn children_newest_first(&self, parent: Option<usize>) -> impl Iterator<Item = usize> + '_ {
-        let head = match parent {
-            None => self.source_first_child.load(Relaxed),
-            Some(p) => self.first_child[p].load(Relaxed),
-        };
-        let mut cursor = head;
-        core::iter::from_fn(move || {
-            if cursor == NO_NODE {
-                return None;
-            }
-            let node = cursor as usize;
-            cursor = self.next_sibling[node].load(Relaxed);
-            Some(node)
-        })
-    }
-
     fn check_index(&self, i: usize) -> Result<(), TreeError> {
         if i >= self.parent.len() {
             Err(TreeError::NodeOutOfRange {
@@ -374,8 +333,6 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         let d = self.source.distance(&self.point(child));
         self.depth_bits[child].store(d.to_bits(), Relaxed);
         self.hops[child].store(1, Relaxed);
-        self.next_sibling[child].store(self.source_first_child.load(Relaxed), Relaxed);
-        self.source_first_child.store(child as u32, Relaxed);
         Ok(())
     }
 
@@ -388,8 +345,8 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     /// [`TreeArena::add_attached`]). Concurrent callers own the
     /// disjointness argument: no two threads may attach the same child, and
     /// no two threads may concurrently attach children under the same
-    /// parent (each attachment reads and writes the parent's degree and
-    /// sibling head). The grid builders satisfy both by construction —
+    /// parent (each attachment reads and writes the parent's degree). The
+    /// grid builders satisfy both by construction —
     /// every cell job's write set is its own counting-sort window plus that
     /// window's already-attached representative, and windows are disjoint.
     /// A violated contract yields nondeterministic links (caught by the
@@ -424,8 +381,6 @@ impl<'a, const D: usize> TreeArena<'a, D> {
             + self.point(parent).distance(&self.point(child));
         self.depth_bits[child].store(d.to_bits(), Relaxed);
         self.hops[child].store(self.hops[parent].load(Relaxed) + 1, Relaxed);
-        self.next_sibling[child].store(self.first_child[parent].load(Relaxed), Relaxed);
-        self.first_child[parent].store(child as u32, Relaxed);
         Ok(())
     }
 
@@ -434,8 +389,8 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     ///
     /// Peak memory at finish time is the binding constraint at n in the
     /// millions, so the conversion is sequenced to keep transients minimal:
-    /// the construction-only sibling list is freed first, the degree counts
-    /// are folded into the CSR offsets and freed, each remaining atomic
+    /// the degree counts are folded into the CSR offsets and freed first,
+    /// each remaining atomic
     /// array is converted to its plain twin one at a time, and the child
     /// scatter uses the offset array itself as its cursor (restored with a
     /// one-slot shift) instead of a cloned cursor array.
@@ -451,8 +406,6 @@ impl<'a, const D: usize> TreeArena<'a, D> {
             depth_bits,
             hops,
             out_degree,
-            first_child,
-            next_sibling,
             source_out_degree,
             attached_count,
             ..
@@ -468,8 +421,6 @@ impl<'a, const D: usize> TreeArena<'a, D> {
                 first,
             });
         }
-        drop(first_child);
-        drop(next_sibling);
         // Build the CSR children adjacency with a counting pass. Slot 0 is
         // the source, slot i+1 is node i.
         let mut child_offsets = vec![0u32; n + 2];
@@ -602,46 +553,17 @@ mod tests {
     }
 
     #[test]
-    fn sibling_list_enumerates_newest_first() {
-        let (xs, ys) = columns(5);
-        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
-        arena.attach_to_source(2).unwrap();
-        arena.attach_to_source(4).unwrap();
-        arena.attach(0, 2).unwrap();
-        arena.attach(1, 2).unwrap();
-        arena.attach(3, 2).unwrap();
-        assert_eq!(
-            arena.children_newest_first(None).collect::<Vec<_>>(),
-            [4, 2]
-        );
-        assert_eq!(
-            arena.children_newest_first(Some(2)).collect::<Vec<_>>(),
-            [3, 1, 0]
-        );
-        assert_eq!(
-            arena.children_newest_first(Some(0)).count(),
-            0,
-            "leaf has no children"
-        );
-        // The finished CSR layout is index-ordered, independent of the
-        // sibling list's reverse order.
-        let tree = arena.into_tree().unwrap();
-        assert_eq!(tree.source_children(), &[2, 4]);
-        assert_eq!(tree.children(2), &[0, 1, 3]);
-    }
-
-    #[test]
     fn no_per_attachment_allocation_in_node_arrays() {
         let (xs, ys) = columns(32);
         let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
         let parent_ptr = arena.parent.as_ptr();
-        let sibling_ptr = arena.next_sibling.as_ptr();
+        let depth_ptr = arena.depth_bits.as_ptr();
         arena.attach_to_source(0).unwrap();
         for i in 1..32 {
             arena.attach(i, i - 1).unwrap();
         }
         assert_eq!(arena.parent.as_ptr(), parent_ptr);
-        assert_eq!(arena.next_sibling.as_ptr(), sibling_ptr);
+        assert_eq!(arena.depth_bits.as_ptr(), depth_ptr);
         assert_eq!(arena.attached_count(), 32);
     }
 

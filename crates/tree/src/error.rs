@@ -44,8 +44,8 @@ pub enum TreeError {
     },
     /// The requested node count exceeds the arena's `u32` id space.
     ///
-    /// [`TreeArena`](crate::TreeArena) stores every link — parents, sibling
-    /// pointers, CSR offsets — as [`crate::NodeId`] (`u32`), with
+    /// [`TreeArena`](crate::TreeArena) stores every link — parents, CSR
+    /// offsets, child lists — as [`crate::NodeId`] (`u32`), with
     /// `u32::MAX` reserved as the no-node/source sentinel. Inputs beyond
     /// that are rejected up front with this typed error instead of
     /// wrapping ids.

@@ -6,10 +6,10 @@ use crate::error::ValidationError;
 use crate::iter::{Bfs, Dfs, PathToSource};
 
 /// Compact node identifier: the element type of every link array in this
-/// crate — parents, sibling pointers, CSR offsets and child lists.
+/// crate — parents, CSR offsets and child lists.
 ///
 /// Node ids are `u32` rather than `usize`: a tree over `n` receivers stores
-/// five to six link words per node, so halving the id width halves the
+/// several link words per node, so halving the id width halves the
 /// dominant memory term at million-scale and doubles the links that fit a
 /// cache line. The value `NodeId::MAX` is reserved as the no-node/source
 /// sentinel, capping supported inputs at `u32::MAX - 1` nodes — enforced
