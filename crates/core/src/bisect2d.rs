@@ -51,10 +51,10 @@ impl Axis {
 /// `radius[i]` / `angle[i]` are the polar components of the point at
 /// position `i` in the frame the segment lives in. For the grid the view
 /// is one cell's window of the cell-major source-relative columns, so `i`
-/// is a local position and an id window maps it to a point id; for the
-/// standalone builder it is the far-pole columns of a [`CoveringFrame`],
-/// indexed by point id. The view is `Copy` so parallel cell workers can
-/// capture it by value.
+/// is a local position and the window's first row plus `i` is its arena
+/// row; for the standalone builder it is the far-pole columns of a
+/// [`CoveringFrame`], indexed by point id (row base 0). The view is `Copy`
+/// so parallel cell workers can capture it by value.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PolarSlices<'a> {
     /// Source-relative radii.
@@ -104,7 +104,7 @@ struct Frame2 {
 }
 
 /// Reusable scratch for the bisection kernels: the window's local
-/// positions (which the kernels permute in place of the read-only ids),
+/// positions (which the kernels permute, leaving the columns read-only),
 /// the explicit work stacks, and the staging buffers for stable in-place
 /// partitions. One instance is carried across all cell jobs of a build
 /// (one per worker in the parallel fill), so the steady state allocates
@@ -148,14 +148,15 @@ pub(crate) fn reset_positions(loc: &mut Vec<u32>, len: usize) {
 /// Connects every point of a window below `src` with out-degree at most 4
 /// per node, following the 4-way bisection of `seg`.
 ///
-/// `polar` holds the window's coordinates and `ids` its point ids, both
-/// by local position; the kernel permutes local positions in `scratch`
-/// and translates to an id only when it attaches. `src_radius` is the
-/// local source's radius in the frame of `polar`.
+/// `polar` holds the window's coordinates by local position, and the
+/// window is the sink's rows `base..base + len`; the kernel permutes local
+/// positions in `scratch` and attaches row `base + position`. `src` is a
+/// row outside the window (or the source) and `src_radius` its radius in
+/// the frame of `polar`.
 pub(crate) fn bisect4<S: AttachSink>(
     b: &mut S,
     polar: PolarSlices<'_>,
-    ids: &[u32],
+    base: usize,
     seg: RingSegment,
     src: ParentRef,
     src_radius: f64,
@@ -168,7 +169,7 @@ pub(crate) fn bisect4<S: AttachSink>(
         stack4,
         ..
     } = scratch;
-    reset_positions(loc, ids.len());
+    reset_positions(loc, polar.radius.len());
     stack4.clear();
     stack4.push(Frame4 {
         seg,
@@ -216,12 +217,12 @@ pub(crate) fn bisect4<S: AttachSink>(
                 continue;
             }
             let rep = take_closest_radius(polar.radius, &mut loc[cs..ce], f.q);
-            let rep_id = ids[rep as usize] as usize;
-            attach(b, rep_id, f.src)?;
+            let rep_row = base + rep as usize;
+            attach(b, rep_row, f.src)?;
             if ce - cs > 1 {
                 stack4.push(Frame4 {
                     seg: children[c],
-                    src: ParentRef::Node(rep_id),
+                    src: ParentRef::Node(rep_row),
                     q: polar.radius_of(rep),
                     start: cs as u32,
                     end: (ce - 1) as u32,
@@ -238,12 +239,12 @@ pub(crate) fn bisect4<S: AttachSink>(
 /// own, which then take over the two halves of the segment (split along
 /// alternating axes — the binary refinement of the paper's 4-way step).
 ///
-/// The window is given as in [`bisect4`]: coordinates and ids by local
-/// position, with the positions permuted in `scratch`.
+/// The window is given as in [`bisect4`]: coordinates by local position,
+/// rows from `base`, with the positions permuted in `scratch`.
 pub(crate) fn bisect2<S: AttachSink>(
     b: &mut S,
     polar: PolarSlices<'_>,
-    ids: &[u32],
+    base: usize,
     seg: RingSegment,
     src: ParentRef,
     src_radius: f64,
@@ -252,7 +253,7 @@ pub(crate) fn bisect2<S: AttachSink>(
     let Scratch2 {
         loc, perm, stack2, ..
     } = scratch;
-    reset_positions(loc, ids.len());
+    reset_positions(loc, polar.radius.len());
     stack2.clear();
     stack2.push(Frame2 {
         seg,
@@ -268,12 +269,12 @@ pub(crate) fn bisect2<S: AttachSink>(
         match end - start {
             0 => continue,
             1 => {
-                attach(b, ids[loc[start] as usize] as usize, f.src)?;
+                attach(b, base + loc[start] as usize, f.src)?;
                 continue;
             }
             2 => {
-                attach(b, ids[loc[start] as usize] as usize, f.src)?;
-                attach(b, ids[loc[start + 1] as usize] as usize, f.src)?;
+                attach(b, base + loc[start] as usize, f.src)?;
+                attach(b, base + loc[start + 1] as usize, f.src)?;
                 continue;
             }
             _ => {}
@@ -282,8 +283,8 @@ pub(crate) fn bisect2<S: AttachSink>(
         omt_obs::obs_count!("bisect2d/splits");
         let a = take_closest_radius(polar.radius, &mut loc[start..end], f.q);
         let c = take_closest_radius(polar.radius, &mut loc[start..end - 1], f.q);
-        attach(b, ids[a as usize] as usize, f.src)?;
-        attach(b, ids[c as usize] as usize, f.src)?;
+        attach(b, base + a as usize, f.src)?;
+        attach(b, base + c as usize, f.src)?;
         // Split the segment and hand each half to one carrier.
         let (lo_seg, hi_seg) = match f.axis {
             Axis::Radius => {
@@ -355,7 +356,7 @@ pub(crate) fn bisect2<S: AttachSink>(
         stack2.push(Frame2 {
             seg: lo_seg,
             axis: f.axis.next(),
-            src: ParentRef::Node(ids[carrier_lo as usize] as usize),
+            src: ParentRef::Node(base + carrier_lo as usize),
             q: polar.radius_of(carrier_lo),
             start: start as u32,
             end: mid as u32,
@@ -364,7 +365,7 @@ pub(crate) fn bisect2<S: AttachSink>(
         stack2.push(Frame2 {
             seg: hi_seg,
             axis: f.axis.next(),
-            src: ParentRef::Node(ids[carrier_hi as usize] as usize),
+            src: ParentRef::Node(base + carrier_hi as usize),
             q: polar.radius_of(carrier_hi),
             start: mid as u32,
             end: rest_end as u32,
@@ -529,16 +530,15 @@ impl Bisection {
                 fanout_chain(&mut builder, self.max_out_degree)?;
             }
             Some(frame) => {
-                // The frame's columns are indexed by point id, so the ids
-                // are the identity.
-                let ids: Vec<u32> = (0..points.len() as u32).collect();
+                // The frame's columns are indexed by point id, so the
+                // builder's rows start at 0.
                 let (polar, seg, q) = (frame.slices(), frame.segment, frame.source_polar.radius);
                 let mut scratch = Scratch2::default();
                 if self.max_out_degree >= 4 {
                     bisect4(
                         &mut builder,
                         polar,
-                        &ids,
+                        0,
                         seg,
                         ParentRef::Source,
                         q,
@@ -548,7 +548,7 @@ impl Bisection {
                     bisect2(
                         &mut builder,
                         polar,
-                        &ids,
+                        0,
                         seg,
                         ParentRef::Source,
                         q,

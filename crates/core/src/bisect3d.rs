@@ -107,13 +107,13 @@ pub(crate) struct Scratch3 {
 
 /// Connects every point of a window below `src` with out-degree at most 8
 /// per node, following the 8-way octant split of the shell cell. `sph`
-/// and `ids` give the window's coordinates and point ids by local
-/// position; the kernel permutes local positions in `scratch` (see
-/// `bisect2d::bisect4`).
+/// gives the window's coordinates by local position and the window is the
+/// sink's rows `base..base + len`; the kernel permutes local positions in
+/// `scratch` and attaches row `base + position` (see `bisect2d::bisect4`).
 pub(crate) fn bisect8<S: AttachSink>(
     b: &mut S,
     sph: SphSlices<'_>,
-    ids: &[u32],
+    base: usize,
     cell: ShellCell,
     src: ParentRef,
     src_radius: f64,
@@ -126,7 +126,7 @@ pub(crate) fn bisect8<S: AttachSink>(
         stack8,
         ..
     } = scratch;
-    reset_positions(loc, ids.len());
+    reset_positions(loc, sph.radius.len());
     stack8.clear();
     stack8.push(Frame8 {
         cell,
@@ -173,12 +173,12 @@ pub(crate) fn bisect8<S: AttachSink>(
                 continue;
             }
             let rep = take_closest_radius(sph.radius, &mut loc[cs..ce], f.q);
-            let rep_id = ids[rep as usize] as usize;
-            attach3(b, rep_id, f.src)?;
+            let rep_row = base + rep as usize;
+            attach3(b, rep_row, f.src)?;
             if ce - cs > 1 {
                 stack8.push(Frame8 {
                     cell: children[c],
-                    src: ParentRef::Node(rep_id),
+                    src: ParentRef::Node(rep_row),
                     q: sph.radius_of(rep),
                     start: cs as u32,
                     end: (ce - 1) as u32,
@@ -197,7 +197,7 @@ pub(crate) fn bisect8<S: AttachSink>(
 pub(crate) fn bisect2_3d<S: AttachSink>(
     b: &mut S,
     sph: SphSlices<'_>,
-    ids: &[u32],
+    base: usize,
     cell: ShellCell,
     src: ParentRef,
     src_radius: f64,
@@ -206,7 +206,7 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
     let Scratch3 {
         loc, perm, stack2, ..
     } = scratch;
-    reset_positions(loc, ids.len());
+    reset_positions(loc, sph.radius.len());
     stack2.clear();
     stack2.push(Frame2x3 {
         cell,
@@ -222,12 +222,12 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         match end - start {
             0 => continue,
             1 => {
-                attach3(b, ids[loc[start] as usize] as usize, f.src)?;
+                attach3(b, base + loc[start] as usize, f.src)?;
                 continue;
             }
             2 => {
-                attach3(b, ids[loc[start] as usize] as usize, f.src)?;
-                attach3(b, ids[loc[start + 1] as usize] as usize, f.src)?;
+                attach3(b, base + loc[start] as usize, f.src)?;
+                attach3(b, base + loc[start + 1] as usize, f.src)?;
                 continue;
             }
             _ => {}
@@ -236,8 +236,8 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         omt_obs::obs_count!("bisect3d/splits");
         let a = take_closest_radius(sph.radius, &mut loc[start..end], f.q);
         let c = take_closest_radius(sph.radius, &mut loc[start..end - 1], f.q);
-        attach3(b, ids[a as usize] as usize, f.src)?;
-        attach3(b, ids[c as usize] as usize, f.src)?;
+        attach3(b, base + a as usize, f.src)?;
+        attach3(b, base + c as usize, f.src)?;
         let rm = 0.5 * (f.cell.r_lo() + f.cell.r_hi());
         let am = f.cell.arc().mid();
         let (z_lo, z_hi) = f.cell.z_range();
@@ -298,7 +298,7 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         stack2.push(Frame2x3 {
             cell: lo_cell,
             axis: f.axis.next(),
-            src: ParentRef::Node(ids[carrier_lo as usize] as usize),
+            src: ParentRef::Node(base + carrier_lo as usize),
             q: sph.radius_of(carrier_lo),
             start: start as u32,
             end: mid_pos as u32,
@@ -307,7 +307,7 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         stack2.push(Frame2x3 {
             cell: hi_cell,
             axis: f.axis.next(),
-            src: ParentRef::Node(ids[carrier_hi as usize] as usize),
+            src: ParentRef::Node(base + carrier_hi as usize),
             q: sph.radius_of(carrier_hi),
             start: mid_pos as u32,
             end: rest_end as u32,
@@ -324,25 +324,24 @@ mod tests {
     use omt_rng::rngs::SmallRng;
     use omt_rng::SeedableRng;
 
-    fn setup(n: usize, seed: u64) -> (TreeBuilder<3>, PointStore3, Vec<u32>) {
+    fn setup(n: usize, seed: u64) -> (TreeBuilder<3>, PointStore3) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let pts = Ball::<3>::unit().sample_n(&mut rng, n);
         let store = PointStore3::from_points(Point3::ORIGIN, &pts);
         let b = TreeBuilder::new(Point3::ORIGIN, pts);
-        let ids = (0..n as u32).collect();
-        (b, store, ids)
+        (b, store)
     }
 
     #[test]
     fn bisect8_produces_valid_degree8_tree() {
         let mut scratch = Scratch3::default();
         for n in [1usize, 5, 64, 500] {
-            let (b, store, ids) = setup(n, n as u64);
+            let (b, store) = setup(n, n as u64);
             let mut b = b.max_out_degree(8);
             bisect8(
                 &mut b,
                 SphSlices::of(&store),
-                &ids,
+                0,
                 ShellCell::ball(1.0 + 1e-9),
                 ParentRef::Source,
                 0.0,
@@ -359,12 +358,12 @@ mod tests {
     fn bisect2_3d_produces_valid_degree2_tree() {
         let mut scratch = Scratch3::default();
         for n in [1usize, 2, 3, 9, 200] {
-            let (b, store, ids) = setup(n, 90 + n as u64);
+            let (b, store) = setup(n, 90 + n as u64);
             let mut b = b.max_out_degree(2);
             bisect2_3d(
                 &mut b,
                 SphSlices::of(&store),
-                &ids,
+                0,
                 ShellCell::ball(1.0 + 1e-9),
                 ParentRef::Source,
                 0.0,
@@ -383,11 +382,10 @@ mod tests {
         let store = PointStore3::from_points(Point3::ORIGIN, &pts);
         let mut scratch = Scratch3::default();
         let mut b = TreeBuilder::new(Point3::ORIGIN, pts.clone()).max_out_degree(8);
-        let ids: Vec<u32> = (0..40).collect();
         bisect8(
             &mut b,
             SphSlices::of(&store),
-            &ids,
+            0,
             ShellCell::ball(1.0),
             ParentRef::Source,
             0.0,
@@ -400,7 +398,7 @@ mod tests {
         bisect2_3d(
             &mut b,
             SphSlices::of(&store),
-            &ids,
+            0,
             ShellCell::ball(1.0),
             ParentRef::Source,
             0.0,
@@ -412,13 +410,13 @@ mod tests {
 
     #[test]
     fn radius_stays_within_constant_factor_of_direct() {
-        let (b, store, ids) = setup(1000, 7);
+        let (b, store) = setup(1000, 7);
         let opt_lb = store.radius().iter().copied().fold(0.0, f64::max);
         let mut b = b.max_out_degree(8);
         bisect8(
             &mut b,
             SphSlices::of(&store),
-            &ids,
+            0,
             ShellCell::ball(1.0 + 1e-9),
             ParentRef::Source,
             0.0,
@@ -521,14 +519,13 @@ impl Bisection3 {
             return Ok(builder.finish()?);
         }
         let (sph, cell) = (SphSlices::of(&store), ShellCell::ball(rho * (1.0 + 1e-9)));
-        // The store's columns are indexed by point id: identity ids.
-        let ids: Vec<u32> = (0..points.len() as u32).collect();
+        // The store's columns are indexed by point id: rows start at 0.
         let mut scratch = Scratch3::default();
         if self.max_out_degree >= 8 {
             bisect8(
                 &mut builder,
                 sph,
-                &ids,
+                0,
                 cell,
                 ParentRef::Source,
                 0.0,
@@ -538,7 +535,7 @@ impl Bisection3 {
             bisect2_3d(
                 &mut builder,
                 sph,
-                &ids,
+                0,
                 cell,
                 ParentRef::Source,
                 0.0,

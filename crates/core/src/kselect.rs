@@ -40,42 +40,89 @@
 //! # Partition
 //!
 //! [`bucket_cells`] turns the assignments at the selected level into a
-//! counting-sort member order, and [`CellMajor::gather`] copies the
-//! point columns into that order, so each cell's points are one
-//! contiguous window of every column.
+//! counting-sort member order — a parallel stable counting sort over
+//! contiguous id ranges — and [`CellMajor::gather`] copies the point
+//! columns into that order, so each cell's points are one contiguous
+//! window of every column. The grid builders' arena rows are these
+//! positions: `ids[row]` is the point id the finished tree gives row
+//! `row`.
+
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use crate::polar_grid::SOA_CHUNK;
 
 /// Per-point finest-level grid assignments plus the finest level itself.
+///
+/// Two columns per point: the finest ring, in `[0, k_max]`, and the
+/// angular bit path, of which only the top `min(ring, m)` bits are
+/// meaningful when reading a segment at a ring with `2^m` segments. Paths
+/// are `u32`: [`finest_level`] caps `k_max` at 31, so every path fits.
+///
+/// Both columns live in one allocation, ring first. At million scale it
+/// is the largest transient of the build and bigger than glibc's 32 MB
+/// cap on its dynamic mmap threshold, so it is always mapped and unmapped
+/// whole; two separate 20 MB columns at 5M would, once an earlier free
+/// had raised that threshold, land on the heap and leave a 40 MB resident
+/// hole behind when they are dropped.
 #[derive(Clone, Debug)]
 pub(crate) struct Assignments {
     /// The finest grid level the points were assigned at.
     pub k_max: u32,
-    /// Finest ring index per point, in `[0, k_max]`.
-    pub ring: Vec<u32>,
-    /// Angular bit path per point; only the top `min(ring, m)` bits are
-    /// meaningful when reading a segment at a ring with `2^m` segments.
-    ///
-    /// Stored as `u32`: [`finest_level`] caps `k_max` at 31, so every path
-    /// fits — and at million-scale this array is one of the two largest
-    /// transient allocations of the build, so halving its width matters.
-    pub path: Vec<u32>,
+    /// The ring column, then the path column.
+    columns: Vec<u32>,
 }
 
 impl Assignments {
+    /// All-zero assignments of `n` points at level `k_max`, to be filled
+    /// through [`Assignments::columns_mut`].
+    pub fn zeroed(k_max: u32, n: usize) -> Self {
+        Self {
+            k_max,
+            columns: vec![0; 2 * n],
+        }
+    }
+
+    /// Assignments from a ring and a path column of equal length.
+    pub fn from_columns(k_max: u32, mut ring: Vec<u32>, path: Vec<u32>) -> Self {
+        assert_eq!(ring.len(), path.len(), "one ring and one path per point");
+        ring.extend_from_slice(&path);
+        Self {
+            k_max,
+            columns: ring,
+        }
+    }
+
+    /// Number of assigned points.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.columns.len() / 2
+    }
+
+    /// The ring and path columns, for filling.
+    pub fn columns_mut(&mut self) -> (&mut [u32], &mut [u32]) {
+        let n = self.len();
+        self.columns.split_at_mut(n)
+    }
+
     /// The (ring, segment) cell of point `p` at grid level `k ≤ k_max`.
     #[inline]
     pub fn cell_at(&self, p: usize, k: u32) -> (u32, u64) {
-        let d = self.k_max - k;
-        let r = self.ring[p].saturating_sub(d);
-        let seg = if r == 0 {
-            0
-        } else {
-            // r >= 1 and k_max <= 31, so the shift is at most 30.
-            u64::from(self.path[p] >> (self.k_max - r))
-        };
-        (r, seg)
+        coarse_cell(self.k_max, k, self.columns[p], self.columns[self.len() + p])
     }
+}
+
+/// The (ring, segment) cell at grid level `k ≤ k_max` of a point with
+/// finest ring `ring` and angular path `path`.
+#[inline]
+fn coarse_cell(k_max: u32, k: u32, ring: u32, path: u32) -> (u32, u64) {
+    let r = ring.saturating_sub(k_max - k);
+    let seg = if r == 0 {
+        0
+    } else {
+        // r >= 1 and k_max <= 31, so the shift is at most 30.
+        u64::from(path >> (k_max - r))
+    };
+    (r, seg)
 }
 
 /// Flat index of cell `(ring, seg)` within a `k`-level grid: the inner disk
@@ -132,7 +179,7 @@ impl RingBits {
         let mut rings: Vec<Vec<u64>> = (0..=a.k_max)
             .map(|r| vec![0u64; (1usize << r).div_ceil(64)])
             .collect();
-        for p in 0..a.ring.len() {
+        for p in 0..a.len() {
             let (r, s) = a.cell_at(p, a.k_max);
             rings[r as usize][(s / 64) as usize] |= 1 << (s % 64);
         }
@@ -205,29 +252,70 @@ pub(crate) fn select_rings(a: &Assignments) -> u32 {
 
 /// Buckets points into the cells of a level-`k` grid as a CSR structure:
 /// `counts[c]..counts[c + 1]` indexes the members of cell `c` in the
-/// returned member list.
-pub(crate) fn bucket_cells(a: &Assignments, k: u32) -> (Vec<u32>, Vec<u32>) {
-    let n = a.ring.len();
+/// returned member list, and within a cell the members keep their input
+/// order (a stable counting sort). Consumes the assignments: the first
+/// pass overwrites each point's ring with its cell index, which the
+/// scatter then reads.
+///
+/// The ids are split into `threads` contiguous ranges, one histogram per
+/// range. The cursor of range `t` in cell `c` starts after cell `c`'s
+/// members from ranges `< t`, so the parallel scatter lands every id where
+/// the sequential one would: the result is the same for every thread
+/// count. A partition of at most [`SOA_CHUNK`] points runs inline, as one
+/// range.
+pub(crate) fn bucket_cells(mut a: Assignments, k: u32, threads: usize) -> (Vec<u32>, Vec<u32>) {
+    let (n, k_max) = (a.len(), a.k_max);
     let cells = cell_count(k);
+    let parts = if n <= SOA_CHUNK { 1 } else { threads.max(1) };
+    let range_len = n.div_ceil(parts).max(1);
+    let (ring, path) = a.columns_mut();
+    let mut ranges: Vec<(&mut [u32], &[u32])> = ring
+        .chunks_mut(range_len)
+        .zip(path.chunks(range_len))
+        .collect();
+    let mut cursors: Vec<Vec<u32>> =
+        omt_par::par_map_indexed_mut(&mut ranges, parts, |_, (ring, path)| {
+            let mut hist = vec![0u32; cells];
+            for (r, &p) in ring.iter_mut().zip(path.iter()) {
+                let (cr, cs) = coarse_cell(k_max, k, *r, p);
+                let c = cell_index(cr, cs);
+                *r = c as u32;
+                hist[c] += 1;
+            }
+            hist
+        });
+    // Turn the histograms into per-range cursors, cell by cell in range
+    // order, while accumulating the cell offsets.
     let mut counts = vec![0u32; cells + 1];
-    let mut point_cell = vec![0u32; n];
-    for (p, slot) in point_cell.iter_mut().enumerate() {
-        let (r, s) = a.cell_at(p, k);
-        let idx = cell_index(r, s);
-        *slot = idx as u32;
-        counts[idx + 1] += 1;
+    let mut next = 0u32;
+    for c in 0..cells {
+        counts[c] = next;
+        for cursor in &mut cursors {
+            let members = cursor[c];
+            cursor[c] = next;
+            next += members;
+        }
     }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let mut members = vec![0u32; n];
-    let mut cursor = counts.clone();
-    for (p, &cell) in point_cell.iter().enumerate() {
-        let c = cell as usize;
-        members[cursor[c] as usize] = p as u32;
-        cursor[c] += 1;
-    }
-    (counts, members)
+    counts[cells] = next;
+    let members: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    let mut work: Vec<(usize, &[u32], Vec<u32>)> = ranges
+        .into_iter()
+        .enumerate()
+        .zip(cursors)
+        .map(|((t, (cell, _)), cursor)| (t * range_len, &*cell, cursor))
+        .collect();
+    omt_par::par_map_indexed_mut(&mut work, parts, |_, (base, cell, cursor)| {
+        for (p, &c) in cell.iter().enumerate() {
+            let slot = &mut cursor[c as usize];
+            members[*slot as usize].store((*base + p) as u32, Relaxed);
+            *slot += 1;
+        }
+    });
+    drop(work);
+    (
+        counts,
+        members.into_iter().map(AtomicU32::into_inner).collect(),
+    )
 }
 
 /// The point columns in cell-major order: position `pos` of every column
@@ -311,10 +399,10 @@ mod tests {
 
     /// Builds assignments directly from (ring, path) pairs.
     fn asg(k_max: u32, cells: &[(u32, u64)]) -> Assignments {
-        Assignments {
+        Assignments::from_columns(
             k_max,
-            ring: cells.iter().map(|c| c.0).collect(),
-            path: cells
+            cells.iter().map(|c| c.0).collect(),
+            cells
                 .iter()
                 .map(|c| {
                     // `path` stores the angular bits left-aligned to k_max:
@@ -326,7 +414,7 @@ mod tests {
                     }
                 })
                 .collect(),
-        }
+        )
     }
 
     #[test]
@@ -422,11 +510,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let a = Assignments {
-            k_max: 0,
-            ring: vec![],
-            path: vec![],
-        };
+        let a = Assignments::from_columns(0, vec![], vec![]);
         assert_eq!(select_rings(&a), 0);
         let occ = RingBits::finest(&a);
         assert_eq!(occ.level(), 0);
@@ -501,8 +585,31 @@ mod tests {
                 ((z >> 8) % (1u64 << r) << (k_max - r)) as u32
             });
         }
-        Assignments { k_max, ring, path }
+        Assignments::from_columns(k_max, ring, path)
     }
+
+    /// Every point in one finest-level cell (ring `k_max`, segment 1).
+    fn one_cell_assignments(n: usize, k_max: u32) -> Assignments {
+        Assignments::from_columns(k_max, vec![k_max; n], vec![1; n])
+    }
+
+    /// Buckets at 1, 2, 3 and 4 threads, asserts the four results are
+    /// identical, and returns that result.
+    fn bucket_at_every_thread_count(a: &Assignments, k: u32) -> (Vec<u32>, Vec<u32>) {
+        let inline = bucket_cells(a.clone(), k, 1);
+        for threads in 2..=4 {
+            assert!(
+                bucket_cells(a.clone(), k, threads) == inline,
+                "n {} k {k}: threads {threads} differ from inline",
+                a.len()
+            );
+        }
+        inline
+    }
+
+    /// Point counts past one pre-pass chunk, so the threaded partition
+    /// splits the ids into several ranges (at 3 threads, uneven ones).
+    const LARGE: usize = SOA_CHUNK + 4_097;
 
     #[test]
     fn bucket_cells_offsets_partition_everything() {
@@ -510,17 +617,25 @@ mod tests {
         // `counts` is a monotone prefix array starting at 0 and ending at n,
         // so the per-cell windows `[counts[c], counts[c+1])` are sorted,
         // disjoint, and cover the whole member array.
-        for (n, k, salt) in [(0usize, 2u32, 1u64), (1, 3, 2), (257, 4, 3), (5000, 6, 4)] {
-            let a = scrambled_assignments(n, k + 2, salt);
-            let (counts, members) = bucket_cells(&a, k);
-            assert_eq!(counts.len(), cell_count(k) + 1);
+        let cases = [
+            (scrambled_assignments(0, 4, 1), 2u32),
+            (scrambled_assignments(1, 5, 2), 3),
+            (scrambled_assignments(257, 6, 3), 4),
+            (scrambled_assignments(5000, 8, 4), 6),
+            (scrambled_assignments(LARGE, 12, 5), 10),
+            (one_cell_assignments(LARGE, 12), 10),
+        ];
+        for (a, k) in &cases {
+            let n = a.len();
+            let (counts, members) = bucket_at_every_thread_count(a, *k);
+            assert_eq!(counts.len(), cell_count(*k) + 1);
             assert_eq!(counts[0], 0);
             assert_eq!(*counts.last().unwrap() as usize, n);
             assert!(
                 counts.windows(2).all(|w| w[0] <= w[1]),
                 "offsets must be non-decreasing"
             );
-            let total: usize = (0..cell_count(k))
+            let total: usize = (0..cell_count(*k))
                 .map(|c| (counts[c + 1] - counts[c]) as usize)
                 .sum();
             assert_eq!(total, n, "cell occupancies must sum to n");
@@ -530,30 +645,35 @@ mod tests {
 
     #[test]
     fn bucket_cells_members_form_a_stable_permutation() {
-        let n = 4096;
-        let k = 5;
-        let a = scrambled_assignments(n, k + 1, 99);
-        let (counts, members) = bucket_cells(&a, k);
-        // A permutation of 0..n...
-        let mut seen = vec![false; n];
-        for &m in &members {
-            assert!(!seen[m as usize], "duplicate member {m}");
-            seen[m as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        // ...where every member sits in the window of its own cell, and the
-        // scatter is stable: within a cell, point indices stay in input
-        // order (the first-minimum tie rules of the in-cell picks, and so
-        // the pinned trees, depend on it).
-        for c in 0..cell_count(k) {
-            let window = &members[counts[c] as usize..counts[c + 1] as usize];
-            assert!(
-                window.windows(2).all(|w| w[0] < w[1]),
-                "cell {c}: members not in input order"
-            );
-            for &p in window {
-                let (r, s) = a.cell_at(p as usize, k);
-                assert_eq!(cell_index(r, s), c, "member {p} bucketed into wrong cell");
+        let cases = [
+            (scrambled_assignments(4096, 6, 99), 5u32),
+            (scrambled_assignments(LARGE, 11, 98), 9),
+            (one_cell_assignments(LARGE, 11), 9),
+        ];
+        for (a, k) in &cases {
+            let (n, k) = (a.len(), *k);
+            let (counts, members) = bucket_at_every_thread_count(a, k);
+            // A permutation of 0..n...
+            let mut seen = vec![false; n];
+            for &m in &members {
+                assert!(!seen[m as usize], "duplicate member {m}");
+                seen[m as usize] = true;
+            }
+            assert!(seen.iter().all(|&s| s));
+            // ...where every member sits in the window of its own cell, and
+            // the scatter is stable: within a cell, point indices stay in
+            // input order (the first-minimum tie rules of the in-cell
+            // picks, and so the pinned trees, depend on it).
+            for c in 0..cell_count(k) {
+                let window = &members[counts[c] as usize..counts[c + 1] as usize];
+                assert!(
+                    window.windows(2).all(|w| w[0] < w[1]),
+                    "cell {c}: members not in input order"
+                );
+                for &p in window {
+                    let (r, s) = a.cell_at(p as usize, k);
+                    assert_eq!(cell_index(r, s), c, "member {p} bucketed into wrong cell");
+                }
             }
         }
     }
@@ -576,14 +696,14 @@ mod brute_force_tests {
 
     /// Assignments placing one point in each listed finest-level cell.
     fn assignments(k_max: u32, cells: &[(u32, u64)]) -> Assignments {
-        Assignments {
+        Assignments::from_columns(
             k_max,
-            ring: cells.iter().map(|c| c.0).collect(),
-            path: cells
+            cells.iter().map(|c| c.0).collect(),
+            cells
                 .iter()
                 .map(|&(r, s)| if r == 0 { 0 } else { (s << (k_max - r)) as u32 })
                 .collect(),
-        }
+        )
     }
 
     /// Feasibility by direct definition: at level `t`, every non-outermost
@@ -592,15 +712,14 @@ mod brute_force_tests {
         if t <= 1 {
             return true;
         }
-        let occupied = |ring: u32, seg: u64| -> bool {
-            (0..a.ring.len()).any(|p| a.cell_at(p, t) == (ring, seg))
-        };
+        let occupied =
+            |ring: u32, seg: u64| -> bool { (0..a.len()).any(|p| a.cell_at(p, t) == (ring, seg)) };
         for ring in 1..t {
             for seg in 0..(1u64 << ring) {
                 // Outward cone: all cells (r', s') with r' >= ring whose
                 // ancestor chain passes through (ring, seg), plus the cell
                 // itself.
-                let cone_occupied = (0..a.ring.len()).any(|p| {
+                let cone_occupied = (0..a.len()).any(|p| {
                     let (r, s) = a.cell_at(p, t);
                     r >= ring && (s >> (r - ring)) == seg
                 });
@@ -707,7 +826,7 @@ mod brute_force_tests {
             for t in (0..=k_max).rev() {
                 assert_eq!(occ.level(), t);
                 let occupied: std::collections::HashSet<(u32, u64)> =
-                    (0..a.ring.len()).map(|p| a.cell_at(p, t)).collect();
+                    (0..a.len()).map(|p| a.cell_at(p, t)).collect();
                 for ring in 0..=t {
                     for seg in 0..(1u64 << ring) {
                         assert_eq!(

@@ -271,14 +271,14 @@ impl NdGridBuilder {
             }
             ring
         };
-        let assignments = Assignments {
+        let assignments = Assignments::from_columns(
             k_max,
-            ring: quant.iter().map(|q| ring_of(q.radius)).collect(),
-            path: quant
+            quant.iter().map(|q| ring_of(q.radius)).collect(),
+            quant
                 .iter()
                 .map(|q| angular_path(q, k_max) as u32)
                 .collect(),
-        };
+        );
         let k_auto = select_rings(&assignments);
         let k = match self.rings_override {
             None => k_auto,
@@ -321,7 +321,7 @@ impl NdGridBuilder {
 
         // Bucket points per cell.
         let cells = cell_count(k);
-        let (counts, members) = bucket_cells(&assignments, k);
+        let (counts, members) = bucket_cells(assignments, k, 1);
         let cell_members = |c: usize| &members[counts[c] as usize..counts[c + 1] as usize];
         let occupied_cells = (0..cells).filter(|&c| counts[c] != counts[c + 1]).count();
 

@@ -22,7 +22,7 @@
 //! active-cell rule tolerates the empty cells outside the region.
 
 use omt_geom::{Point2, PointStore2, PolarPoint};
-use omt_tree::{check_node_capacity, MulticastTree, NodeId, ParentRef, TreeArena, TreeError};
+use omt_tree::{check_node_capacity, FinishStage, MulticastTree, NodeId, TreeArena, TreeError};
 
 use crate::bisect2d::{attach, bisect2, bisect4, PolarSlices, Scratch2};
 use crate::bounds::upper_bound_eq7;
@@ -32,7 +32,7 @@ use crate::grid2::PolarGrid2;
 use crate::kselect::{
     bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments, CellMajor,
 };
-use crate::sink::{unpack_parent, SharedArena, PACKED_SOURCE};
+use crate::sink::{unpack_parent, CellSink, RowArena, PACKED_SOURCE};
 
 /// Chunk length for the batched column pre-passes (finiteness scan, lower
 /// bound, polar-column ring/path binning, cell-major gather): large enough
@@ -45,11 +45,11 @@ pub(crate) const SOA_CHUNK: usize = 1 << 16;
 /// deterministic cell order during core wiring. The job names its cell by
 /// `(ring, seg)` (the [`RingSegment`](omt_geom::RingSegment) geometry is
 /// pure arithmetic, re-derived from the grid at dispatch), its local root
-/// by a packed [`NodeId`] (`PACKED_SOURCE` = the source; the bisection
-/// offset `q` is always that root's radius, 0 for the source), and its
-/// members by a window `[start, end)` of the cell-major columns produced
-/// by the counting-sort partition. `Copy`, so the parallel path can hand
-/// jobs to workers without cloning index lists.
+/// by a packed row (`PACKED_SOURCE` = the source; the bisection offset `q`
+/// is always that root's radius, 0 for the source), and its members by a
+/// window `[start, end)` of the cell-major rows produced by the
+/// counting-sort partition. `Copy`, so the parallel path can hand jobs to
+/// workers without cloning index lists.
 #[derive(Clone, Copy, Debug)]
 struct CellJob {
     ring: u32,
@@ -68,48 +68,53 @@ fn window(cells: &CellMajor<2>, s: usize, e: usize) -> PolarSlices<'_> {
 }
 
 /// Runs the per-cell bisections. Every job reads its window of the
-/// cell-major ids and polar columns, which are read-only here, and its
-/// bisection permutes local positions in the worker's scratch. Each worker
-/// writes **directly** into the shared arena through the [`SharedArena`]
-/// sink: no per-job edge buffers, no sequential replay. With `threads <= 1`
-/// the jobs run inline, in order, with one scratch. The edge set (and
-/// therefore the finished tree) is the same for every thread count,
-/// because each attachment is a pure function of the job and the
-/// read-only columns. `radius` is the store's radius column, by point id.
+/// cell-major polar columns, which are read-only here, gathers the
+/// window's Cartesian points from `coords` (by point id) into the worker's
+/// scratch, and its bisection permutes local positions in that scratch.
+/// Each worker writes **directly** into its window's rows of the shared
+/// arena through a [`CellSink`]: no per-job edge buffers, no sequential
+/// replay. With `threads <= 1` the jobs run inline, in order, with one
+/// scratch. The edge set (and therefore the finished tree) is the same for
+/// every thread count, because each attachment is a pure function of the
+/// job and the read-only columns.
 fn run_cell_jobs(
     arena: &mut TreeArena<'_, 2>,
     cells: &CellMajor<2>,
-    radius: &[f64],
+    coords: [&[f64]; 2],
     grid: &PolarGrid2,
     jobs: &[CellJob],
     binary: bool,
     threads: usize,
 ) -> Result<(), TreeError> {
     let shared: &TreeArena<'_, 2> = arena;
-    let results = omt_par::par_map_with(jobs, threads, Scratch2::default, |scratch, _, job| {
+    let scratch = <(Scratch2, Vec<Point2>)>::default;
+    let results = omt_par::par_map_with(jobs, threads, scratch, |(scratch, points), _, job| {
         // Unpack the 20-byte job: cell geometry from pure grid arithmetic,
-        // and the bisection offset `q` as the local root's radius (0 at
-        // the source) — exactly the values the core pass computed when it
-        // emitted the job.
+        // and the bisection offset `q` as the local root's cell-major
+        // radius (0 at the source) — exactly the values the core pass
+        // computed when it emitted the job.
         let seg = grid.segment(job.ring, u64::from(job.seg));
-        let (parent, q) = if job.parent == PACKED_SOURCE {
-            (ParentRef::Source, 0.0)
+        let q = if job.parent == PACKED_SOURCE {
+            0.0
         } else {
-            (
-                ParentRef::Node(job.parent as usize),
-                radius[job.parent as usize],
-            )
+            cells.cols[0][job.parent as usize]
         };
         let (s, e) = (job.start as usize, job.end as usize);
-        let (polar, ids) = (window(cells, s, e), &cells.ids[s..e]);
-        let mut sink = SharedArena(shared);
+        let (mut sink, parent) =
+            CellSink::gather(shared, &cells.ids, coords, (s, e), job.parent, points);
         if binary {
-            bisect2(&mut sink, polar, ids, seg, parent, q, scratch)
+            bisect2(&mut sink, window(cells, s, e), s, seg, parent, q, scratch)
         } else {
-            bisect4(&mut sink, polar, ids, seg, parent, q, scratch)
+            bisect4(&mut sink, window(cells, s, e), s, seg, parent, q, scratch)
         }
+        // One result per job is held until the join, at the fill's peak
+        // RSS: a boxed error keeps each to one word.
+        .map_err(Box::new)
     });
-    results.into_iter().collect::<Result<(), _>>()?;
+    results
+        .into_iter()
+        .collect::<Result<(), _>>()
+        .map_err(|e| *e)?;
     // Every window member was attached exactly once by its job; fold the
     // statically known total into the arena's counter (the shared attach
     // methods leave it alone so the fill stays coordination-free).
@@ -360,6 +365,7 @@ impl PolarGridBuilder {
         let source = store.source();
         let n = store.len();
         let (xs, ys) = (store.xs(), store.ys());
+        let coords = [xs, ys];
         // The store's polar columns are the precomputed source-relative
         // coordinates, indexed by point id.
         let (radius, angle) = (store.radius(), store.angle());
@@ -386,8 +392,8 @@ impl PolarGridBuilder {
         drop(bound_span);
         omt_obs::obs_count!("polar_grid/builds");
         if n == 0 {
-            let arena = TreeArena::new(source, [xs, ys]).max_out_degree(self.max_out_degree);
-            let tree = arena.into_tree()?;
+            let arena = TreeArena::new(source, coords).max_out_degree(self.max_out_degree);
+            let tree = arena.into_tree(Vec::new())?;
             return Ok((
                 tree,
                 PolarGridReport {
@@ -402,10 +408,19 @@ impl PolarGridBuilder {
             ));
         }
         if lower_bound == 0.0 {
-            // Every point coincides with the source.
-            let mut arena = TreeArena::new(source, [xs, ys]).max_out_degree(self.max_out_degree);
-            fanout_sink(&mut arena, n, self.max_out_degree)?;
-            let tree = arena.into_tree()?;
+            // Every point coincides with the source: rows are point ids.
+            let mut arena = TreeArena::new(source, coords).max_out_degree(self.max_out_degree);
+            let ids: Vec<u32> = (0..n as u32).collect();
+            fanout_sink(
+                &mut RowArena {
+                    arena: &mut arena,
+                    ids: &ids,
+                    coords,
+                },
+                n,
+                self.max_out_degree,
+            )?;
+            let tree = arena.into_tree(ids)?;
             return Ok((
                 tree,
                 PolarGridReport {
@@ -430,9 +445,9 @@ impl PolarGridBuilder {
         let k_max = finest_level(n);
         let finest = PolarGrid2::new(k_max, rho);
         let scale = (1u64 << k_max) as f64 / core::f64::consts::TAU;
-        let mut ring = vec![0u32; n];
-        let mut path = vec![0u32; n];
+        let mut assignments = Assignments::zeroed(k_max, n);
         {
+            let (ring, path) = assignments.columns_mut();
             let mut chunks: Vec<(usize, &mut [u32], &mut [u32])> = ring
                 .chunks_mut(SOA_CHUNK)
                 .zip(path.chunks_mut(SOA_CHUNK))
@@ -447,7 +462,6 @@ impl PolarGridBuilder {
                 }
             });
         }
-        let assignments = Assignments { k_max, ring, path };
         drop(bin_span);
         let select_span = omt_obs::obs_span!("polar_grid/partition/select");
         let k_auto = select_rings(&assignments);
@@ -469,14 +483,13 @@ impl PolarGridBuilder {
         let grid = PolarGrid2::new(k, rho);
         let deg6 = self.max_out_degree >= 6;
 
-        // Bucket points per cell (counting sort into CSR lists). The
-        // assignments (two u32 columns) are dead after this and freed
-        // before the cell-major columns and the arena's node arrays are
-        // allocated, keeping them out of the peak-RSS window.
+        // Bucket points per cell (counting sort into CSR lists). The sort
+        // consumes the assignments and frees them before the cell-major
+        // columns and the arena's rows are allocated, keeping them out of
+        // the peak-RSS window.
         let bucket_span = omt_obs::obs_span!("polar_grid/partition/bucket");
         let cells = cell_count(k);
-        let (counts, members) = bucket_cells(&assignments, k);
-        drop(assignments);
+        let (counts, members) = bucket_cells(assignments, k, threads);
         let cell_range = |c: usize| (counts[c] as usize, counts[c + 1] as usize);
         let occupied_cells = (0..cells).filter(|&c| counts[c] != counts[c + 1]).count();
         omt_obs::obs_observe!("polar_grid/occupied_cells", occupied_cells as u64);
@@ -485,14 +498,13 @@ impl PolarGridBuilder {
         // Copy the polar columns into member order once, so every cell is
         // one contiguous window of each column. Every later stage —
         // representative picks, connector picks, in-place bisection —
-        // reads its cell's window by local position and translates to a
-        // point id only when it attaches.
+        // reads its cell's window by local position, and every attachment
+        // writes the arena row of a cell-major position: rows are
+        // positions, mapped to point ids once, in `into_tree`.
         let gather_span = omt_obs::obs_span!("polar_grid/partition/gather");
         let mut cm = CellMajor::gather(members, [radius, angle], threads);
         drop(gather_span);
         drop(partition_span);
-
-        let mut arena = TreeArena::new(source, [xs, ys]).max_out_degree(self.max_out_degree);
 
         // Representative pre-pass: the dominant per-cell cost of the core
         // pass is the representative pick — a `sin_cos` plus a distance
@@ -527,14 +539,39 @@ impl PolarGridBuilder {
         // where the worker pool pays off. Cell order is fixed by the
         // (ring, seg) sweep, so the job list — and with it the final edge
         // set — is the same for every thread count. The core pass is the
-        // one stage that reorders windows, and it moves ids and columns
-        // together so they stay aligned.
+        // one stage that reorders windows: it moves ids and columns
+        // together so they stay aligned, and it moves every point it wires
+        // to its final position *before* attaching that row, so no
+        // attached row moves afterwards.
+        // The arena's rows are written first by the core pass, which owns
+        // their allocation.
+        let core_span = omt_obs::obs_span!("polar_grid/core");
+        let mut arena = TreeArena::new(source, coords).max_out_degree(self.max_out_degree);
         let mut core_delay = 0.0f64;
         let mut jobs: Vec<CellJob> = Vec::with_capacity(reps.len() + 1);
         let mut next_rep = reps.iter().copied();
+        // Order-preserving removal of a cell's pre-picked representative
+        // from its window — rotate it to the last row — and its attachment
+        // under `parent`. Returns the representative's row.
+        let mut place_rep = |arena: &mut TreeArena<'_, 2>,
+                             cm: &mut CellMajor<2>,
+                             (cs, ce): (usize, usize),
+                             parent: NodeId|
+         -> Result<usize, TreeError> {
+            let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
+            cm.rotate_to_back(pos, ce);
+            let row = ce - 1;
+            let ids = &cm.ids;
+            attach(
+                &mut RowArena { arena, ids, coords },
+                row,
+                unpack_parent(parent),
+            )?;
+            core_delay = core_delay.max(arena.depth_of(row).expect("just attached"));
+            Ok(row)
+        };
         if deg6 {
-            let core_span = omt_obs::obs_span!("polar_grid/core");
-            // rep_ref[cell] = the representative the cell's children attach to.
+            // rep_ref[cell] = the row the cell's children attach to.
             let mut rep_ref: Vec<NodeId> = vec![PACKED_SOURCE; cells];
             // Ring 0: the source is the representative; bisect the rest.
             jobs.push(CellJob {
@@ -551,34 +588,21 @@ impl PolarGridBuilder {
                     if cs == ce {
                         continue;
                     }
-                    let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
-                    let rep = cm.ids[pos];
                     let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
-                    attach(
-                        &mut arena,
-                        rep as usize,
-                        unpack_parent(rep_ref[cell_index(pr, ps)]),
-                    )?;
-                    core_delay =
-                        core_delay.max(arena.depth_of(rep as usize).expect("just attached"));
-                    rep_ref[c] = rep;
-                    // Order-preserving removal of the representative from
-                    // the window: rotate it to the back and shrink the job
-                    // range.
-                    cm.rotate_to_back(pos, ce);
+                    let parent = rep_ref[cell_index(pr, ps)];
+                    let rep = place_rep(&mut arena, &mut cm, (cs, ce), parent)?;
+                    rep_ref[c] = rep as NodeId;
                     jobs.push(CellJob {
                         ring,
                         seg: seg as u32,
-                        parent: rep,
+                        parent: rep as NodeId,
                         start: cs as u32,
-                        end: (ce - 1) as u32,
+                        end: rep as u32,
                     });
                 }
             }
-            drop(core_span);
             drop(rep_ref);
         } else {
-            let core_span = omt_obs::obs_span!("polar_grid/core");
             // Degree-2 wiring (Section IV-A); see `wire_cell_deg2`. The
             // connector and bisection-source picks stay in the sequential
             // core pass: unlike the rep pick they run over a window the
@@ -590,14 +614,12 @@ impl PolarGridBuilder {
                 let nonempty = |c: usize| counts[c] != counts[c + 1];
                 let has_core_children =
                     k >= 1 && (nonempty(cell_index(1, 0)) || nonempty(cell_index(1, 1)));
-                let (cs, ce) = cell_range(0);
                 let (conn, job) = self.wire_cell_deg2(
                     &mut arena,
                     &mut cm,
-                    0,
-                    0,
-                    cs,
-                    ce,
+                    coords,
+                    (0, 0),
+                    cell_range(0),
                     None,
                     has_core_children,
                 )?;
@@ -611,16 +633,9 @@ impl PolarGridBuilder {
                     if cs == ce {
                         continue;
                     }
-                    let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
-                    let rep = cm.ids[pos];
                     let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
-                    attach(
-                        &mut arena,
-                        rep as usize,
-                        unpack_parent(connector[cell_index(pr, ps)]),
-                    )?;
-                    core_delay =
-                        core_delay.max(arena.depth_of(rep as usize).expect("just attached"));
+                    let parent = connector[cell_index(pr, ps)];
+                    let rep = place_rep(&mut arena, &mut cm, (cs, ce), parent)?;
                     let has_core_children = match grid.children(ring, seg) {
                         None => false,
                         Some(kids) => kids.iter().any(|&(r, s)| {
@@ -631,33 +646,39 @@ impl PolarGridBuilder {
                     let (conn, job) = self.wire_cell_deg2(
                         &mut arena,
                         &mut cm,
-                        ring,
-                        seg as u32,
-                        cs,
-                        ce,
-                        Some(pos),
+                        coords,
+                        (ring, seg as u32),
+                        (cs, rep),
+                        Some(rep),
                         has_core_children,
                     )?;
                     connector[c] = conn;
                     jobs.extend(job);
                 }
             }
-            drop(core_span);
             drop(connector);
         }
+        drop(core_span);
         debug_assert!(next_rep.next().is_none(), "every pre-picked rep consumed");
         drop(reps);
         drop(counts);
 
         {
             let _cells_span = omt_obs::obs_span!("polar_grid/cells");
-            run_cell_jobs(&mut arena, &cm, radius, &grid, &jobs, !deg6, threads)?;
+            run_cell_jobs(&mut arena, &cm, coords, &grid, &jobs, !deg6, threads)?;
             drop(jobs);
-            drop(cm);
         }
 
         let _finish_span = omt_obs::obs_span!("polar_grid/finish");
-        let tree = arena.into_tree()?;
+        let CellMajor { ids: order, cols } = cm;
+        drop(cols);
+        let tree = arena.into_tree_staged(order, threads, |stage| {
+            omt_obs::obs_span!(match stage {
+                FinishStage::Permute => "polar_grid/finish/permute",
+                FinishStage::Points => "polar_grid/finish/points",
+                FinishStage::Csr => "polar_grid/finish/csr",
+            })
+        })?;
         let delay = tree.radius();
         let report = PolarGridReport {
             rings: k,
@@ -696,49 +717,51 @@ impl PolarGridBuilder {
         }
     }
 
-    /// Wires the scaffold of one cell in the degree-2 scheme, in place on
-    /// the cell's window `[cs, ce)` of the cell-major columns, and returns
-    /// the cell's connector — the node (or source) with ≥ 2 spare
-    /// out-links that will adopt the representatives of the occupied child
-    /// cells — plus the deferred in-cell bisection job, if the cell has
-    /// enough points to need one.
+    /// Wires the scaffold of one cell in the degree-2 scheme, in place on the
+    /// cell's window `[cs, end)` of the cell-major rows, and returns the cell's
+    /// connector row — the node (or source) with ≥ 2 spare out-links that will
+    /// adopt the representatives of the occupied child cells — plus the
+    /// deferred in-cell bisection job, if the cell has enough points to need
+    /// one.
     ///
-    /// `rep` is the representative's position, or `None` for the inner
-    /// disk (the source is the representative there). Wired points leave
-    /// the window from the back: the representative by a rotate that keeps
-    /// the others in order, the connector and the bisection source by a
-    /// swap with the last member.
+    /// `rep` is the attached representative's row, already moved out of the
+    /// window, or `None` for the inner disk (the source is the representative
+    /// there). Wired points leave the window from the back, by a swap with the
+    /// last member, before their row is attached: the connector and the
+    /// bisection source. `coords` are the store's Cartesian columns, by point
+    /// id.
     #[allow(clippy::too_many_arguments)]
     fn wire_cell_deg2(
         &self,
         arena: &mut TreeArena<'_, 2>,
         cm: &mut CellMajor<2>,
-        ring: u32,
-        seg: u32,
-        cs: usize,
-        ce: usize,
+        coords: [&[f64]; 2],
+        (ring, seg): (u32, u32),
+        (cs, mut end): (usize, usize),
         rep: Option<usize>,
         has_core_children: bool,
     ) -> Result<(NodeId, Option<CellJob>), BuildError> {
-        // The representative's packed reference and coordinates; the
-        // source sits at the pole.
-        let (rep_ref, rep_polar) = match rep {
-            None => (PACKED_SOURCE, None),
-            Some(pos) => (
-                cm.ids[pos],
-                Some(PolarPoint {
-                    radius: cm.cols[0][pos],
-                    angle: cm.cols[1][pos],
-                }),
-            ),
-        };
+        // The representative's packed row and coordinates; the source sits at
+        // the pole.
+        let rep_ref = rep.map_or(PACKED_SOURCE, |r| r as NodeId);
+        let rep_polar = rep.map(|r| PolarPoint {
+            radius: cm.cols[0][r],
+            angle: cm.cols[1][r],
+        });
         let rep_radius = rep_polar.map_or(0.0, |p| p.radius);
-        // Drop the representative from the window, preserving order.
-        let mut end = ce;
-        if let Some(pos) = rep {
-            cm.rotate_to_back(pos, end);
-            end -= 1;
-        }
+        // Attaches the last window row under the representative.
+        let mut attach_last = |cm: &CellMajor<2>, row: usize| {
+            let ids = &cm.ids;
+            attach(
+                &mut RowArena {
+                    arena: &mut *arena,
+                    ids,
+                    coords,
+                },
+                row,
+                unpack_parent(rep_ref),
+            )
+        };
         match end - cs {
             0 => {
                 // Case 1: the representative alone (or the bare source for
@@ -748,9 +771,8 @@ impl PolarGridBuilder {
             1 => {
                 // Case 2: rep -> other; the other point becomes the
                 // connector with both links spare.
-                let other = cm.ids[cs];
-                attach(arena, other as usize, unpack_parent(rep_ref))?;
-                Ok((other, None))
+                attach_last(cm, cs)?;
+                Ok((cs as NodeId, None))
             }
             _ => {
                 // Case 3: rep -> {bisection source, connector}; the
@@ -772,9 +794,8 @@ impl PolarGridBuilder {
                         .expect("nonempty");
                     cm.swap(cs + pos as usize, end - 1);
                     end -= 1;
-                    let x = cm.ids[end];
-                    attach(arena, x as usize, unpack_parent(rep_ref))?;
-                    Some(x)
+                    attach_last(cm, end)?;
+                    Some(end as NodeId)
                 } else {
                     None
                 };
@@ -791,12 +812,11 @@ impl PolarGridBuilder {
                         .expect("nonempty");
                     cm.swap(cs + pos as usize, end - 1);
                     end -= 1;
-                    let s = cm.ids[end];
-                    attach(arena, s as usize, unpack_parent(rep_ref))?;
+                    attach_last(cm, end)?;
                     job = Some(CellJob {
                         ring,
                         seg,
-                        parent: s,
+                        parent: end as NodeId,
                         start: cs as u32,
                         end: end as u32,
                     });

@@ -4,7 +4,7 @@
 //! (2 core + 8 bisection links), or the degree-2 wiring.
 
 use omt_geom::{Point3, PointStore3, SphericalPoint};
-use omt_tree::{check_node_capacity, MulticastTree, NodeId, ParentRef, TreeArena, TreeError};
+use omt_tree::{check_node_capacity, FinishStage, MulticastTree, NodeId, TreeArena, TreeError};
 
 use crate::bisect3d::{attach3, bisect2_3d, bisect8, Scratch3, SphSlices};
 use crate::error::BuildError;
@@ -14,15 +14,15 @@ use crate::kselect::{
     bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments, CellMajor,
 };
 use crate::polar_grid::{PolarGridReport, RepStrategy, SOA_CHUNK};
-use crate::sink::{unpack_parent, SharedArena, PACKED_SOURCE};
+use crate::sink::{unpack_parent, CellSink, RowArena, PACKED_SOURCE};
 
 /// One deferred in-cell bisection, packed to 20 bytes (the 3-D analogue of
 /// the 2-D `CellJob`): the job names its cell by `(ring, seg)` — the
 /// [`ShellCell`](omt_geom::ShellCell) geometry is pure arithmetic,
-/// re-derived from the grid at dispatch — its local root by a packed
-/// [`NodeId`] (`PACKED_SOURCE` = the source; the bisection offset `q` is
-/// always that root's radius, 0 for the source), and its members by a
-/// window `[start, end)` of the cell-major columns.
+/// re-derived from the grid at dispatch — its local root by a packed row
+/// (`PACKED_SOURCE` = the source; the bisection offset `q` is always that
+/// root's radius, 0 for the source), and its members by a window
+/// `[start, end)` of the cell-major rows.
 #[derive(Clone, Copy, Debug)]
 struct CellJob3 {
     ring: u32,
@@ -43,40 +43,42 @@ fn window3(cells: &CellMajor<3>, s: usize, e: usize) -> SphSlices<'_> {
 
 /// Runs the per-cell bisections (the 3-D analogue of the 2-D
 /// `run_cell_jobs` in `crate::polar_grid`): every job reads its read-only
-/// window of the cell-major ids and columns, permutes local positions in
-/// the worker's scratch, and writes directly into the shared arena through
-/// the [`SharedArena`] sink — no edge buffers, no replay. `radius` is the
-/// store's radius column, by point id.
+/// window of the cell-major columns, gathers the window's Cartesian points
+/// from `coords` into the worker's scratch, permutes local positions
+/// there, and writes its window's rows of the shared arena through a
+/// [`CellSink`] — no edge buffers, no replay.
 fn run_cell_jobs3(
     arena: &mut TreeArena<'_, 3>,
     cells: &CellMajor<3>,
-    radius: &[f64],
+    coords: [&[f64]; 3],
     grid: &SphereGrid3,
     jobs: &[CellJob3],
     binary: bool,
     threads: usize,
 ) -> Result<(), TreeError> {
     let shared: &TreeArena<'_, 3> = arena;
-    let results = omt_par::par_map_with(jobs, threads, Scratch3::default, |scratch, _, job| {
+    let scratch = <(Scratch3, Vec<Point3>)>::default;
+    let results = omt_par::par_map_with(jobs, threads, scratch, |(scratch, points), _, job| {
         let cell = grid.cell(job.ring, u64::from(job.seg));
-        let (parent, q) = if job.parent == PACKED_SOURCE {
-            (ParentRef::Source, 0.0)
+        let q = if job.parent == PACKED_SOURCE {
+            0.0
         } else {
-            (
-                ParentRef::Node(job.parent as usize),
-                radius[job.parent as usize],
-            )
+            cells.cols[0][job.parent as usize]
         };
         let (s, e) = (job.start as usize, job.end as usize);
-        let (sph, ids) = (window3(cells, s, e), &cells.ids[s..e]);
-        let mut sink = SharedArena(shared);
+        let (mut sink, parent) =
+            CellSink::gather(shared, &cells.ids, coords, (s, e), job.parent, points);
         if binary {
-            bisect2_3d(&mut sink, sph, ids, cell, parent, q, scratch)
+            bisect2_3d(&mut sink, window3(cells, s, e), s, cell, parent, q, scratch)
         } else {
-            bisect8(&mut sink, sph, ids, cell, parent, q, scratch)
+            bisect8(&mut sink, window3(cells, s, e), s, cell, parent, q, scratch)
         }
+        .map_err(Box::new)
     });
-    results.into_iter().collect::<Result<(), _>>()?;
+    results
+        .into_iter()
+        .collect::<Result<(), _>>()
+        .map_err(|e| *e)?;
     arena.add_attached(jobs.iter().map(|j| (j.end - j.start) as usize).sum());
     Ok(())
 }
@@ -299,16 +301,26 @@ impl SphereGridBuilder {
         let lower_bound = per_chunk.iter().map(|c| c.1).fold(0.0, f64::max);
         drop(bound_span);
         omt_obs::obs_count!("sphere_grid/builds");
+        let coords = [xs, ys, zs];
         if n == 0 {
-            let arena = TreeArena::new(source, [xs, ys, zs]).max_out_degree(self.max_out_degree);
-            let tree = arena.into_tree()?;
+            let arena = TreeArena::new(source, coords).max_out_degree(self.max_out_degree);
+            let tree = arena.into_tree(Vec::new())?;
             return Ok((tree, trivial_report(0)));
         }
         if lower_bound == 0.0 {
-            let mut arena =
-                TreeArena::new(source, [xs, ys, zs]).max_out_degree(self.max_out_degree);
-            fanout_sink(&mut arena, n, self.max_out_degree)?;
-            let tree = arena.into_tree()?;
+            // Every point coincides with the source: rows are point ids.
+            let mut arena = TreeArena::new(source, coords).max_out_degree(self.max_out_degree);
+            let ids: Vec<u32> = (0..n as u32).collect();
+            fanout_sink(
+                &mut RowArena {
+                    arena: &mut arena,
+                    ids: &ids,
+                    coords,
+                },
+                n,
+                self.max_out_degree,
+            )?;
+            let tree = arena.into_tree(ids)?;
             let mut report = trivial_report(1);
             report.occupied_cells = 1;
             return Ok((tree, report));
@@ -319,9 +331,9 @@ impl SphereGridBuilder {
         let bin_span = omt_obs::obs_span!("sphere_grid/partition/bin");
         let k_max = finest_level(n);
         let finest = SphereGrid3::new(k_max, rho);
-        let mut ring = vec![0u32; n];
-        let mut path = vec![0u32; n];
+        let mut assignments = Assignments::zeroed(k_max, n);
         {
+            let (ring, path) = assignments.columns_mut();
             let mut chunks: Vec<(usize, &mut [u32], &mut [u32])> = ring
                 .chunks_mut(SOA_CHUNK)
                 .zip(path.chunks_mut(SOA_CHUNK))
@@ -336,7 +348,6 @@ impl SphereGridBuilder {
                 }
             });
         }
-        let assignments = Assignments { k_max, ring, path };
         drop(bin_span);
         let select_span = omt_obs::obs_span!("sphere_grid/partition/select");
         let k_auto = select_rings(&assignments);
@@ -354,27 +365,25 @@ impl SphereGridBuilder {
         let grid = SphereGrid3::new(k, rho);
         let deg10 = self.max_out_degree >= 10;
 
-        // Bucket points per cell (counting sort). The assignment columns
-        // are dead after this and freed before the cell-major columns and
-        // the arena's node arrays are allocated, keeping them out of the
-        // peak-RSS window.
+        // Bucket points per cell (counting sort). The sort consumes the
+        // assignments and frees them before the cell-major columns and the
+        // arena's rows are allocated, keeping them out of the peak-RSS
+        // window.
         let bucket_span = omt_obs::obs_span!("sphere_grid/partition/bucket");
         let cells = cell_count(k);
-        let (counts, members) = bucket_cells(&assignments, k);
-        drop(assignments);
+        let (counts, members) = bucket_cells(assignments, k, threads);
         let cell_range = |c: usize| (counts[c] as usize, counts[c + 1] as usize);
         let occupied_cells = (0..cells).filter(|&c| counts[c] != counts[c + 1]).count();
         omt_obs::obs_observe!("sphere_grid/occupied_cells", occupied_cells as u64);
         drop(bucket_span);
 
         // The spherical columns in member order: every cell is one
-        // contiguous window, read by local position (see the 2-D builder).
+        // contiguous window, read by local position, and the arena's rows
+        // are these positions (see the 2-D builder).
         let gather_span = omt_obs::obs_span!("sphere_grid/partition/gather");
         let mut cm = CellMajor::gather(members, [sph.radius, sph.azimuth, sph.cos_polar], threads);
         drop(gather_span);
         drop(partition_span);
-
-        let mut arena = TreeArena::new(source, [xs, ys, zs]).max_out_degree(self.max_out_degree);
 
         // Representative pre-pass (see `crate::polar_grid`): picks depend
         // only on the un-permuted window contents, so they run in parallel
@@ -400,11 +409,33 @@ impl SphereGridBuilder {
         drop(occupied_list);
         drop(rep_span);
 
+        // The core pass moves every point it wires to its final row before
+        // attaching it (see the 2-D builder).
+        // The arena's rows are written first by the core pass, which owns
+        // their allocation.
+        let core_span = omt_obs::obs_span!("sphere_grid/core");
+        let mut arena = TreeArena::new(source, coords).max_out_degree(self.max_out_degree);
         let mut core_delay = 0.0f64;
         let mut jobs: Vec<CellJob3> = Vec::with_capacity(reps.len() + 1);
         let mut next_rep = reps.iter().copied();
+        let mut place_rep = |arena: &mut TreeArena<'_, 3>,
+                             cm: &mut CellMajor<3>,
+                             (cs, ce): (usize, usize),
+                             parent: NodeId|
+         -> Result<usize, TreeError> {
+            let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
+            cm.rotate_to_back(pos, ce);
+            let row = ce - 1;
+            let ids = &cm.ids;
+            attach3(
+                &mut RowArena { arena, ids, coords },
+                row,
+                unpack_parent(parent),
+            )?;
+            core_delay = core_delay.max(arena.depth_of(row).expect("just attached"));
+            Ok(row)
+        };
         if deg10 {
-            let core_span = omt_obs::obs_span!("sphere_grid/core");
             let mut rep_ref: Vec<NodeId> = vec![PACKED_SOURCE; cells];
             jobs.push(CellJob3 {
                 ring: 0,
@@ -420,40 +451,35 @@ impl SphereGridBuilder {
                     if cs == ce {
                         continue;
                     }
-                    let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
-                    let rep = cm.ids[pos];
                     let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
-                    attach3(
-                        &mut arena,
-                        rep as usize,
-                        unpack_parent(rep_ref[cell_index(pr, ps)]),
-                    )?;
-                    core_delay =
-                        core_delay.max(arena.depth_of(rep as usize).expect("just attached"));
-                    rep_ref[c] = rep;
-                    // Order-preserving removal of the representative.
-                    cm.rotate_to_back(pos, ce);
+                    let parent = rep_ref[cell_index(pr, ps)];
+                    let rep = place_rep(&mut arena, &mut cm, (cs, ce), parent)?;
+                    rep_ref[c] = rep as NodeId;
                     jobs.push(CellJob3 {
                         ring,
                         seg: seg as u32,
-                        parent: rep,
+                        parent: rep as NodeId,
                         start: cs as u32,
-                        end: (ce - 1) as u32,
+                        end: rep as u32,
                     });
                 }
             }
-            drop(core_span);
             drop(rep_ref);
         } else {
-            let core_span = omt_obs::obs_span!("sphere_grid/core");
             let mut connector: Vec<NodeId> = vec![PACKED_SOURCE; cells];
             {
                 let nonempty = |c: usize| counts[c] != counts[c + 1];
                 let has_core_children =
                     k >= 1 && (nonempty(cell_index(1, 0)) || nonempty(cell_index(1, 1)));
-                let (cs, ce) = cell_range(0);
-                let (conn, job) =
-                    wire_cell_deg2_3d(&mut arena, &mut cm, 0, 0, cs, ce, None, has_core_children)?;
+                let (conn, job) = wire_cell_deg2_3d(
+                    &mut arena,
+                    &mut cm,
+                    coords,
+                    (0, 0),
+                    cell_range(0),
+                    None,
+                    has_core_children,
+                )?;
                 connector[0] = conn;
                 jobs.extend(job);
             }
@@ -464,16 +490,9 @@ impl SphereGridBuilder {
                     if cs == ce {
                         continue;
                     }
-                    let pos = cs + next_rep.next().expect("one pre-picked rep per cell") as usize;
-                    let rep = cm.ids[pos];
                     let (pr, ps) = grid.parent(ring, seg).expect("ring >= 1 has a parent");
-                    attach3(
-                        &mut arena,
-                        rep as usize,
-                        unpack_parent(connector[cell_index(pr, ps)]),
-                    )?;
-                    core_delay =
-                        core_delay.max(arena.depth_of(rep as usize).expect("just attached"));
+                    let parent = connector[cell_index(pr, ps)];
+                    let rep = place_rep(&mut arena, &mut cm, (cs, ce), parent)?;
                     let has_core_children = match grid.children(ring, seg) {
                         None => false,
                         Some(kids) => kids.iter().any(|&(r, s)| {
@@ -484,33 +503,39 @@ impl SphereGridBuilder {
                     let (conn, job) = wire_cell_deg2_3d(
                         &mut arena,
                         &mut cm,
-                        ring,
-                        seg as u32,
-                        cs,
-                        ce,
-                        Some(pos),
+                        coords,
+                        (ring, seg as u32),
+                        (cs, rep),
+                        Some(rep),
                         has_core_children,
                     )?;
                     connector[c] = conn;
                     jobs.extend(job);
                 }
             }
-            drop(core_span);
             drop(connector);
         }
+        drop(core_span);
         debug_assert!(next_rep.next().is_none(), "every pre-picked rep consumed");
         drop(reps);
         drop(counts);
 
         {
             let _cells_span = omt_obs::obs_span!("sphere_grid/cells");
-            run_cell_jobs3(&mut arena, &cm, sph.radius, &grid, &jobs, !deg10, threads)?;
+            run_cell_jobs3(&mut arena, &cm, coords, &grid, &jobs, !deg10, threads)?;
             drop(jobs);
-            drop(cm);
         }
 
         let _finish_span = omt_obs::obs_span!("sphere_grid/finish");
-        let tree = arena.into_tree()?;
+        let CellMajor { ids: order, cols } = cm;
+        drop(cols);
+        let tree = arena.into_tree_staged(order, threads, |stage| {
+            omt_obs::obs_span!(match stage {
+                FinishStage::Permute => "sphere_grid/finish/permute",
+                FinishStage::Points => "sphere_grid/finish/points",
+                FinishStage::Csr => "sphere_grid/finish/csr",
+            })
+        })?;
         let delay = tree.radius();
         let c = if deg10 { 2.0 } else { 4.0 };
         let mut bound = rho + c * grid.max_angular_diameter(0);
@@ -576,46 +601,45 @@ fn pick_rep(strategy: RepStrategy, win: SphSlices<'_>, inner_mid: Point3) -> u32
 }
 
 /// Degree-2 in-cell wiring (the 3-D analogue of the 2-D
-/// `wire_cell_deg2`), in place on the cell's window `[cs, ce)` of the
-/// cell-major columns: returns the cell's connector and the deferred
-/// in-cell bisection job, if any. `rep` is the representative's position,
-/// or `None` for the inner disk.
-#[allow(clippy::too_many_arguments)]
+/// `wire_cell_deg2`), in place on the cell's window `[cs, end)` of the
+/// cell-major rows: returns the cell's connector row and the deferred
+/// in-cell bisection job, if any. `rep` is the attached representative's
+/// row, already moved out of the window, or `None` for the inner disk.
 fn wire_cell_deg2_3d(
     arena: &mut TreeArena<'_, 3>,
     cm: &mut CellMajor<3>,
-    ring: u32,
-    seg: u32,
-    cs: usize,
-    ce: usize,
+    coords: [&[f64]; 3],
+    (ring, seg): (u32, u32),
+    (cs, mut end): (usize, usize),
     rep: Option<usize>,
     has_core_children: bool,
 ) -> Result<(NodeId, Option<CellJob3>), BuildError> {
-    // The representative's packed reference and coordinates; the source
-    // sits at the pole.
-    let (rep_ref, rep_sph) = match rep {
-        None => (PACKED_SOURCE, None),
-        Some(pos) => (
-            cm.ids[pos],
-            Some(SphericalPoint {
-                radius: cm.cols[0][pos],
-                azimuth: cm.cols[1][pos],
-                cos_polar: cm.cols[2][pos],
-            }),
-        ),
-    };
+    // The representative's packed row and coordinates; the source sits at
+    // the pole.
+    let rep_ref = rep.map_or(PACKED_SOURCE, |r| r as NodeId);
+    let rep_sph = rep.map(|r| SphericalPoint {
+        radius: cm.cols[0][r],
+        azimuth: cm.cols[1][r],
+        cos_polar: cm.cols[2][r],
+    });
     let rep_radius = rep_sph.map_or(0.0, |p| p.radius);
-    let mut end = ce;
-    if let Some(pos) = rep {
-        cm.rotate_to_back(pos, end);
-        end -= 1;
-    }
+    let mut attach_last = |cm: &CellMajor<3>, row: usize| {
+        let ids = &cm.ids;
+        attach3(
+            &mut RowArena {
+                arena: &mut *arena,
+                ids,
+                coords,
+            },
+            row,
+            unpack_parent(rep_ref),
+        )
+    };
     match end - cs {
         0 => Ok((rep_ref, None)),
         1 => {
-            let other = cm.ids[cs];
-            attach3(arena, other as usize, unpack_parent(rep_ref))?;
-            Ok((other, None))
+            attach_last(cm, cs)?;
+            Ok((cs as NodeId, None))
         }
         _ => {
             let connector = if has_core_children {
@@ -632,9 +656,8 @@ fn wire_cell_deg2_3d(
                     .expect("nonempty");
                 cm.swap(cs + pos as usize, end - 1);
                 end -= 1;
-                let x = cm.ids[end];
-                attach3(arena, x as usize, unpack_parent(rep_ref))?;
-                Some(x)
+                attach_last(cm, end)?;
+                Some(end as NodeId)
             } else {
                 None
             };
@@ -650,12 +673,11 @@ fn wire_cell_deg2_3d(
                     .expect("nonempty");
                 cm.swap(cs + pos as usize, end - 1);
                 end -= 1;
-                let s = cm.ids[end];
-                attach3(arena, s as usize, unpack_parent(rep_ref))?;
+                attach_last(cm, end)?;
                 job = Some(CellJob3 {
                     ring,
                     seg,
-                    parent: s,
+                    parent: end as NodeId,
                     start: cs as u32,
                     end: end as u32,
                 });

@@ -3,7 +3,9 @@
 //! build wall-clock, and the counters/histograms must reflect the work
 //! actually done.
 //!
-//! Run with `cargo test -p omt-core --features obs --test obs_trace`.
+//! Run with `cargo test -p omt-core --features obs --test obs_trace`; the
+//! release-only 1M coverage case with
+//! `cargo test --release -p omt-core --features obs --test obs_trace -- --ignored`.
 #![cfg(feature = "obs")]
 
 use std::time::Instant;
@@ -97,27 +99,44 @@ fn phase_spans_cover_the_build_and_metrics_match_the_work() {
 
 /// The five phases tile the build span: together they must account for
 /// at least 90% of it (the remainder is validation glue), and nesting
-/// means they can never exceed it. The partition phase is itself split
-/// into nested sub-spans, which must all be entered and together fit
-/// inside it.
+/// means they can never exceed it. The partition and finish phases are
+/// themselves split into nested sub-spans, which must all be entered and
+/// together fit inside their phase.
 fn assert_phases_tile(reg: &omt_obs::Registry, builder: &str, build_ns: u64, label: &str) {
-    let partition_ns = reg
-        .span(&format!("{builder}/partition"))
-        .unwrap_or_else(|| panic!("{label}: partition missing"))
-        .total_ns;
-    let mut sub_sum = 0u64;
-    for sub in ["bound", "bin", "select", "bucket", "gather"] {
-        let name = format!("{builder}/partition/{sub}");
-        let s = reg
-            .span(&name)
-            .unwrap_or_else(|| panic!("{label}: {name} missing"));
-        assert!(s.count >= 1, "{label}: {name} never entered");
-        sub_sum += s.total_ns;
-    }
+    let phase_sum = direct_phase_ns(reg, builder, build_ns, label);
     assert!(
-        sub_sum <= partition_ns,
-        "{label}: partition sub-spans ({sub_sum} ns) exceed partition ({partition_ns} ns)"
+        phase_sum * 10 >= build_ns * 9,
+        "{label}: phases cover only {phase_sum} of {build_ns} ns (< 90%)"
     );
+}
+
+/// Checks the nesting of `builder`'s phase spans and sub-spans inside a
+/// build of `build_ns` and returns the summed time of the build's direct
+/// child spans (the five phases).
+fn direct_phase_ns(reg: &omt_obs::Registry, builder: &str, build_ns: u64, label: &str) -> u64 {
+    let nested: [(&str, &[&str]); 2] = [
+        ("partition", &["bound", "bin", "select", "bucket", "gather"]),
+        ("finish", &["permute", "points", "csr"]),
+    ];
+    for (phase, subs) in nested {
+        let phase_ns = reg
+            .span(&format!("{builder}/{phase}"))
+            .unwrap_or_else(|| panic!("{label}: {phase} missing"))
+            .total_ns;
+        let mut sub_sum = 0u64;
+        for sub in subs {
+            let name = format!("{builder}/{phase}/{sub}");
+            let s = reg
+                .span(&name)
+                .unwrap_or_else(|| panic!("{label}: {name} missing"));
+            assert!(s.count >= 1, "{label}: {name} never entered");
+            sub_sum += s.total_ns;
+        }
+        assert!(
+            sub_sum <= phase_ns,
+            "{label}: {phase} sub-spans ({sub_sum} ns) exceed {phase} ({phase_ns} ns)"
+        );
+    }
 
     let mut phase_sum = 0u64;
     for phase in ["partition", "reps", "core", "cells", "finish"] {
@@ -132,9 +151,55 @@ fn assert_phases_tile(reg: &omt_obs::Registry, builder: &str, build_ns: u64, lab
         phase_sum <= build_ns,
         "{label}: nested phases ({phase_sum} ns) exceed the build span ({build_ns} ns)"
     );
+    phase_sum
+}
+
+/// At million scale the five phases must leave almost nothing of the
+/// build unaccounted for: their spans cover at least 95% of it, on the
+/// store path both builders run. Debug builds distort the split, so this
+/// runs in release only.
+#[test]
+#[ignore = "n = 1M; run in release with --features obs (CI large-n job)"]
+fn phase_spans_cover_95_percent_of_a_1m_build() {
+    if !omt_obs::enable_memory() {
+        eprintln!("skipping: recording mode already fixed externally");
+        return;
+    }
+    let n = 1_000_000;
+    let mut rng = SmallRng::seed_from_u64(2004);
+    let store = omt_geom::PointStore2::sample_region(Point2::ORIGIN, &Disk::unit(), &mut rng, n);
+    let mut rng = SmallRng::seed_from_u64(2004);
+    let store3 =
+        omt_geom::PointStore3::sample_region(Point3::ORIGIN, &Ball::<3>::unit(), &mut rng, n);
+    for deg in [6, 2] {
+        let _ = omt_obs::take_local();
+        let tree = PolarGridBuilder::new()
+            .max_out_degree(deg)
+            .build_store(&store)
+            .unwrap();
+        assert_eq!(tree.len(), n);
+        drop(tree);
+        let reg = omt_obs::take_local();
+        assert_covers_95(&reg, "polar_grid", &format!("1M 2-D deg {deg}"));
+    }
+    let _ = omt_obs::take_local();
+    let tree = SphereGridBuilder::new().build_store(&store3).unwrap();
+    assert_eq!(tree.len(), n);
+    drop(tree);
+    let reg = omt_obs::take_local();
+    assert_covers_95(&reg, "sphere_grid", "1M 3-D deg 10");
+}
+
+fn assert_covers_95(reg: &omt_obs::Registry, builder: &str, label: &str) {
+    let build = reg
+        .span(&format!("{builder}/build"))
+        .unwrap_or_else(|| panic!("{label}: build span missing"));
+    assert_eq!(build.count, 1, "{label}: one build");
+    let phase_sum = direct_phase_ns(reg, builder, build.total_ns, label);
     assert!(
-        phase_sum * 10 >= build_ns * 9,
-        "{label}: phases cover only {phase_sum} of {build_ns} ns (< 90%)"
+        phase_sum * 100 >= build.total_ns * 95,
+        "{label}: phases cover only {phase_sum} of {} ns (< 95%)",
+        build.total_ns
     );
 }
 

@@ -1,32 +1,41 @@
-//! Arena-style tree construction over borrowed coordinate arrays.
+//! Arena-style tree construction for the million-scale grid builders.
 //!
-//! [`TreeArena`] is the million-scale twin of [`crate::TreeBuilder`]: instead of
-//! owning a `Vec<Point<D>>`, it borrows one flat `f64` slice per coordinate
-//! axis (the structure-of-arrays layout of `omt_geom::PointStore2` /
-//! `PointStore3`) and preallocates every per-node array —
-//! `parent`/`depth`/`hops`/`out_degree` — in one shot from `n`. No
-//! allocation happens per attachment, and the only full `Vec<Point<D>>` copy
-//! is materialized once, at [`TreeArena::into_tree`] time, when the finished
-//! [`MulticastTree`] needs to own its geometry.
+//! [`TreeArena`] is the million-scale twin of [`crate::TreeBuilder`]. It
+//! preallocates one 20-byte row per node in one shot from `n`, so no
+//! allocation happens per attachment, and it borrows the structure-of-arrays
+//! coordinate columns (`omt_geom::PointStore2` / `PointStore3`) only to
+//! materialize the finished tree's one `Vec<Point<D>>` at
+//! [`TreeArena::into_tree`] time.
 //!
-//! Every link array holds [`NodeId`](crate::NodeId) (`u32`) values, so the
-//! arena carries three 4-byte words plus one 8-byte depth word per node
-//! (20 bytes); inputs beyond the `u32` id space are rejected up front by
-//! [`check_node_capacity`].
+//! # Rows are positions
+//!
+//! Rows are not point ids. A caller fills the arena in whatever row order
+//! suits its memory traffic — the grid builders use the cell-major
+//! counting-sort order, so every cell's attachments touch one contiguous run
+//! of rows — and hands [`TreeArena::into_tree`] the row → point-id order
+//! once, at the end. Each attachment names the child and parent by row,
+//! passes both points (the arena reads no coordinates during the fill), and
+//! stores the parent's *point id*, so the finished parent array needs no
+//! translation pass. A caller that fills rows in id order passes the
+//! identity order.
+//!
+//! A row packs the node's words into five `u32`s — parent id, the two halves
+//! of the depth's `f64` bits, hop count, out-degree — so an attachment reads
+//! one parent row and writes one child row. Inputs beyond the `u32` id space
+//! are rejected up front by [`check_node_capacity`].
 //!
 //! # Shared-reference parallel fill
 //!
-//! The per-node arrays are stored as atomics (`AtomicU32`, plus `AtomicU64`
-//! holding `f64` bits for depths) and every access uses `Relaxed` ordering.
-//! This is not for synchronization — cross-thread visibility comes entirely
-//! from the spawn/join edges of `std::thread::scope` in `omt-par` — but to
-//! let disjoint regions of one arena be filled concurrently through `&self`
-//! in 100% safe Rust ([`TreeArena::attach_parallel`],
+//! The row words are atomics and every access uses `Relaxed` ordering. This
+//! is not for synchronization — cross-thread visibility comes entirely from
+//! the spawn/join edges of `std::thread::scope` in `omt-par` — but to let
+//! disjoint regions of one arena be filled concurrently through `&self` in
+//! 100% safe Rust ([`TreeArena::attach_parallel`],
 //! [`TreeArena::attach_to_source_parallel`]). On mainstream hardware a
 //! relaxed atomic load/store compiles to the same plain move as a
 //! non-atomic access, so the sequential path pays nothing. Callers of the
 //! parallel methods own the partitioning argument: concurrent attachments
-//! must target disjoint child sets and never share a parent row. Getting
+//! must target disjoint child rows and never share a parent row. Getting
 //! that wrong produces nondeterministic links — caught by the parity and
 //! validation suites — but never undefined behavior, because no `unsafe`
 //! is involved (`omt-tree` is `#![forbid(unsafe_code)]`).
@@ -34,22 +43,22 @@
 //! The attachment semantics — validation order, error variants, degree
 //! accounting, and the floating-point expressions for delays — are mirrored
 //! from [`crate::TreeBuilder`] operation-for-operation, so a sequence of
-//! attachments performed against a `TreeArena` produces a tree bit-identical
-//! to the same sequence against a `TreeBuilder` over the same coordinates.
-//! The golden construction pins in `omt-core`
+//! attachments performed against a `TreeArena` in any row order produces a
+//! tree bit-identical to the same sequence against a `TreeBuilder` by point
+//! id. The golden construction pins in `omt-core`
 //! (`tests/construction_golden.rs`) fix the trees the grid builders make
 //! with it, across thread counts.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use omt_geom::Point;
 
 use crate::error::TreeError;
-use crate::tree::{MulticastTree, SOURCE_PARENT};
+use crate::tree::{MulticastTree, NodeId, SOURCE_PARENT};
 
 /// Largest node count a [`TreeArena`] supports: `u32::MAX - 1`.
 ///
-/// Ids live in [`NodeId`](crate::NodeId) (`u32`) with `NodeId::MAX`
+/// Ids live in [`NodeId`] (`u32`) with `NodeId::MAX`
 /// reserved as the no-node/source sentinel, and cumulative CSR offsets
 /// reach `n`, so `n` itself must stay strictly below the sentinel.
 pub const MAX_NODES: usize = (u32::MAX - 1) as usize;
@@ -73,17 +82,100 @@ pub fn check_node_capacity(n: usize) -> Result<(), TreeError> {
     }
 }
 
-fn clone_atomic_u32(v: &[AtomicU32]) -> Vec<AtomicU32> {
-    v.iter().map(|a| AtomicU32::new(a.load(Relaxed))).collect()
+/// One node's words: 20 bytes, so an attachment touches one parent row and
+/// one child row. `hops == 0` exactly for unattached rows — every
+/// attachment sets `hops >= 1` — so no separate flag is carried.
+#[derive(Debug, Default)]
+struct Row {
+    /// The parent's point id (`SOURCE_PARENT` = the source).
+    parent: AtomicU32,
+    /// Low half of the source-to-node delay's `f64` bits.
+    depth_lo: AtomicU32,
+    /// High half of the source-to-node delay's `f64` bits.
+    depth_hi: AtomicU32,
+    hops: AtomicU32,
+    out_degree: AtomicU32,
 }
 
-/// Preallocated, allocation-free-per-attachment tree builder over borrowed
-/// structure-of-arrays coordinates.
+impl Row {
+    fn depth(&self) -> f64 {
+        let lo = u64::from(self.depth_lo.load(Relaxed));
+        let hi = u64::from(self.depth_hi.load(Relaxed));
+        f64::from_bits(hi << 32 | lo)
+    }
+
+    fn set_depth(&self, d: f64) {
+        let bits = d.to_bits();
+        self.depth_lo.store(bits as u32, Relaxed);
+        self.depth_hi.store((bits >> 32) as u32, Relaxed);
+    }
+
+    fn is_attached(&self) -> bool {
+        self.hops.load(Relaxed) > 0
+    }
+}
+
+impl Clone for Row {
+    fn clone(&self) -> Self {
+        let copy = |a: &AtomicU32| AtomicU32::new(a.load(Relaxed));
+        Self {
+            parent: copy(&self.parent),
+            depth_lo: copy(&self.depth_lo),
+            depth_hi: copy(&self.depth_hi),
+            hops: copy(&self.hops),
+            out_degree: copy(&self.out_degree),
+        }
+    }
+}
+
+/// Splits `s` into consecutive chunks of the lengths of `ranges`, which
+/// tile `0..s.len()` in order.
+fn split_ranges<'s, T>(mut s: &'s mut [T], ranges: &[(usize, usize)]) -> Vec<&'s mut [T]> {
+    ranges
+        .iter()
+        .map(|&(a, b)| {
+            let (head, tail) = core::mem::take(&mut s).split_at_mut(b - a);
+            s = tail;
+            head
+        })
+        .collect()
+}
+
+/// Runs `f` on every part: the first on the calling thread, each other on
+/// a scoped thread of its own (joined before returning).
+fn for_each_part<T: Send>(parts: Vec<T>, f: impl Fn(T) + Sync) {
+    std::thread::scope(|scope| {
+        let mut parts = parts.into_iter();
+        let first = parts.next();
+        for part in parts {
+            let f = &f;
+            scope.spawn(move || f(part));
+        }
+        if let Some(part) = first {
+            f(part);
+        }
+    });
+}
+
+/// The three stages of [`TreeArena::into_tree`], in the order they run,
+/// for callers that time them ([`TreeArena::into_tree_staged`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FinishStage {
+    /// Inverting the row order and gathering the rows into id order.
+    Permute,
+    /// Copying the coordinate columns into the tree's points.
+    Points,
+    /// Scattering children into the CSR child list.
+    Csr,
+}
+
+/// Preallocated, allocation-free-per-attachment tree builder whose rows
+/// are filled in a caller-chosen order and mapped to point ids once, in
+/// [`TreeArena::into_tree`].
 ///
-/// `coords[d][i]` is the `d`-th Cartesian coordinate of receiver `i`; all
-/// `D` slices must have equal length. Unlike [`crate::TreeBuilder`] there is no
-/// per-node `Point` storage: points are reassembled on demand from the
-/// borrowed columns.
+/// `coords[d][i]` is the `d`-th Cartesian coordinate of point `i`; all `D`
+/// slices must have equal length. They are read only when the finished
+/// tree copies its points: attachments pass the points they connect.
 ///
 /// The arena keeps the parent-array bookkeeping of `TreeBuilder` and
 /// nothing else: the CSR child layout produced by [`TreeArena::into_tree`]
@@ -97,6 +189,8 @@ fn clone_atomic_u32(v: &[AtomicU32]) -> Vec<AtomicU32> {
 ///
 /// # Examples
 ///
+/// Rows in reverse id order: row 0 holds point 1, row 1 holds point 0.
+///
 /// ```
 /// use omt_tree::TreeArena;
 /// use omt_geom::Point2;
@@ -104,10 +198,11 @@ fn clone_atomic_u32(v: &[AtomicU32]) -> Vec<AtomicU32> {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let xs = [1.0, 1.0];
 /// let ys = [0.0, 1.0];
+/// let point = |id: usize| Point2::new([xs[id], ys[id]]);
 /// let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(2);
-/// arena.attach_to_source(0)?;
-/// arena.attach(1, 0)?;
-/// let tree = arena.into_tree()?;
+/// arena.attach_to_source(1, point(0))?;
+/// arena.attach(0, point(1), 1, 0, point(0))?;
+/// let tree = arena.into_tree(vec![1, 0])?;
 /// assert_eq!(tree.len(), 2);
 /// assert_eq!(tree.children(0), &[1]);
 /// # Ok(())
@@ -117,12 +212,7 @@ fn clone_atomic_u32(v: &[AtomicU32]) -> Vec<AtomicU32> {
 pub struct TreeArena<'a, const D: usize> {
     source: Point<D>,
     coords: [&'a [f64]; D],
-    parent: Vec<AtomicU32>,
-    /// Source-to-node delays as `f64` bit patterns (`AtomicU64` so the
-    /// parallel fill can write them through `&self`).
-    depth_bits: Vec<AtomicU64>,
-    hops: Vec<AtomicU32>,
-    out_degree: Vec<AtomicU32>,
+    rows: Vec<Row>,
     source_out_degree: AtomicU32,
     max_out_degree: Option<u32>,
     attached_count: usize,
@@ -133,14 +223,7 @@ impl<const D: usize> Clone for TreeArena<'_, D> {
         Self {
             source: self.source,
             coords: self.coords,
-            parent: clone_atomic_u32(&self.parent),
-            depth_bits: self
-                .depth_bits
-                .iter()
-                .map(|a| AtomicU64::new(a.load(Relaxed)))
-                .collect(),
-            hops: clone_atomic_u32(&self.hops),
-            out_degree: clone_atomic_u32(&self.out_degree),
+            rows: self.rows.clone(),
             source_out_degree: AtomicU32::new(self.source_out_degree.load(Relaxed)),
             max_out_degree: self.max_out_degree,
             attached_count: self.attached_count,
@@ -150,8 +233,8 @@ impl<const D: usize> Clone for TreeArena<'_, D> {
 
 impl<'a, const D: usize> TreeArena<'a, D> {
     /// Creates an arena for a tree over the borrowed coordinate columns,
-    /// rooted at `source`. All per-node arrays are allocated here, sized
-    /// exactly for `n = coords[0].len()`.
+    /// rooted at `source`, with one row per point, sized exactly for
+    /// `n = coords[0].len()`.
     ///
     /// # Panics
     ///
@@ -172,10 +255,7 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         Self {
             source,
             coords,
-            parent: (0..n).map(|_| AtomicU32::new(SOURCE_PARENT)).collect(),
-            depth_bits: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            hops: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            out_degree: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            rows: (0..n).map(|_| Row::default()).collect(),
             source_out_degree: AtomicU32::new(0),
             max_out_degree: None,
             attached_count: 0,
@@ -190,16 +270,16 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         self
     }
 
-    /// Number of receiver nodes.
+    /// Number of rows (one per receiver node).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.rows.len()
     }
 
     /// True if there are no receiver nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.rows.is_empty()
     }
 
     /// How many nodes have been attached so far.
@@ -223,26 +303,14 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         self.attached_count += n;
     }
 
-    /// Whether node `i` has been attached.
+    /// Whether row `row` has been attached.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// Panics if `row` is out of range.
     #[must_use]
-    pub fn is_attached(&self, i: usize) -> bool {
-        // hops == 0 exactly for unattached nodes: every attachment sets
-        // hops >= 1, so no separate `attached` array is carried.
-        self.hops[i].load(Relaxed) > 0
-    }
-
-    /// Position of receiver `i`, reassembled from the coordinate columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn point(&self, i: usize) -> Point<D> {
-        Point::new(core::array::from_fn(|d| self.coords[d][i]))
+    pub fn is_attached(&self, row: usize) -> bool {
+        self.rows[row].is_attached()
     }
 
     /// The source position.
@@ -251,57 +319,74 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         self.source
     }
 
-    /// Current delay from the source to node `i`, if attached.
+    /// Current delay from the source to the node in row `row`, if attached.
     #[must_use]
-    pub fn depth_of(&self, i: usize) -> Option<f64> {
-        (self.hops.get(i).map_or(0, |h| h.load(Relaxed)) > 0)
-            .then(|| f64::from_bits(self.depth_bits[i].load(Relaxed)))
+    pub fn depth_of(&self, row: usize) -> Option<f64> {
+        self.rows
+            .get(row)
+            .filter(|r| r.is_attached())
+            .map(Row::depth)
     }
 
-    fn check_index(&self, i: usize) -> Result<(), TreeError> {
-        if i >= self.parent.len() {
+    fn check_index(&self, row: usize) -> Result<(), TreeError> {
+        if row >= self.rows.len() {
             Err(TreeError::NodeOutOfRange {
-                index: i,
-                len: self.parent.len(),
+                index: row,
+                len: self.rows.len(),
             })
         } else {
             Ok(())
         }
     }
 
-    /// Attaches node `child` directly to the source.
+    /// Attaches the node in row `child`, at `child_point`, directly to the
+    /// source.
     ///
     /// # Errors
     ///
-    /// Fails if the index is out of range, the child is already attached, or
+    /// Fails if the row is out of range, the child is already attached, or
     /// the source's degree budget is exhausted — the same conditions, checked
-    /// in the same order, as [`TreeBuilder::attach_to_source`].
+    /// in the same order, as [`TreeBuilder::attach_to_source`]. Indices in
+    /// errors are rows.
     ///
     /// [`TreeBuilder::attach_to_source`]: crate::TreeBuilder::attach_to_source
-    pub fn attach_to_source(&mut self, child: usize) -> Result<(), TreeError> {
-        self.attach_to_source_parallel(child)?;
+    pub fn attach_to_source(
+        &mut self,
+        child: usize,
+        child_point: Point<D>,
+    ) -> Result<(), TreeError> {
+        self.attach_to_source_parallel(child, child_point)?;
         self.attached_count += 1;
         Ok(())
     }
 
-    /// Attaches node `child` under node `parent`.
+    /// Attaches the node in row `child`, at `child_point`, under the node in
+    /// row `parent`, whose point id is `parent_id` and position
+    /// `parent_point`.
     ///
     /// # Errors
     ///
-    /// Fails if either index is out of range, `child == parent`, the child
+    /// Fails if either row is out of range, `child == parent`, the child
     /// is already attached, the parent is not attached yet, or the parent's
     /// degree budget is exhausted — the same conditions, checked in the same
-    /// order, as [`TreeBuilder::attach`].
+    /// order, as [`TreeBuilder::attach`]. Indices in errors are rows.
     ///
     /// [`TreeBuilder::attach`]: crate::TreeBuilder::attach
-    pub fn attach(&mut self, child: usize, parent: usize) -> Result<(), TreeError> {
-        self.attach_parallel(child, parent)?;
+    pub fn attach(
+        &mut self,
+        child: usize,
+        child_point: Point<D>,
+        parent: usize,
+        parent_id: NodeId,
+        parent_point: Point<D>,
+    ) -> Result<(), TreeError> {
+        self.attach_parallel(child, child_point, parent, parent_id, parent_point)?;
         self.attached_count += 1;
         Ok(())
     }
 
-    /// Attaches node `child` directly to the source through a shared
-    /// reference, for use inside a parallel fill.
+    /// Attaches the node in row `child` directly to the source through a
+    /// shared reference, for use inside a parallel fill.
     ///
     /// Identical to [`TreeArena::attach_to_source`] — same validation order,
     /// same stores, same floating-point expressions — except that
@@ -314,9 +399,14 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     /// # Errors
     ///
     /// Same conditions as [`TreeArena::attach_to_source`].
-    pub fn attach_to_source_parallel(&self, child: usize) -> Result<(), TreeError> {
+    pub fn attach_to_source_parallel(
+        &self,
+        child: usize,
+        child_point: Point<D>,
+    ) -> Result<(), TreeError> {
         self.check_index(child)?;
-        if self.is_attached(child) {
+        let row = &self.rows[child];
+        if row.is_attached() {
             return Err(TreeError::AlreadyAttached { index: child });
         }
         if let Some(bound) = self.max_out_degree {
@@ -329,127 +419,216 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         }
         self.source_out_degree
             .store(self.source_out_degree.load(Relaxed) + 1, Relaxed);
-        self.parent[child].store(SOURCE_PARENT, Relaxed);
-        let d = self.source.distance(&self.point(child));
-        self.depth_bits[child].store(d.to_bits(), Relaxed);
-        self.hops[child].store(1, Relaxed);
+        row.parent.store(SOURCE_PARENT, Relaxed);
+        row.set_depth(self.source.distance(&child_point));
+        row.hops.store(1, Relaxed);
         Ok(())
     }
 
-    /// Attaches node `child` under node `parent` through a shared
-    /// reference, for use inside a parallel fill.
+    /// Attaches the node in row `child` under the node in row `parent`
+    /// through a shared reference, for use inside a parallel fill.
     ///
     /// Identical to [`TreeArena::attach`] — same validation order, same
     /// stores, same floating-point expressions — except that
     /// [`TreeArena::attached_count`] is not updated (see
     /// [`TreeArena::add_attached`]). Concurrent callers own the
-    /// disjointness argument: no two threads may attach the same child, and
-    /// no two threads may concurrently attach children under the same
-    /// parent (each attachment reads and writes the parent's degree). The
-    /// grid builders satisfy both by construction —
-    /// every cell job's write set is its own counting-sort window plus that
-    /// window's already-attached representative, and windows are disjoint.
-    /// A violated contract yields nondeterministic links (caught by the
-    /// parity suites), never undefined behavior.
+    /// disjointness argument: no two threads may attach the same child row,
+    /// and no two threads may concurrently attach children under the same
+    /// parent row (each attachment reads and writes the parent's degree).
+    /// The grid builders satisfy both by construction — every cell job's
+    /// write set is its own counting-sort window of rows plus that window's
+    /// already-attached local root, and windows are disjoint. A violated
+    /// contract yields nondeterministic links (caught by the parity
+    /// suites), never undefined behavior.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TreeArena::attach`].
-    pub fn attach_parallel(&self, child: usize, parent: usize) -> Result<(), TreeError> {
+    pub fn attach_parallel(
+        &self,
+        child: usize,
+        child_point: Point<D>,
+        parent: usize,
+        parent_id: NodeId,
+        parent_point: Point<D>,
+    ) -> Result<(), TreeError> {
         self.check_index(child)?;
         self.check_index(parent)?;
         if child == parent {
             return Err(TreeError::SelfLoop { index: child });
         }
-        if self.is_attached(child) {
+        let (c, p) = (&self.rows[child], &self.rows[parent]);
+        if c.is_attached() {
             return Err(TreeError::AlreadyAttached { index: child });
         }
-        if !self.is_attached(parent) {
+        if !p.is_attached() {
             return Err(TreeError::ParentNotAttached { parent });
         }
+        let degree = p.out_degree.load(Relaxed);
         if let Some(bound) = self.max_out_degree {
-            if self.out_degree[parent].load(Relaxed) >= bound {
+            if degree >= bound {
                 return Err(TreeError::DegreeExceeded {
                     parent: Some(parent),
                     max_out_degree: bound,
                 });
             }
         }
-        self.out_degree[parent].store(self.out_degree[parent].load(Relaxed) + 1, Relaxed);
-        self.parent[child].store(parent as u32, Relaxed);
-        let d = f64::from_bits(self.depth_bits[parent].load(Relaxed))
-            + self.point(parent).distance(&self.point(child));
-        self.depth_bits[child].store(d.to_bits(), Relaxed);
-        self.hops[child].store(self.hops[parent].load(Relaxed) + 1, Relaxed);
+        p.out_degree.store(degree + 1, Relaxed);
+        c.parent.store(parent_id, Relaxed);
+        c.set_depth(p.depth() + parent_point.distance(&child_point));
+        c.hops.store(p.hops.load(Relaxed) + 1, Relaxed);
         Ok(())
     }
 
-    /// Finalizes the tree, materializing the owned point vector and the CSR
-    /// child layout.
-    ///
-    /// Peak memory at finish time is the binding constraint at n in the
-    /// millions, so the conversion is sequenced to keep transients minimal:
-    /// the degree counts are folded into the CSR offsets and freed first,
-    /// each remaining atomic
-    /// array is converted to its plain twin one at a time, and the child
-    /// scatter uses the offset array itself as its cursor (restored with a
-    /// one-slot shift) instead of a cloned cursor array.
+    /// Finalizes the tree: `order[row]` is the point id of row `row`, a
+    /// permutation of `0..n`. See [`TreeArena::into_tree_staged`].
     ///
     /// # Errors
     ///
-    /// Fails with [`TreeError::NotSpanning`] if any node is unattached.
-    pub fn into_tree(self) -> Result<MulticastTree<D>, TreeError> {
+    /// Fails with [`TreeError::NotSpanning`] if any node is unattached;
+    /// `first` is the smallest unattached point id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` does not have one entry per row.
+    pub fn into_tree(self, order: Vec<NodeId>) -> Result<MulticastTree<D>, TreeError> {
+        self.into_tree_staged(order, 1, |_| ())
+    }
+
+    /// [`TreeArena::into_tree`] with the permute stage split over up to
+    /// `threads` scoped threads, calling `stage` as each [`FinishStage`]
+    /// begins and dropping what it returns when the stage ends (the grid
+    /// builders return a phase-span guard). The tree is the same for every
+    /// thread count.
+    ///
+    /// Peak memory at finish time is the binding constraint at n in the
+    /// millions, so the conversion is sequenced to keep transients minimal:
+    ///
+    /// 1. *Permute.* The inverse of `order` is built in the buffer that
+    ///    becomes the CSR offsets, and `order`'s buffer is reused for the
+    ///    id-ordered parent array. One descending
+    ///    sweep over point ids then gathers each id's row into the
+    ///    id-ordered parent, depth and hop arrays and writes its out-degree
+    ///    to offset slot `id + 2` — which, in descending order, has always
+    ///    been read as the inverse of `id + 2` already. The rows are freed.
+    ///    With several threads, each owns one range of ids: it fills that
+    ///    range of the inverse, scanning the whole order for its ids, and
+    ///    runs the sweep over it, reading the range's first two rows up
+    ///    front (their slots belong to the range below).
+    /// 2. *Points.* The coordinate columns are copied into the owned point
+    ///    vector, the one full point copy of the arena path.
+    /// 3. *CSR.* The children are scattered using the offset array itself
+    ///    as the cursor (restored with a one-slot shift) instead of a
+    ///    cloned cursor array.
+    ///
+    /// # Errors
+    ///
+    /// As [`TreeArena::into_tree`].
+    ///
+    /// # Panics
+    ///
+    /// As [`TreeArena::into_tree`].
+    pub fn into_tree_staged<G>(
+        self,
+        order: Vec<NodeId>,
+        threads: usize,
+        mut stage: impl FnMut(FinishStage) -> G,
+    ) -> Result<MulticastTree<D>, TreeError> {
         let Self {
             source,
             coords,
-            parent,
-            depth_bits,
-            hops,
-            out_degree,
+            rows,
             source_out_degree,
             attached_count,
             ..
         } = self;
-        let n = parent.len();
+        let n = rows.len();
+        assert_eq!(order.len(), n, "the row order must name one point per row");
         if attached_count != n {
-            let first = hops
+            let first = rows
                 .iter()
-                .position(|h| h.load(Relaxed) == 0)
+                .zip(&order)
+                .filter(|(row, _)| !row.is_attached())
+                .map(|(_, &id)| id as usize)
+                .min()
                 .expect("some node is unattached");
             return Err(TreeError::NotSpanning {
                 unattached: n - attached_count,
                 first,
             });
         }
-        // Build the CSR children adjacency with a counting pass. Slot 0 is
-        // the source, slot i+1 is node i.
+
+        let permute = stage(FinishStage::Permute);
+        let parts = threads.clamp(1, n.max(1));
+        let ranges: Vec<(usize, usize)> = (0..parts)
+            .map(|t| (t * n / parts, (t + 1) * n / parts))
+            .collect();
+        // CSR slot 0 is the source, slot i+1 is node i; before the prefix
+        // sum, child_offsets[s + 1] holds slot s's out-degree. Until the
+        // sweep overwrites it, slot `id` holds the row of point `id`. Each
+        // thread owns one id range of the inverse and scans the whole
+        // order for its ids, so the random writes need no atomics and
+        // stay within one range.
         let mut child_offsets = vec![0u32; n + 2];
-        child_offsets[1] = source_out_degree.load(Relaxed);
-        for (slot, deg) in child_offsets[2..].iter_mut().zip(&out_degree) {
-            *slot = deg.load(Relaxed);
+        let inverse = ranges
+            .iter()
+            .zip(split_ranges(&mut child_offsets[..n], &ranges))
+            .collect();
+        for_each_part(inverse, |(&(a, _), slots)| {
+            for (row, &id) in order.iter().enumerate() {
+                if let Some(slot) = slots.get_mut((id as usize).wrapping_sub(a)) {
+                    *slot = row as u32;
+                }
+            }
+        });
+        // The order is spent: its buffer becomes the id-ordered parent
+        // array, which the sweep overwrites.
+        let mut parent = order;
+        let mut depth = vec![0.0f64; n];
+        let mut hops = vec![0u32; n];
+        {
+            let heads: Vec<[u32; 2]> = ranges
+                .iter()
+                .map(|&(a, _)| [child_offsets[a], child_offsets[a + 1]])
+                .collect();
+            // Range [a, b) owns slots a + 2..b + 2 and the id-ordered
+            // entries a..b.
+            let work = heads
+                .into_iter()
+                .zip(split_ranges(&mut child_offsets[2..], &ranges))
+                .zip(split_ranges(&mut parent, &ranges))
+                .zip(split_ranges(&mut depth, &ranges))
+                .zip(split_ranges(&mut hops, &ranges))
+                .collect();
+            let rows = &rows;
+            for_each_part(work, |((((head, slots), parent), depth), hops)| {
+                for k in (0..slots.len()).rev() {
+                    let row = &rows[if k < 2 { head[k] } else { slots[k - 2] } as usize];
+                    parent[k] = row.parent.load(Relaxed);
+                    depth[k] = row.depth();
+                    hops[k] = row.hops.load(Relaxed);
+                    slots[k] = row.out_degree.load(Relaxed);
+                }
+            });
         }
-        drop(out_degree);
+        drop(rows);
+        child_offsets[0] = 0;
+        child_offsets[1] = source_out_degree.load(Relaxed);
         for i in 1..child_offsets.len() {
             child_offsets[i] += child_offsets[i - 1];
         }
-        let parent_plain: Vec<u32> = parent.iter().map(|a| a.load(Relaxed)).collect();
-        drop(parent);
-        let depth: Vec<f64> = depth_bits
-            .iter()
-            .map(|a| f64::from_bits(a.load(Relaxed)))
-            .collect();
-        drop(depth_bits);
-        let hops_plain: Vec<u32> = hops.iter().map(|a| a.load(Relaxed)).collect();
-        drop(hops);
-        // The one full point copy of the arena path: the finished tree owns
-        // its geometry.
+        drop(permute);
+
+        let points_stage = stage(FinishStage::Points);
         let points: Vec<Point<D>> = (0..n)
             .map(|i| Point::new(core::array::from_fn(|d| coords[d][i])))
             .collect();
+        drop(points_stage);
+
+        let _csr = stage(FinishStage::Csr);
         // Scatter children using child_offsets[0..=n] as in-place cursors.
         let mut child_list = vec![0u32; n];
-        for child in 0..n {
-            let p = parent_plain[child];
+        for (child, &p) in parent.iter().enumerate() {
             let slot = if p == SOURCE_PARENT {
                 0
             } else {
@@ -466,9 +645,9 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         Ok(MulticastTree {
             source,
             points,
-            parent: parent_plain,
+            parent,
             depth,
-            hops: hops_plain,
+            hops,
             child_offsets,
             child_list,
         })
@@ -494,12 +673,29 @@ mod tests {
             .collect()
     }
 
+    /// Row orders to fill in: the identity and a fixed shuffle
+    /// (`37` is coprime to every `n` used here).
+    fn orders(n: usize) -> [Vec<NodeId>; 2] {
+        [
+            (0..n as NodeId).collect(),
+            (0..n).map(|r| ((r * 37 + 11) % n) as NodeId).collect(),
+        ]
+    }
+
+    /// `inverse[id]` is the row of point `id` under `order`.
+    fn inverse(order: &[NodeId]) -> Vec<usize> {
+        let mut inv = vec![0; order.len()];
+        for (row, &id) in order.iter().enumerate() {
+            inv[id as usize] = row;
+        }
+        inv
+    }
+
     #[test]
     fn mirrors_builder_bit_for_bit() {
         let (xs, ys) = columns(8);
-        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(3);
-        let mut builder = TreeBuilder::new(Point2::ORIGIN, points(&xs, &ys)).max_out_degree(3);
-        // A mixed attachment schedule: sources, chains, fans.
+        let pts = points(&xs, &ys);
+        // A mixed attachment schedule by point id: sources, chains, fans.
         let schedule: &[(usize, Option<usize>)] = &[
             (3, None),
             (0, Some(3)),
@@ -510,111 +706,200 @@ mod tests {
             (6, Some(4)),
             (7, Some(3)),
         ];
+        let mut builder = TreeBuilder::new(Point2::ORIGIN, pts.clone()).max_out_degree(3);
         for &(child, parent) in schedule {
             match parent {
-                None => {
-                    arena.attach_to_source(child).unwrap();
-                    builder.attach_to_source(child).unwrap();
-                }
-                Some(p) => {
-                    arena.attach(child, p).unwrap();
-                    builder.attach(child, p).unwrap();
-                }
+                None => builder.attach_to_source(child).unwrap(),
+                Some(p) => builder.attach(child, p).unwrap(),
             }
-            assert_eq!(
-                arena.depth_of(child).map(f64::to_bits),
-                builder.depth_of(child).map(f64::to_bits)
-            );
         }
-        let a = arena.into_tree().unwrap();
-        let b = builder.finish().unwrap();
-        assert_eq!(a, b);
+        let expected = builder.clone().finish().unwrap();
+        for order in orders(8) {
+            let row = inverse(&order);
+            let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(3);
+            for &(child, parent) in schedule {
+                match parent {
+                    None => arena.attach_to_source(row[child], pts[child]).unwrap(),
+                    Some(p) => arena
+                        .attach(row[child], pts[child], row[p], p as NodeId, pts[p])
+                        .unwrap(),
+                }
+                assert_eq!(
+                    arena.depth_of(row[child]).map(f64::to_bits),
+                    builder.depth_of(child).map(f64::to_bits)
+                );
+            }
+            // The permute stage splits over id ranges (at 3 threads, of
+            // 2 and 3 ids); every split gives the same tree.
+            for threads in 2..=3 {
+                let tree = arena
+                    .clone()
+                    .into_tree_staged(order.clone(), threads, |_| ());
+                assert_eq!(tree.unwrap(), expected, "threads {threads}");
+            }
+            assert_eq!(arena.into_tree(order).unwrap(), expected);
+        }
     }
 
     #[test]
     fn error_parity_with_builder() {
         let (xs, ys) = columns(3);
+        let pts = points(&xs, &ys);
         let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(1);
-        let mut builder = TreeBuilder::new(Point2::ORIGIN, points(&xs, &ys)).max_out_degree(1);
-        assert_eq!(arena.attach(0, 0), builder.attach(0, 0)); // self-loop
-        assert_eq!(arena.attach(1, 0), builder.attach(1, 0)); // parent not attached
-        assert_eq!(arena.attach_to_source(9), builder.attach_to_source(9)); // range
-        arena.attach_to_source(0).unwrap();
-        builder.attach_to_source(0).unwrap();
-        assert_eq!(arena.attach_to_source(1), builder.attach_to_source(1)); // source full
-        assert_eq!(arena.attach(0, 1), builder.attach(0, 1)); // already attached
-        arena.attach(1, 0).unwrap();
-        builder.attach(1, 0).unwrap();
-        assert_eq!(arena.attach(2, 0), builder.attach(2, 0)); // parent full
+        let mut builder = TreeBuilder::new(Point2::ORIGIN, pts.clone()).max_out_degree(1);
+        // Identity rows, so row indices in errors are point ids.
+        let attach = |arena: &mut TreeArena<'_, 2>, c: usize, p: usize| {
+            arena.attach(c, pts[c], p, p as NodeId, pts[p])
+        };
+        assert_eq!(attach(&mut arena, 0, 0), builder.attach(0, 0)); // self-loop
+        assert_eq!(attach(&mut arena, 1, 0), builder.attach(1, 0)); // parent not attached
         assert_eq!(
-            arena.clone().into_tree().unwrap_err(),
+            arena.attach_to_source(9, Point2::ORIGIN),
+            builder.attach_to_source(9)
+        ); // range
+        arena.attach_to_source(0, pts[0]).unwrap();
+        builder.attach_to_source(0).unwrap();
+        assert_eq!(
+            arena.attach_to_source(1, pts[1]),
+            builder.attach_to_source(1)
+        ); // source full
+        assert_eq!(attach(&mut arena, 0, 1), builder.attach(0, 1)); // already attached
+        attach(&mut arena, 1, 0).unwrap();
+        builder.attach(1, 0).unwrap();
+        assert_eq!(attach(&mut arena, 2, 0), builder.attach(2, 0)); // parent full
+        assert_eq!(
+            arena.clone().into_tree(vec![0, 1, 2]).unwrap_err(),
             builder.clone().finish().unwrap_err()
         ); // not spanning
+    }
+
+    /// Under a permutation, `NotSpanning::first` names the smallest
+    /// unattached *point id*, not the first unattached row.
+    #[test]
+    fn not_spanning_reports_the_smallest_unattached_point_id() {
+        let (xs, ys) = columns(8);
+        let pts = points(&xs, &ys);
+        let [_, order] = orders(8);
+        let row = inverse(&order);
+        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
+        // Leave points 2 and 5 unattached.
+        for id in [0, 1, 3, 4, 6, 7] {
+            arena.attach_to_source(row[id], pts[id]).unwrap();
+        }
+        assert!(
+            row[5] < row[2],
+            "the shuffle puts point 5 in an earlier row"
+        );
+        assert_eq!(
+            arena.into_tree(order),
+            Err(TreeError::NotSpanning {
+                unattached: 2,
+                first: 2
+            })
+        );
     }
 
     #[test]
     fn no_per_attachment_allocation_in_node_arrays() {
         let (xs, ys) = columns(32);
+        let pts = points(&xs, &ys);
         let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
-        let parent_ptr = arena.parent.as_ptr();
-        let depth_ptr = arena.depth_bits.as_ptr();
-        arena.attach_to_source(0).unwrap();
+        let rows_ptr = arena.rows.as_ptr();
+        assert_eq!(core::mem::size_of::<Row>(), 20, "one 20-byte row per node");
+        arena.attach_to_source(0, pts[0]).unwrap();
         for i in 1..32 {
-            arena.attach(i, i - 1).unwrap();
+            arena
+                .attach(i, pts[i], i - 1, (i - 1) as NodeId, pts[i - 1])
+                .unwrap();
         }
-        assert_eq!(arena.parent.as_ptr(), parent_ptr);
-        assert_eq!(arena.depth_bits.as_ptr(), depth_ptr);
+        assert_eq!(arena.rows.as_ptr(), rows_ptr);
+        assert_eq!(arena.rows.capacity(), 32);
         assert_eq!(arena.attached_count(), 32);
     }
 
     /// The parallel attachment methods, run from actual threads over
-    /// disjoint child windows, produce a tree bit-identical to the same
-    /// attachments performed sequentially.
+    /// disjoint child windows of rows, produce a tree bit-identical to
+    /// `TreeBuilder` attaching the same edges by point id — in id row order
+    /// and in a shuffled one, with the finish on one thread or several.
     #[test]
     fn parallel_fill_matches_sequential_bit_for_bit() {
         let (xs, ys) = columns(64);
-        // Sequential reference: 4 source children, each the parent of a
-        // window of 15 descendants attached as a chain-of-fans.
+        let pts = points(&xs, &ys);
+        // 4 source children, each the parent of a window of 15 descendants
+        // attached as a chain-of-fans. Windows are ranges of rows.
         let windows: Vec<(usize, Vec<usize>)> = (0..4)
             .map(|w| (w, ((4 + w * 15)..(4 + (w + 1) * 15)).collect()))
             .collect();
-        let build_sequential = || {
-            let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(8);
+        let parent_row = |w: usize, members: &[usize], j: usize| {
+            if j == 0 {
+                w
+            } else {
+                members[(j - 1) / 2]
+            }
+        };
+        for order in orders(64) {
+            let id = |row: usize| order[row] as usize;
+            let mut builder = TreeBuilder::new(Point2::ORIGIN, pts.clone()).max_out_degree(8);
             for w in 0..4 {
-                arena.attach_to_source(w).unwrap();
+                builder.attach_to_source(id(w)).unwrap();
             }
             for (w, members) in &windows {
                 for (j, &m) in members.iter().enumerate() {
-                    let parent = if j == 0 { *w } else { members[(j - 1) / 2] };
-                    arena.attach(m, parent).unwrap();
+                    builder
+                        .attach(id(m), id(parent_row(*w, members, j)))
+                        .unwrap();
                 }
             }
-            arena.into_tree().unwrap()
-        };
-        let sequential = build_sequential();
+            let sequential = builder.finish().unwrap();
 
-        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(8);
-        for w in 0..4 {
-            arena.attach_to_source(w).unwrap();
-        }
-        std::thread::scope(|scope| {
-            for (w, members) in &windows {
-                let arena = &arena;
-                scope.spawn(move || {
-                    for (j, &m) in members.iter().enumerate() {
-                        let parent = if j == 0 { *w } else { members[(j - 1) / 2] };
-                        arena.attach_parallel(m, parent).unwrap();
-                    }
-                });
+            let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(8);
+            for w in 0..4 {
+                arena.attach_to_source(w, pts[id(w)]).unwrap();
             }
-        });
-        arena.add_attached(60);
-        assert_eq!(arena.attached_count(), 64);
-        let parallel = arena.into_tree().unwrap();
-        assert_eq!(parallel, sequential);
-        for i in 0..64 {
-            assert_eq!(parallel.depth(i).to_bits(), sequential.depth(i).to_bits());
+            std::thread::scope(|scope| {
+                for (w, members) in &windows {
+                    let (arena, pts, id) = (&arena, &pts, &id);
+                    scope.spawn(move || {
+                        for (j, &m) in members.iter().enumerate() {
+                            let p = parent_row(*w, members, j);
+                            arena
+                                .attach_parallel(m, pts[id(m)], p, id(p) as NodeId, pts[id(p)])
+                                .unwrap();
+                        }
+                    });
+                }
+            });
+            arena.add_attached(60);
+            assert_eq!(arena.attached_count(), 64);
+            for threads in [1, 2, 4] {
+                let parallel = arena
+                    .clone()
+                    .into_tree_staged(order.clone(), threads, |_| ())
+                    .unwrap();
+                assert_eq!(parallel, sequential, "threads {threads}");
+                for i in 0..64 {
+                    assert_eq!(parallel.depth(i).to_bits(), sequential.depth(i).to_bits());
+                }
+            }
         }
+    }
+
+    #[test]
+    fn finish_stages_run_in_order() {
+        let (xs, ys) = columns(2);
+        let pts = points(&xs, &ys);
+        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
+        arena.attach_to_source(0, pts[1]).unwrap();
+        arena.attach(1, pts[0], 0, 1, pts[1]).unwrap();
+        let mut seen = Vec::new();
+        let tree = arena
+            .into_tree_staged(vec![1, 0], 1, |s| seen.push(s))
+            .unwrap();
+        assert_eq!(
+            seen,
+            [FinishStage::Permute, FinishStage::Points, FinishStage::Csr]
+        );
+        assert_eq!(tree.children(1), &[0]);
     }
 
     #[test]
@@ -645,7 +930,7 @@ mod tests {
     #[test]
     fn empty_arena_finishes_to_empty_tree() {
         let arena: TreeArena<'_, 2> = TreeArena::new(Point2::ORIGIN, [&[], &[]]);
-        let tree = arena.into_tree().unwrap();
+        let tree = arena.into_tree(Vec::new()).unwrap();
         assert_eq!(tree.len(), 0);
     }
 }

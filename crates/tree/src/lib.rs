@@ -56,7 +56,7 @@ pub mod metrics;
 pub mod svg;
 mod tree;
 
-pub use arena::{check_node_capacity, TreeArena, MAX_NODES};
+pub use arena::{check_node_capacity, FinishStage, TreeArena, MAX_NODES};
 pub use builder::TreeBuilder;
 pub use error::{TreeError, ValidationError};
 pub use forest::validate_parent_forest;

@@ -33,6 +33,12 @@ cargo test -q --offline --workspace
 echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test churn_fuzz"
 OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test churn_fuzz
 
+# Construction changes are gated on tree identity: every golden pin,
+# including the release-only 100k/1M radii and 1M fingerprints (about
+# 5 s in release), must stay bit-identical.
+echo "==> cargo test --release --offline -p omt-core --test construction_golden -- --include-ignored"
+cargo test --release --offline -p omt-core --test construction_golden -- --include-ignored
+
 # The hierarchical capacity index must answer every best-parent search
 # bit-identically to the per-cell scan; the parity suite proves it
 # differentially per degree and churn schedule and audits the prune log
