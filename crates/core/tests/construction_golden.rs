@@ -14,10 +14,10 @@
 //! `cargo test --release -p omt-core --test construction_golden -- --ignored`.
 
 use omt_core::{
-    Bisection, Bisection3, BuildError, HeteroGridBuilder, PolarGridBuilder, RepStrategy,
-    SphereGridBuilder,
+    Bisection, Bisection3, BuildError, HeteroGridBuilder, NdGridBuilder, PolarGridBuilder,
+    RepStrategy, SphereGridBuilder,
 };
-use omt_geom::{Ball, Disk, Point2, Point3, PointStore2, PointStore3, Region};
+use omt_geom::{Ball, Disk, Point, Point2, Point3, PointStore2, PointStore3, Region};
 use omt_rng::rngs::SmallRng;
 use omt_rng::{RngExt, SeedableRng};
 use omt_tree::{MulticastTree, ParentRef};
@@ -426,6 +426,41 @@ fn bisection_fingerprints() {
             .build(Point3::ORIGIN, &points)
             .unwrap();
         assert_pinned(&format!("Bisection3 deg={deg}"), &tree, want);
+    }
+}
+
+/// The general-dimension grid at `n` points of the unit `D`-ball (seed
+/// 2004) under out-degree budget `budget`.
+fn nd_tree<const D: usize>(n: usize, budget: u32) -> MulticastTree<D> {
+    let points = Ball::<D>::unit().sample_n(&mut SmallRng::seed_from_u64(2004), n);
+    NdGridBuilder::new()
+        .max_out_degree(budget)
+        .build(Point::ORIGIN, &points)
+        .unwrap()
+}
+
+#[test]
+fn nd_grid_fingerprints() {
+    // `(D, budget, pin)` at n = 3,000. Budgets above 2 are slack (the
+    // builder always emits out-degree <= 2), so both budgets must agree.
+    let pinned = [
+        (2, 2, pin(0x3ff7_3641_8f1e_35f9, 0x2907_3425_16ee_71a8)),
+        (2, 6, pin(0x3ff7_3641_8f1e_35f9, 0x2907_3425_16ee_71a8)),
+        (3, 2, pin(0x4014_1f11_6573_58ff, 0xded7_84c4_06d1_99ca)),
+        (3, 6, pin(0x4014_1f11_6573_58ff, 0xded7_84c4_06d1_99ca)),
+        (4, 2, pin(0x4023_6d31_7da5_e50d, 0x82a5_e117_b75a_295d)),
+        (4, 6, pin(0x4023_6d31_7da5_e50d, 0x82a5_e117_b75a_295d)),
+        (5, 2, pin(0x4028_fe96_bf8c_8c98, 0x0838_8319_5976_b1dd)),
+        (5, 6, pin(0x4028_fe96_bf8c_8c98, 0x0838_8319_5976_b1dd)),
+    ];
+    for (dim, budget, want) in pinned {
+        let label = format!("nd D={dim} budget={budget}");
+        match dim {
+            2 => assert_pinned(&label, &nd_tree::<2>(3_000, budget), want),
+            3 => assert_pinned(&label, &nd_tree::<3>(3_000, budget), want),
+            4 => assert_pinned(&label, &nd_tree::<4>(3_000, budget), want),
+            _ => assert_pinned(&label, &nd_tree::<5>(3_000, budget), want),
+        }
     }
 }
 
