@@ -439,8 +439,9 @@ impl PolarGridBuilder {
         let rho = lower_bound * (1.0 + 1e-9);
 
         // Assign every point once at the finest level, then select k. The
-        // ring/path binning is pure per-point math (a log2-guess ring locate
-        // plus an angle-to-bits scale), batched over disjoint column chunks.
+        // ring/path binning is pure per-point math (a ring locate guessed
+        // from exponent bits, plus an angle-to-bits scale), batched over
+        // disjoint column chunks.
         let bin_span = omt_obs::obs_span!("polar_grid/partition/bin");
         let k_max = finest_level(n);
         let finest = PolarGrid2::new(k_max, rho);
@@ -507,12 +508,12 @@ impl PolarGridBuilder {
         drop(partition_span);
 
         // Representative pre-pass: the dominant per-cell cost of the core
-        // pass is the representative pick — a `sin_cos` plus a distance
-        // scan over the whole window — and it reads only the window's
-        // original counting-sort order (a cell's window is first permuted
-        // during its *own* core step, after its pick). So the picks for
-        // every occupied ring ≥ 1 cell run in parallel up front, each
-        // returning the rep's local position in its window, and the
+        // pass is the representative pick — one `sin_cos` and one distance
+        // per window member (`PolarSlices::nearest`) — and it reads only the
+        // window's original counting-sort order (a cell's window is first
+        // permuted during its *own* core step, after its pick). So the
+        // picks for every occupied ring ≥ 1 cell run in parallel up front,
+        // each returning the rep's local position in its window, and the
         // sequential core pass consumes them via a cursor.
         let rep_span = omt_obs::obs_span!("polar_grid/reps");
         let occupied_list: Vec<(u32, u32)> = (1..=k)
@@ -700,13 +701,7 @@ impl PolarGridBuilder {
         let len = win.radius.len() as u32;
         debug_assert!(len > 0);
         match self.rep_strategy {
-            RepStrategy::InnerArcMid => (0..len)
-                .min_by(|&a, &b| {
-                    let da = win.get(a).to_cartesian().distance_squared(&inner_mid);
-                    let db = win.get(b).to_cartesian().distance_squared(&inner_mid);
-                    da.total_cmp(&db)
-                })
-                .expect("nonempty"),
+            RepStrategy::InnerArcMid => win.nearest(inner_mid),
             RepStrategy::MinRadius => (0..len)
                 .min_by(|&a, &b| win.radius_of(a).total_cmp(&win.radius_of(b)))
                 .expect("nonempty"),
@@ -784,14 +779,7 @@ impl PolarGridBuilder {
                     // rep -> connector hop stays short, so the core costs
                     // roughly one degree-6 hop per ring plus a local step.
                     let rep_pos = rep_polar.map_or(Point2::ORIGIN, |p| p.to_cartesian());
-                    let win = window(cm, cs, end);
-                    let pos = (0..(end - cs) as u32)
-                        .min_by(|&a, &b| {
-                            let da = win.get(a).to_cartesian().distance_squared(&rep_pos);
-                            let db = win.get(b).to_cartesian().distance_squared(&rep_pos);
-                            da.total_cmp(&db)
-                        })
-                        .expect("nonempty");
+                    let pos = window(cm, cs, end).nearest(rep_pos);
                     cm.swap(cs + pos as usize, end - 1);
                     end -= 1;
                     attach_last(cm, end)?;

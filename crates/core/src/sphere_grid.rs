@@ -327,7 +327,9 @@ impl SphereGridBuilder {
         }
         let rho = lower_bound * (1.0 + 1e-9);
 
-        // Finest-level assignment, batched over disjoint column chunks.
+        // Finest-level assignment, batched over disjoint column chunks: a
+        // ring locate guessed from exponent bits and a loop-free angular
+        // path per point.
         let bin_span = omt_obs::obs_span!("sphere_grid/partition/bin");
         let k_max = finest_level(n);
         let finest = SphereGrid3::new(k_max, rho);
@@ -385,10 +387,12 @@ impl SphereGridBuilder {
         drop(gather_span);
         drop(partition_span);
 
-        // Representative pre-pass (see `crate::polar_grid`): picks depend
-        // only on the un-permuted window contents, so they run in parallel
-        // up front, each returning the rep's local position, and the
-        // sequential core pass consumes them via a cursor.
+        // Representative pre-pass (see `crate::polar_grid`): one Cartesian
+        // conversion and one distance per window member
+        // (`SphSlices::nearest`). Picks depend only on the un-permuted
+        // window contents, so they run in parallel up front, each returning
+        // the rep's local position, and the sequential core pass consumes
+        // them via a cursor.
         let rep_span = omt_obs::obs_span!("sphere_grid/reps");
         let occupied_list: Vec<(u32, u32)> = (1..=k)
             .flat_map(|ring| (0..(1u64 << ring)).map(move |seg| (ring, seg as u32)))
@@ -583,13 +587,7 @@ fn pick_rep(strategy: RepStrategy, win: SphSlices<'_>, inner_mid: Point3) -> u32
     let len = win.radius.len() as u32;
     debug_assert!(len > 0);
     match strategy {
-        RepStrategy::InnerArcMid => (0..len)
-            .min_by(|&a, &b| {
-                let da = win.get(a).to_cartesian().distance_squared(&inner_mid);
-                let db = win.get(b).to_cartesian().distance_squared(&inner_mid);
-                da.total_cmp(&db)
-            })
-            .expect("nonempty"),
+        RepStrategy::InnerArcMid => win.nearest(inner_mid),
         RepStrategy::MinRadius => (0..len)
             .min_by(|&a, &b| win.radius_of(a).total_cmp(&win.radius_of(b)))
             .expect("nonempty"),
@@ -646,14 +644,7 @@ fn wire_cell_deg2_3d(
                 // Nearest point to the representative (see the 2-D wiring
                 // for the rationale: the extra hop stays local).
                 let rep_pos = rep_sph.map_or(Point3::ORIGIN, |p| p.to_cartesian());
-                let win = window3(cm, cs, end);
-                let pos = (0..(end - cs) as u32)
-                    .min_by(|&a, &b| {
-                        let da = win.get(a).to_cartesian().distance_squared(&rep_pos);
-                        let db = win.get(b).to_cartesian().distance_squared(&rep_pos);
-                        da.total_cmp(&db)
-                    })
-                    .expect("nonempty");
+                let pos = window3(cm, cs, end).nearest(rep_pos);
                 cm.swap(cs + pos as usize, end - 1);
                 end -= 1;
                 attach_last(cm, end)?;
