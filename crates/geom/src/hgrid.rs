@@ -104,14 +104,9 @@ pub struct PruneRecord {
 
 /// Hierarchical capacity-summary index over the cells of a polar grid.
 ///
-/// Two maintenance styles exist and must not be mixed on one instance:
-///
-/// * [`set_cell`](HGrid::set_cell) re-declares a cell's full per-class
-///   census and min-delay summary (the dynamic-overlay style: the caller
-///   rescans its per-cell open list at each mutation);
-/// * [`class_add`](HGrid::class_add) / [`class_remove`](HGrid::class_remove)
-///   apply count-only deltas and leave the delay summaries untouched (the
-///   protocol-shadow style, where only capacity counts are tracked).
+/// The caller maintains it through [`set_cell`](HGrid::set_cell), which
+/// re-declares a cell's full per-class census and min-delay summary: the
+/// dynamic overlay rescans its per-cell open list at each mutation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HGrid {
     rings: u32,
@@ -198,42 +193,6 @@ impl HGrid {
         self.direct_counts[base..base + self.classes].copy_from_slice(counts);
         self.direct_min[cell] = min_delay;
         self.refold_path(cell);
-    }
-
-    /// Count-only delta: one more open host of class `class` in `cell`.
-    /// Leaves the delay summaries untouched. `O(rings)`.
-    pub fn class_add(&mut self, cell: usize, class: usize) {
-        assert!(cell < self.cells && class < self.classes);
-        self.direct_counts[cell * self.classes + class] += 1;
-        let mut node = cell;
-        loop {
-            self.sub_counts[node * self.classes + class] += 1;
-            if node == 0 {
-                break;
-            }
-            node = (node - 1) / 2;
-        }
-    }
-
-    /// Count-only delta: one fewer open host of class `class` in `cell`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tracked count is already zero (a desynchronized
-    /// caller).
-    pub fn class_remove(&mut self, cell: usize, class: usize) {
-        assert!(cell < self.cells && class < self.classes);
-        let slot = cell * self.classes + class;
-        assert!(self.direct_counts[slot] > 0, "count underflow in {cell}");
-        self.direct_counts[slot] -= 1;
-        let mut node = cell;
-        loop {
-            self.sub_counts[node * self.classes + class] -= 1;
-            if node == 0 {
-                break;
-            }
-            node = (node - 1) / 2;
-        }
     }
 
     /// Open hosts bucketed directly in `cell`, all classes.
@@ -415,57 +374,43 @@ impl HGrid {
         }
     }
 
-    /// Checks that the capacity counts of `self` and `other` agree
-    /// (geometry and class structure included); the delay summaries are
-    /// ignored, matching count-only maintenance.
+    /// Asserts that `self` and a from-scratch rebuild `other` agree on
+    /// every summary: shape, counts *and* delay minima (the latter
+    /// compared exactly — incremental refolds evaluate the same fold
+    /// expression a rebuild does, so they must match bit for bit).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns a description of the first disagreement.
-    pub fn same_counts(&self, other: &HGrid) -> Result<(), String> {
-        if self.rings != other.rings || self.classes != other.classes {
-            return Err(format!(
-                "shape mismatch: {}r/{}c vs {}r/{}c",
-                self.rings, self.classes, other.rings, other.classes
-            ));
-        }
+    /// Panics with the first disagreement.
+    pub fn assert_same(&self, other: &HGrid) {
+        assert!(
+            self.rings == other.rings && self.classes == other.classes,
+            "hgrid shape mismatch: {}r/{}c vs {}r/{}c",
+            self.rings,
+            self.classes,
+            other.rings,
+            other.classes
+        );
         for (i, (a, b)) in self
             .direct_counts
             .iter()
             .zip(&other.direct_counts)
             .enumerate()
         {
-            if a != b {
-                return Err(format!(
-                    "direct count mismatch at cell {} class {}: {a} vs {b}",
-                    i / self.classes,
-                    i % self.classes
-                ));
-            }
+            assert!(
+                a == b,
+                "direct count mismatch at cell {} class {}: {a} vs {b}",
+                i / self.classes,
+                i % self.classes
+            );
         }
         for (i, (a, b)) in self.sub_counts.iter().zip(&other.sub_counts).enumerate() {
-            if a != b {
-                return Err(format!(
-                    "subtree count mismatch at node {} class {}: {a} vs {b}",
-                    i / self.classes,
-                    i % self.classes
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Asserts that `self` and a from-scratch rebuild `other` agree on
-    /// every summary: counts *and* delay minima (the latter compared
-    /// exactly — incremental refolds evaluate the same fold expression a
-    /// rebuild does, so they must match bit for bit).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the first disagreement.
-    pub fn assert_same(&self, other: &HGrid) {
-        if let Err(e) = self.same_counts(other) {
-            panic!("hgrid count reconciliation failed: {e}");
+            assert!(
+                a == b,
+                "subtree count mismatch at node {} class {}: {a} vs {b}",
+                i / self.classes,
+                i % self.classes
+            );
         }
         assert_eq!(
             self.ring_inner, other.ring_inner,
@@ -646,25 +591,6 @@ mod tests {
         hg.set_cell(3, &[0, 0, 0], f64::INFINITY);
         assert_eq!(hg.subtree_total_in(0, 3), 1);
         assert_eq!(hg.sub_min[1], f64::INFINITY);
-    }
-
-    #[test]
-    fn class_deltas_match_set_cell() {
-        let mut a = two_ring_grid();
-        let mut b = two_ring_grid();
-        a.class_add(4, 0);
-        a.class_add(4, 2);
-        a.class_add(2, 1);
-        a.class_remove(4, 0);
-        b.set_cell(4, &[0, 0, 1], f64::INFINITY);
-        b.set_cell(2, &[0, 1, 0], f64::INFINITY);
-        a.same_counts(&b).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "count underflow")]
-    fn removing_from_empty_cell_panics() {
-        two_ring_grid().class_remove(0, 0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod sim;
 
 pub use host::{ChildLink, HostState, Parent};
 pub use messages::Msg;
-pub use sim::{MsgCounts, ProtoConfig, ProtoReport, ProtoSim, SOURCE};
+pub use sim::{ProtoConfig, ProtoReport, ProtoSim, SOURCE};
 
 #[cfg(test)]
 mod tests {

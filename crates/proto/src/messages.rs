@@ -120,28 +120,56 @@ pub enum Msg {
 }
 
 impl Msg {
+    /// Every kind's label, indexed by [`Msg::ordinal`].
+    pub(crate) const KINDS: [&'static str; 18] = [
+        "join_req",
+        "accept",
+        "redirect",
+        "ping",
+        "pong",
+        "not_child",
+        "leave",
+        "handoff",
+        "new_parent",
+        "orphaned",
+        "probe",
+        "probe_ok",
+        "gossip",
+        "tick",
+        "retry_join",
+        "join_now",
+        "leave_now",
+        "crash_now",
+    ];
+
+    /// Dense index of this message's kind, for per-kind counters.
+    #[inline]
+    pub(crate) fn ordinal(&self) -> usize {
+        match self {
+            Msg::JoinReq { .. } => 0,
+            Msg::Accept { .. } => 1,
+            Msg::Redirect => 2,
+            Msg::Ping { .. } => 3,
+            Msg::Pong { .. } => 4,
+            Msg::NotChild { .. } => 5,
+            Msg::Leave { .. } => 6,
+            Msg::Handoff { .. } => 7,
+            Msg::NewParent { .. } => 8,
+            Msg::Orphaned => 9,
+            Msg::Probe { .. } => 10,
+            Msg::ProbeOk => 11,
+            Msg::Gossip { .. } => 12,
+            Msg::Tick => 13,
+            Msg::RetryJoin { .. } => 14,
+            Msg::JoinNow => 15,
+            Msg::LeaveNow => 16,
+            Msg::CrashNow => 17,
+        }
+    }
+
     /// Stable short label for per-kind message accounting.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Msg::JoinReq { .. } => "join_req",
-            Msg::Accept { .. } => "accept",
-            Msg::Redirect => "redirect",
-            Msg::Ping { .. } => "ping",
-            Msg::Pong { .. } => "pong",
-            Msg::NotChild { .. } => "not_child",
-            Msg::Leave { .. } => "leave",
-            Msg::Handoff { .. } => "handoff",
-            Msg::NewParent { .. } => "new_parent",
-            Msg::Orphaned => "orphaned",
-            Msg::Probe { .. } => "probe",
-            Msg::ProbeOk => "probe_ok",
-            Msg::Gossip { .. } => "gossip",
-            Msg::Tick => "tick",
-            Msg::RetryJoin { .. } => "retry_join",
-            Msg::JoinNow => "join_now",
-            Msg::LeaveNow => "leave_now",
-            Msg::CrashNow => "crash_now",
-        }
+        Self::KINDS[self.ordinal()]
     }
 
     /// Whether this variant is a local timer rather than network traffic.
@@ -150,5 +178,73 @@ impl Msg {
             self,
             Msg::Tick | Msg::RetryJoin { .. } | Msg::JoinNow | Msg::LeaveNow | Msg::CrashNow
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ordinals_index_the_kind_labels() {
+        let one_of_each = [
+            (
+                Msg::JoinReq {
+                    joiner: 1,
+                    cell: (0, 0),
+                    avoid: Vec::new(),
+                    hops: 0,
+                },
+                "join_req",
+            ),
+            (Msg::Accept { parent: 0 }, "accept"),
+            (Msg::Redirect, "redirect"),
+            (Msg::Ping { from: 1 }, "ping"),
+            (Msg::Pong { from: 0 }, "pong"),
+            (Msg::NotChild { from: 0 }, "not_child"),
+            (
+                Msg::Leave {
+                    from: 1,
+                    successor: None,
+                },
+                "leave",
+            ),
+            (
+                Msg::Handoff {
+                    from: 1,
+                    parent: 0,
+                    children: Vec::new(),
+                    routes: Vec::new(),
+                },
+                "handoff",
+            ),
+            (Msg::NewParent { parent: 0 }, "new_parent"),
+            (Msg::Orphaned, "orphaned"),
+            (
+                Msg::Probe {
+                    origin: 1,
+                    path: vec![1],
+                },
+                "probe",
+            ),
+            (Msg::ProbeOk, "probe_ok"),
+            (
+                Msg::Gossip {
+                    from: 1,
+                    cells: Vec::new(),
+                },
+                "gossip",
+            ),
+            (Msg::Tick, "tick"),
+            (Msg::RetryJoin { epoch: 1 }, "retry_join"),
+            (Msg::JoinNow, "join_now"),
+            (Msg::LeaveNow, "leave_now"),
+            (Msg::CrashNow, "crash_now"),
+        ];
+        assert_eq!(one_of_each.len(), Msg::KINDS.len());
+        for (i, (msg, label)) in one_of_each.iter().enumerate() {
+            assert_eq!(msg.ordinal(), i, "{label}");
+            assert_eq!(msg.kind(), *label);
+        }
     }
 }

@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 
 use omt_core::{bounds::min_rings_estimate, CellId, PolarGrid2};
-use omt_geom::{HGrid, Point2, PolarPoint};
+use omt_geom::{Point2, PolarPoint};
 use omt_obs::{obs_count, obs_observe, obs_span};
 use omt_sim::engine::HostId;
 use omt_sim::{Delivery, FaultPlan, NetStats, Network};
@@ -80,11 +80,6 @@ pub struct ProtoConfig {
     pub leaves: Vec<(f64, HostId)>,
     /// Fail-stop crashes: `(time, host)`.
     pub crashes: Vec<(f64, HostId)>,
-    /// Maintain the shadow capacity-summary index
-    /// ([`omt_geom::HGrid`], count-only) alongside the run and reconcile
-    /// it against a from-scratch rebuild after every delivery batch.
-    /// Strictly decision-neutral: no protocol rule reads it.
-    pub hgrid: bool,
 }
 
 impl ProtoConfig {
@@ -109,13 +104,9 @@ impl ProtoConfig {
             faults: FaultPlan::none(),
             leaves: Vec::new(),
             crashes: Vec::new(),
-            hgrid: omt_geom::hgrid::env_enabled(),
         }
     }
 }
-
-/// Per-message-kind send counters (network messages only, not timers).
-pub type MsgCounts = BTreeMap<&'static str, u64>;
 
 /// The outcome of one protocol run.
 #[derive(Clone, Debug)]
@@ -160,15 +151,11 @@ pub struct ProtoSim {
     /// host id `i + 1`.
     hosts: Vec<HostState>,
     net: Network<Msg>,
-    counts: MsgCounts,
+    /// Messages sent, indexed by [`Msg::ordinal`] (network messages
+    /// only, not timers).
+    counts: [u64; Msg::KINDS.len()],
     last_change: f64,
     end_time: f64,
-    /// Shadow capacity-summary index over the advertised cells: per cell,
-    /// how many alive hosts have each open out-degree class. Maintained
-    /// by count-only deltas at every membership/degree mutation and
-    /// reconciled against a from-scratch rebuild after each delivery
-    /// batch. Decision-neutral by construction — nothing above reads it.
-    hgrid: Option<HGrid>,
 }
 
 impl ProtoSim {
@@ -206,20 +193,15 @@ impl ProtoSim {
             assert!((1..=n as u32).contains(&id), "unknown crasher {id}");
             net.timer(at, id, Msg::CrashNow);
         }
-        let mut sim = Self {
+        Self {
             cfg,
             grid,
             hosts,
             net,
-            counts: MsgCounts::new(),
+            counts: [0; Msg::KINDS.len()],
             last_change: 0.0,
             end_time: 0.0,
-            hgrid: None,
-        };
-        if sim.cfg.hgrid {
-            sim.hgrid = Some(sim.build_hgrid());
         }
-        sim
     }
 
     /// Runs the protocol to quiescence (or the deadline) and reports.
@@ -234,10 +216,6 @@ impl ProtoSim {
             self.end_time = t;
             for Delivery { msg, .. } in batch.drain(..) {
                 self.handle(dst, msg);
-            }
-            if self.hgrid.is_some() {
-                self.hgrid_reconcile()
-                    .unwrap_or_else(|e| panic!("shadow capacity index diverged at t={t}: {e}"));
             }
         }
         self.report()
@@ -292,76 +270,9 @@ impl ProtoSim {
         self.cfg.max_out_degree as usize
     }
 
-    /// Flat heap index of an advertised `(ring, segment)` cell.
-    fn flat_cell(cell: CellId) -> usize {
-        ((1u64 << cell.0) - 1 + cell.1) as usize
-    }
-
-    /// The host's degree class if it currently counts as an open parent
-    /// (alive with spare out-degree), `None` otherwise. This is the one
-    /// predicate the shadow index summarizes.
-    fn open_class(&self, id: HostId) -> Option<usize> {
-        let h = &self.hosts[id as usize];
-        (h.alive && h.children.len() < self.cap()).then(|| h.children.len())
-    }
-
-    /// Folds a membership/degree mutation of host `id` into the shadow
-    /// index via count-only deltas: `before` is [`Self::open_class`]
-    /// sampled before the mutation. No-op when the index is off or the
-    /// class did not change.
-    fn hg_apply(&mut self, id: HostId, before: Option<usize>) {
-        if self.hgrid.is_none() {
-            return;
-        }
-        let after = self.open_class(id);
-        if before == after {
-            return;
-        }
-        let cell = Self::flat_cell(self.hosts[id as usize].cell);
-        let hg = self.hgrid.as_mut().expect("checked above");
-        if let Some(class) = before {
-            hg.class_remove(cell, class);
-        }
-        if let Some(class) = after {
-            hg.class_add(cell, class);
-        }
-    }
-
-    /// Builds the shadow index from scratch over the current host states
-    /// (rendezvous included; it advertises cell `(0, 0)`).
-    fn build_hgrid(&self) -> HGrid {
-        let k = self.grid.rings();
-        let mut inner = Vec::with_capacity(k as usize + 1);
-        inner.push(0.0);
-        for ring in 1..=k {
-            inner.push(self.grid.circle_radius(ring - 1));
-        }
-        let mut hg = HGrid::new(k, self.cap(), &inner);
-        for id in 0..self.hosts.len() {
-            if let Some(class) = self.open_class(id as HostId) {
-                hg.class_add(Self::flat_cell(self.hosts[id].cell), class);
-            }
-        }
-        hg
-    }
-
-    /// Checks the incrementally-maintained shadow index against a
-    /// from-scratch rebuild (count-only comparison; the count deltas do
-    /// not maintain delay summaries). `Ok(())` when the index is off.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first counter disagreement found.
-    pub fn hgrid_reconcile(&self) -> Result<(), String> {
-        match &self.hgrid {
-            None => Ok(()),
-            Some(hg) => hg.same_counts(&self.build_hgrid()),
-        }
-    }
-
     fn send(&mut self, src: HostId, dst: HostId, msg: Msg) {
         obs_count!("proto/sent");
-        *self.counts.entry(msg.kind()).or_insert(0) += 1;
+        self.counts[msg.ordinal()] += 1;
         let d = self.hosts[src as usize]
             .coord
             .distance(&self.hosts[dst as usize].coord);
@@ -385,10 +296,8 @@ impl ProtoSim {
             Msg::Tick => self.on_tick(me),
             Msg::LeaveNow => self.on_leave_now(me),
             Msg::CrashNow => {
-                let before = self.open_class(me);
                 self.hosts[me as usize].alive = false;
                 self.last_change = self.net.now();
-                self.hg_apply(me, before);
             }
             Msg::JoinReq {
                 joiner,
@@ -582,7 +491,6 @@ impl ProtoSim {
 
     fn accept(&mut self, me: HostId, joiner: HostId, cell: CellId) {
         let now = self.net.now();
-        let before = self.open_class(me);
         let my_cell = self.hosts[me as usize].cell;
         let h = &mut self.hosts[me as usize];
         if let Some(i) = h.child_index(joiner) {
@@ -601,7 +509,6 @@ impl ProtoSim {
             self.last_change = now;
         }
         obs_count!("proto/accepts");
-        self.hg_apply(me, before);
         self.send(me, joiner, Msg::Accept { parent: me });
     }
 
@@ -726,13 +633,11 @@ impl ProtoSim {
             .filter(|c| now - c.last_heard > self.cfg.liveness_timeout)
             .map(|c| c.id)
             .collect();
-        let before = self.open_class(me);
         for c in stale {
             obs_count!("proto/evictions");
             self.hosts[me as usize].drop_child(c);
             self.last_change = now;
         }
-        self.hg_apply(me, before);
         if now + self.cfg.keepalive <= self.cfg.quiet_after {
             self.net.timer(now + self.cfg.keepalive, me, Msg::Tick);
         }
@@ -751,7 +656,6 @@ impl ProtoSim {
 
     fn on_not_child(&mut self, me: HostId, from: HostId) {
         let now = self.net.now();
-        let before = self.open_class(me);
         let h = &mut self.hosts[me as usize];
         if h.parent == Parent::Host(from) {
             // The parent disowned us: rejoin from scratch.
@@ -764,7 +668,6 @@ impl ProtoSim {
             h.drop_child(from);
             self.last_change = now;
         }
-        self.hg_apply(me, before);
     }
 
     fn on_gossip(&mut self, me: HostId, from: HostId, cells: Vec<CellId>) {
@@ -787,7 +690,6 @@ impl ProtoSim {
     fn on_leave_now(&mut self, me: HostId) {
         let now = self.net.now();
         obs_count!("proto/leaves");
-        let before = self.open_class(me);
         let (parent, children, routes) = {
             let h = &mut self.hosts[me as usize];
             h.alive = false;
@@ -798,7 +700,6 @@ impl ProtoSim {
             )
         };
         self.last_change = now;
-        self.hg_apply(me, before);
         let successor = children.first().copied();
         if let Parent::Host(p) = parent {
             self.send(
@@ -836,19 +737,15 @@ impl ProtoSim {
 
     fn on_leave(&mut self, me: HostId, from: HostId, successor: Option<HostId>) {
         let now = self.net.now();
-        let before = self.open_class(me);
         let h = &mut self.hosts[me as usize];
         if h.child_index(from).is_none() {
             return;
         }
         match successor {
-            // A swap preserves the out-degree, so the index class is
-            // unchanged and `hg_apply` below is a no-op for that arm.
             Some(s) if h.child_index(s).is_none() => h.swap_child(from, s, now),
             _ => h.drop_child(from),
         }
         self.last_change = now;
-        self.hg_apply(me, before);
     }
 
     fn on_handoff(
@@ -861,7 +758,6 @@ impl ProtoSim {
     ) {
         let now = self.net.now();
         let cap = self.cap();
-        let before = self.open_class(me);
         let (adopted, dropped) = {
             let h = &mut self.hosts[me as usize];
             // Take over the leaver's tree position.
@@ -894,7 +790,6 @@ impl ProtoSim {
             (adopted, dropped)
         };
         self.last_change = now;
-        self.hg_apply(me, before);
         for c in adopted {
             self.send(me, c, Msg::NewParent { parent: me });
         }
@@ -1022,10 +917,11 @@ impl ProtoSim {
             convergence_time: self.last_change,
             end_time: self.end_time,
             net: self.net.stats(),
-            msg_counts: self
-                .counts
+            msg_counts: Msg::KINDS
                 .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+                .zip(self.counts)
+                .filter(|&(_, v)| v > 0)
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
             forest,
             alive_ids,

@@ -18,15 +18,6 @@
 //! in seconds; the schedule space, not the host count, is what's being
 //! explored here. Scale lives in the differential suite and the `proto`
 //! experiment binary.
-//!
-//! **`OMT_HGRID=1` axis.** With `OMT_HGRID=1` in the environment,
-//! `ProtoConfig::for_n` enables the shadow capacity-summary index, so
-//! every campaign in this file additionally maintains the count-only
-//! `omt-geom::hgrid` summaries and reconciles them against a from-scratch
-//! rebuild after **every** delivery batch (a divergence panics the run).
-//! The index is decision-neutral — `shadow_index_campaigns_are_neutral`
-//! below pins that by running identical campaigns with it forced on and
-//! off and comparing the reports bit for bit.
 
 use omt_geom::{Disk, Region};
 use omt_net::CoordDrift;
@@ -76,21 +67,6 @@ impl Campaign {
         let advertised = self.drift.apply(&truth, self.seed);
         let mut sim = ProtoSim::new(self.config(), &truth, &advertised, self.seed);
         let rep = sim.run();
-        (rep, sim.check_agreement())
-    }
-
-    /// Same campaign with the shadow capacity index forced on or off,
-    /// also re-checking the summaries reconcile at quiescence.
-    fn run_with_hgrid(&self, on: bool) -> (ProtoReport, Result<(), String>) {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let truth = Disk::unit().sample_n(&mut rng, self.n);
-        let advertised = self.drift.apply(&truth, self.seed);
-        let mut cfg = self.config();
-        cfg.hgrid = on;
-        let mut sim = ProtoSim::new(cfg, &truth, &advertised, self.seed);
-        let rep = sim.run();
-        sim.hgrid_reconcile()
-            .unwrap_or_else(|e| panic!("{self:?}: index diverged at quiescence: {e}"));
         (rep, sim.check_agreement())
     }
 }
@@ -251,47 +227,5 @@ props! {
         prop_assert_eq!(a.net, b.net);
         prop_assert!(a.convergence_time == b.convergence_time);
         prop_assert!(a.radius == b.radius);
-    }
-
-    // The shadow capacity index must be invisible to the protocol: a
-    // kitchen-sink campaign run with it on (reconciling the summary
-    // counters against a from-scratch rebuild after every delivery batch
-    // and again at quiescence) reports bit-identically to the same
-    // campaign with it off.
-    #[cases(10)]
-    fn shadow_index_campaigns_are_neutral(
-        seed in 0u64..1_000_000,
-        n in 150usize..260,
-        dpick in 0u8..3,
-        drop_p in 0.0f64..0.15,
-        dup_p in 0.0f64..0.08,
-        jitter in 0.0f64..0.5,
-        bit in 0u32..4
-    ) {
-        let c = Campaign {
-            n,
-            degree: [2, 4, 6][dpick as usize],
-            seed,
-            faults: FaultPlan {
-                drop_p,
-                dup_p,
-                jitter,
-                fault_until: 35.0,
-                partitions: vec![Partition { start: 8.0, end: 20.0, bit }],
-                ..FaultPlan::none()
-            },
-            drift: CoordDrift { drift: 0.1, stale_fraction: 0.25 },
-            crashes: 6,
-            leaves: 6,
-        };
-        let (off, agreement) = c.run_with_hgrid(false);
-        let (on, _) = c.run_with_hgrid(true);
-        assert_converged(&c, &off, &agreement);
-        prop_assert_eq!(&off.forest, &on.forest);
-        prop_assert_eq!(&off.alive_ids, &on.alive_ids);
-        prop_assert_eq!(&off.msg_counts, &on.msg_counts);
-        prop_assert_eq!(off.net, on.net);
-        prop_assert!(off.convergence_time == on.convergence_time);
-        prop_assert!(off.radius == on.radius);
     }
 }

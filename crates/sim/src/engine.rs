@@ -14,9 +14,18 @@
 //! order. `std::collections::BinaryHeap` alone does **not** provide this
 //! (sift-up/sift-down reorder equal keys arbitrarily), which is exactly
 //! the instability the ≥64-fan-in stress test in `tests/event_loop.rs`
-//! pins down; the explicit sequence tiebreak is the fix.
+//! pins down; the explicit sequence tiebreak is the fix. Times compare
+//! with [`f64::total_cmp`], so −0.0 sorts before +0.0.
+//!
+//! # Layout
+//!
+//! A pending delivery is a 24-byte `Key` plus its payload in a slab
+//! slot. Keys carry the time as an order-preserving `u64` image of its
+//! bits, so the heap compares and moves two integers and never touches a
+//! payload. `tests/queue_oracle.rs` checks the whole contract against a
+//! plain `BinaryHeap` of whole deliveries.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A host address in the engine. Address 0 is conventionally the protocol
@@ -34,35 +43,34 @@ pub struct Delivery<M> {
     pub msg: M,
 }
 
-/// Internal heap entry; ordered by `(time, seq)` ascending via `Reverse`
-/// semantics baked into the `Ord` impl (the heap is a max-heap, so the
-/// comparison is inverted here).
-struct Scheduled<M> {
-    time: f64,
-    seq: u64,
-    dst: HostId,
-    msg: M,
+/// The image of `time`'s bits under a map that sorts unsigned exactly as
+/// [`f64::total_cmp`] sorts the floats: negative values have every bit
+/// flipped, the rest only the sign bit.
+#[inline]
+fn time_key(time: f64) -> u64 {
+    let b = time.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
 }
 
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
+/// Inverse of [`time_key`].
+#[inline]
+fn key_time(tk: u64) -> f64 {
+    f64::from_bits(if tk >> 63 == 1 { tk & !(1 << 63) } else { !tk })
 }
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: the smallest (time, seq) must be the heap maximum.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+
+/// A pending delivery without its payload. The derived order is
+/// `(tk, seq)`: `seq` is unique, so `dst` and `slot` never decide.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    tk: u64,
+    seq: u64,
+    dst: HostId,
+    /// Where the payload waits in [`EventQueue::slab`].
+    slot: u32,
 }
 
 /// A deterministic future-event queue.
@@ -82,7 +90,11 @@ impl<M> Ord for Scheduled<M> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<M> {
-    heap: BinaryHeap<Scheduled<M>>,
+    /// Min-heap of the pending keys.
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Payloads of the pending keys; `None` slots are listed in `free`.
+    slab: Vec<Option<M>>,
+    free: Vec<u32>,
     seq: u64,
     now: f64,
 }
@@ -98,6 +110,8 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: 0.0,
         }
@@ -134,26 +148,48 @@ impl<M> EventQueue<M> {
             "delivery at {time} scheduled before current time {}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq,
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(msg);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("over 2^32 pending deliveries");
+                self.slab.push(Some(msg));
+                slot
+            }
+        };
+        let key = Key {
+            tk: time_key(time),
+            seq: self.seq,
             dst,
+            slot,
+        };
+        self.seq += 1;
+        self.heap.push(Reverse(key));
+    }
+
+    /// Turns a removed key back into a delivery, freeing its slot.
+    #[inline]
+    fn deliver(&mut self, key: Key) -> Delivery<M> {
+        let msg = self.slab[key.slot as usize]
+            .take()
+            .expect("a pending key owns its slot");
+        self.free.push(key.slot);
+        Delivery {
+            time: key_time(key.tk),
+            dst: key.dst,
             msg,
-        });
+        }
     }
 
     /// Pops the next delivery in `(time, seq)` order and advances the
     /// clock to it.
     pub fn pop(&mut self) -> Option<Delivery<M>> {
-        let s = self.heap.pop()?;
-        self.now = s.time;
-        Some(Delivery {
-            time: s.time,
-            dst: s.dst,
-            msg: s.msg,
-        })
+        let Reverse(key) = self.heap.pop()?;
+        let d = self.deliver(key);
+        self.now = d.time;
+        Some(d)
     }
 
     /// Pops the next delivery **and** every further delivery addressed to
@@ -169,22 +205,19 @@ impl<M> EventQueue<M> {
         out.push(first);
         // Same-instant deliveries to this host may interleave (in seq
         // order) with deliveries to other hosts; drain the whole instant,
-        // keep ours, and push the rest back (their seq keys restore the
-        // original order).
+        // keep ours, and push the rest back into the heap (their seq keys
+        // restore the original order). "Same instant" is f64 `==`, so a
+        // batch opened at −0.0 also takes the host's +0.0 deliveries.
         let mut stash = Vec::new();
-        while let Some(head) = self.heap.peek() {
-            if head.time != time {
+        while let Some(&Reverse(head)) = self.heap.peek() {
+            if key_time(head.tk) != time {
                 break;
             }
-            let s = self.heap.pop().expect("peeked");
-            if s.dst == dst {
-                out.push(Delivery {
-                    time: s.time,
-                    dst: s.dst,
-                    msg: s.msg,
-                });
+            let Reverse(key) = self.heap.pop().expect("peeked");
+            if key.dst == dst {
+                out.push(self.deliver(key));
             } else {
-                stash.push(s);
+                stash.push(Reverse(key));
             }
         }
         self.heap.extend(stash);
@@ -240,6 +273,38 @@ mod tests {
             q.schedule(2.9, 0, ());
         }));
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn time_key_sorts_like_total_cmp_and_round_trips() {
+        let times = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.25,
+            1.0,
+            1.0 + f64::EPSILON,
+            5.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in times {
+            assert_eq!(key_time(time_key(a)).to_bits(), a.to_bits(), "{a}");
+            for b in times {
+                assert_eq!(time_key(a).cmp(&time_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_stay_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 
     #[test]

@@ -210,22 +210,24 @@ impl<M: Clone> Network<M> {
             self.stats.dropped += 1;
             return;
         }
-        let copies = if faulty && self.plan.dup_p > 0.0 && self.rng.random_bool(self.plan.dup_p) {
+        if faulty && self.plan.dup_p > 0.0 && self.rng.random_bool(self.plan.dup_p) {
             self.stats.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let jitter = if faulty && self.plan.jitter > 0.0 {
-                self.rng.random_range(0.0..self.plan.jitter)
-            } else {
-                0.0
-            };
-            let at = now + self.base_latency + distance + jitter;
-            self.queue.schedule(at, dst, msg.clone());
-            self.stats.delivered += 1;
+            self.deliver(dst, distance, faulty, msg.clone());
         }
+        self.deliver(dst, distance, faulty, msg);
+    }
+
+    /// Schedules one copy of a sent message: base latency, propagation
+    /// delay and, while faults are active, a fresh jitter draw.
+    fn deliver(&mut self, dst: HostId, distance: f64, faulty: bool, msg: M) {
+        let jitter = if faulty && self.plan.jitter > 0.0 {
+            self.rng.random_range(0.0..self.plan.jitter)
+        } else {
+            0.0
+        };
+        let at = self.queue.now() + self.base_latency + distance + jitter;
+        self.queue.schedule(at, dst, msg);
+        self.stats.delivered += 1;
     }
 
     /// Schedules a local timer at host `dst` firing at absolute time

@@ -46,13 +46,15 @@ cargo test --release --offline -p omt-core --test construction_golden -- --inclu
 echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-geom --test hgrid_parity"
 OMT_THREADS=4 cargo test -q --release --offline -p omt-geom --test hgrid_parity
 
-# The decentralized protocol's acceptance pair: differential parity
-# against the centralized builder plus the fault-injection fuzz
-# campaigns, in release so the 10k-host legs stay fast. OMT_THREADS=4
-# pins the ambient thread count the suites assume (the protocol engine
+# The decentralized protocol's acceptance suites: differential parity
+# against the centralized builder, the fault-injection fuzz campaigns
+# and the cross-build goldens, in release so the 10k-host legs stay
+# fast, next to the event engine's own suites (the queue against its
+# plain-heap oracle, the ≥64-fan-in stress tests). OMT_THREADS=4 pins
+# the ambient thread count the suites assume (the protocol engine
 # itself is deterministic for any value — that is part of the contract).
-echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-proto"
-OMT_THREADS=4 cargo test -q --release --offline -p omt-proto
+echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-sim -p omt-proto"
+OMT_THREADS=4 cargo test -q --release --offline -p omt-sim -p omt-proto
 
 # API docs are part of the contract: the library crates deny
 # missing_docs, and this build additionally fails on any rustdoc
