@@ -59,9 +59,10 @@
 //! spanning, acyclicity, and the degree budget *including the source* —
 //! from scratch; the churn fuzz suite runs it after every membership event.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
-use omt_geom::{HGrid, Point2, PolarPoint};
+use omt_geom::{Point2, PolarPoint};
 use omt_tree::{validate_parent_forest, MulticastTree, NodeId, ParentRef, TreeBuilder};
 
 use crate::error::BuildError;
@@ -75,71 +76,42 @@ use crate::polar_grid::PolarGridBuilder;
 pub struct HostId(u64);
 
 #[derive(Clone, Debug)]
-pub(crate) struct Host {
-    pub(crate) position: Point2,
+struct Host {
+    position: Point2,
     /// Parent slot: `None` = the source (or detached, transiently inside
     /// `leave` while an orphan awaits re-homing). Slots share the arena's
     /// compact [`NodeId`] width, so the overlay's per-host footprint tracks
     /// the static builders'.
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
+    parent: Option<NodeId>,
+    children: Vec<NodeId>,
     /// Cached source-to-host delay; refreshed along the subtree whenever
     /// the host is (re-)attached.
-    pub(crate) delay: f64,
+    delay: f64,
     /// Flat index of the host's current grid cell.
-    pub(crate) cell: u32,
-    pub(crate) alive: bool,
+    cell: u32,
+    alive: bool,
     /// Generation counter for id reuse protection.
-    pub(crate) id: HostId,
+    id: HostId,
 }
 
-/// Cell-granular write log feeding the sharded batch engine
-/// (`crate::sharded`). When enabled, every mutation of *search-relevant*
-/// state — an open-list change, or a cached-delay refresh of any host —
-/// records the affected cell, and a full rebuild raises a flag. The merge
-/// phase drains the log after each replayed event to decide which
-/// speculative shard proposals are still provably valid. Disabled (the
-/// default) it costs one predictable branch per mutation.
+/// Counters of parent-search work, in [`Cell`]s because searches are
+/// logically read-only (`&self`). `cells_scanned` counts open-list
+/// consultations (one per cell whose open list was walked); `cost_probes`
+/// counts attach-cost evaluations, one per open host a consultation
+/// scores. Both are bumped once per consultation rather than once per
+/// candidate.
 #[derive(Clone, Debug, Default)]
-struct WriteLog {
-    enabled: bool,
-    /// Cells written since the last drain; may contain duplicates.
-    cells: Vec<u32>,
-    /// Whether a full rebuild ran since the last drain.
-    rebuilt: bool,
-}
-
-/// Counters of parent-search work, kept in relaxed atomics because
-/// searches are logically read-only (`&self`) and the overlay is shared
-/// across threads during sharded speculation. `cells_scanned` counts
-/// open-list consultations (one per cell whose open list was walked);
-/// `cost_probes` counts attach-cost evaluations, one per open host a
-/// consultation scores. Both run in scan mode and index mode, so the two
-/// paths' work is directly comparable, and both are bumped once per
-/// consultation rather than once per candidate.
-#[derive(Debug, Default)]
 struct SearchProbes {
-    cells_scanned: std::sync::atomic::AtomicU64,
-    cost_probes: std::sync::atomic::AtomicU64,
-}
-
-impl Clone for SearchProbes {
-    fn clone(&self) -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        Self {
-            cells_scanned: AtomicU64::new(self.cells_scanned.load(Ordering::Relaxed)),
-            cost_probes: AtomicU64::new(self.cost_probes.load(Ordering::Relaxed)),
-        }
-    }
+    cells_scanned: Cell<u64>,
+    cost_probes: Cell<u64>,
 }
 
 impl SearchProbes {
     /// Records one open-list consultation that scored `costs` hosts.
     #[inline]
     fn bump(&self, costs: u64) {
-        use std::sync::atomic::Ordering;
-        self.cells_scanned.fetch_add(1, Ordering::Relaxed);
-        self.cost_probes.fetch_add(costs, Ordering::Relaxed);
+        self.cells_scanned.set(self.cells_scanned.get() + 1);
+        self.cost_probes.set(self.cost_probes.get() + costs);
     }
 }
 
@@ -168,7 +140,7 @@ impl SearchProbes {
 pub struct DynamicOverlay {
     source: Point2,
     max_out_degree: u32,
-    pub(crate) hosts: Vec<Host>,
+    hosts: Vec<Host>,
     /// Raw id -> slot of each live host.
     slot_by_id: HashMap<u64, NodeId>,
     /// Recycled slots of departed hosts.
@@ -176,21 +148,14 @@ pub struct DynamicOverlay {
     /// Slots of live hosts, bucketed by their current grid cell.
     cell_members: Vec<Vec<NodeId>>,
     /// Slots of *open* live hosts (out-degree below budget), per cell.
-    pub(crate) cell_open: Vec<Vec<NodeId>>,
+    cell_open: Vec<Vec<NodeId>>,
     /// The grid the members are bucketed against (rebuilt on churn).
-    pub(crate) grid: Option<PolarGrid2>,
+    grid: Option<PolarGrid2>,
     live: usize,
     /// Number of live hosts attached directly to the source.
     source_children: u32,
     churn_since_rebuild: usize,
     next_id: u64,
-    /// Write tracking for the sharded batch merge; off by default.
-    write_log: WriteLog,
-    /// Hierarchical capacity-summary index mirroring `cell_open` (`None`
-    /// = plain scan mode). Enabled by `OMT_HGRID=1` or
-    /// [`set_hgrid`](Self::set_hgrid); parent searches through it return
-    /// bit-identical answers to the scans they replace.
-    hgrid: Option<HGrid>,
     /// Parent-search work counters.
     probes: SearchProbes,
     /// Reused work stack of `refresh_subtree_delays`, so re-homing a
@@ -215,7 +180,7 @@ impl DynamicOverlay {
         if !source.is_finite() {
             return Err(BuildError::NonFiniteSource);
         }
-        let mut overlay = Self {
+        Ok(Self {
             source,
             max_out_degree,
             hosts: Vec::new(),
@@ -228,33 +193,9 @@ impl DynamicOverlay {
             source_children: 0,
             churn_since_rebuild: 0,
             next_id: 0,
-            write_log: WriteLog::default(),
-            hgrid: None,
             probes: SearchProbes::default(),
             refresh_stack: Vec::new(),
-        };
-        if omt_geom::hgrid::env_enabled() {
-            overlay.set_hgrid(true);
-        }
-        Ok(overlay)
-    }
-
-    /// Turns the hierarchical capacity-summary index on (building it from
-    /// the current membership) or off. Every parent search is answered
-    /// identically either way — the index only changes how much work the
-    /// answer costs (see [`search_probes`](Self::search_probes)).
-    pub fn set_hgrid(&mut self, on: bool) {
-        self.hgrid = on.then(|| self.build_hgrid());
-    }
-
-    /// Whether the hierarchical capacity index is active.
-    pub fn hgrid_enabled(&self) -> bool {
-        self.hgrid.is_some()
-    }
-
-    /// The frozen index for the sharded engine's speculation phase.
-    pub(crate) fn hgrid_ref(&self) -> Option<&HGrid> {
-        self.hgrid.as_ref()
+        })
     }
 
     /// The parent-search work counters accumulated since the last
@@ -265,18 +206,16 @@ impl DynamicOverlay {
     /// including hosts a re-homing search then rejects as lying inside
     /// the orphan's own subtree).
     pub fn search_probes(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
         (
-            self.probes.cells_scanned.load(Ordering::Relaxed),
-            self.probes.cost_probes.load(Ordering::Relaxed),
+            self.probes.cells_scanned.get(),
+            self.probes.cost_probes.get(),
         )
     }
 
     /// Zeroes the parent-search work counters.
     pub fn reset_search_probes(&self) {
-        use std::sync::atomic::Ordering;
-        self.probes.cells_scanned.store(0, Ordering::Relaxed);
-        self.probes.cost_probes.store(0, Ordering::Relaxed);
+        self.probes.cells_scanned.set(0);
+        self.probes.cost_probes.set(0);
     }
 
     /// Read-only parent search: the host a [`join`](Self::join) at
@@ -284,97 +223,6 @@ impl DynamicOverlay {
     pub fn peek_parent(&self, position: &Point2) -> Option<HostId> {
         self.find_parent_for(position)
             .map(|s| self.hosts[s as usize].id)
-    }
-
-    /// Builds the capacity index from scratch against the current grid
-    /// and open lists.
-    fn build_hgrid(&self) -> HGrid {
-        let (rings, ring_inner) = match &self.grid {
-            None => (0u32, vec![0.0]),
-            Some(grid) => {
-                let k = grid.rings();
-                let mut inner = Vec::with_capacity(k as usize + 1);
-                inner.push(0.0);
-                for ring in 1..=k {
-                    inner.push(grid.circle_radius(ring - 1));
-                }
-                (k, inner)
-            }
-        };
-        let classes = self.max_out_degree as usize;
-        let mut hg = HGrid::new(rings, classes, &ring_inner);
-        let mut counts = vec![0u32; classes];
-        for cell in 0..self.cell_open.len() {
-            counts.fill(0);
-            let mut min_delay = f64::INFINITY;
-            for &s in &self.cell_open[cell] {
-                let h = &self.hosts[s as usize];
-                counts[h.children.len()] += 1;
-                min_delay = min_delay.min(h.delay);
-            }
-            // A fresh index is already all-empty; only occupied cells
-            // need declaring.
-            if counts.iter().any(|&c| c > 0) {
-                hg.set_cell(cell, &counts, min_delay);
-            }
-        }
-        hg
-    }
-
-    /// Re-declares one cell's census to the capacity index (call after
-    /// any mutation of the cell's open list or of an open host's class or
-    /// delay). No-op when the index is off.
-    fn hg_sync_cell(&mut self, cell: usize) {
-        if self.hgrid.is_none() {
-            return;
-        }
-        let classes = self.max_out_degree as usize;
-        let mut counts = vec![0u32; classes];
-        let mut min_delay = f64::INFINITY;
-        for &s in &self.cell_open[cell] {
-            let h = &self.hosts[s as usize];
-            counts[h.children.len()] += 1;
-            min_delay = min_delay.min(h.delay);
-        }
-        self.hgrid
-            .as_mut()
-            .expect("checked above")
-            .set_cell(cell, &counts, min_delay);
-    }
-
-    /// Rebuilds the capacity index (if on) after a grid change.
-    fn refresh_hgrid(&mut self) {
-        if self.hgrid.is_some() {
-            self.hgrid = Some(self.build_hgrid());
-        }
-    }
-
-    /// Turns batch write tracking on or off, clearing any logged state.
-    pub(crate) fn set_write_tracking(&mut self, on: bool) {
-        self.write_log.enabled = on;
-        self.write_log.cells.clear();
-        self.write_log.rebuilt = false;
-    }
-
-    /// Appends the cells written since the last drain to `into` and
-    /// returns whether a rebuild ran since then (resetting the flag).
-    pub(crate) fn drain_writes(&mut self, into: &mut Vec<u32>) -> bool {
-        into.append(&mut self.write_log.cells);
-        std::mem::take(&mut self.write_log.rebuilt)
-    }
-
-    /// Records that `cell`'s search-relevant state changed. The write
-    /// points are exactly the mutations the capacity index must see, so
-    /// the index sync piggybacks here (attach/detach additionally sync
-    /// class shifts that leave the open list untouched).
-    #[inline]
-    fn note_cell_write(&mut self, cell: u32) {
-        if self.write_log.enabled {
-            self.write_log.cells.push(cell);
-        }
-        if self.hgrid.is_some() {
-            self.hg_sync_cell(cell as usize);
-        }
     }
 
     /// Number of live hosts.
@@ -399,11 +247,9 @@ impl DynamicOverlay {
 
     /// Position of a live host.
     pub fn position(&self, id: HostId) -> Option<Point2> {
-        self.slot_of(id).map(|s| self.hosts[s].position)
-    }
-
-    pub(crate) fn slot_of(&self, id: HostId) -> Option<usize> {
-        self.slot_by_id.get(&id.0).map(|&s| s as usize)
+        self.slot_by_id
+            .get(&id.0)
+            .map(|&s| self.hosts[s as usize].position)
     }
 
     /// The current worst source-to-host delay.
@@ -416,7 +262,7 @@ impl DynamicOverlay {
     }
 
     /// The grid cell of a position under the current grid (flat index).
-    pub(crate) fn cell_of(&self, p: &Point2) -> usize {
+    fn cell_of(&self, p: &Point2) -> usize {
         match &self.grid {
             None => 0,
             Some(grid) => {
@@ -438,7 +284,6 @@ impl DynamicOverlay {
     fn open_remove(&mut self, slot: u32) {
         let cell = self.hosts[slot as usize].cell;
         self.cell_open[cell as usize].retain(|&s| s != slot);
-        self.note_cell_write(cell);
     }
 
     /// Adds `slot` back to its cell's open list.
@@ -446,7 +291,6 @@ impl DynamicOverlay {
         let cell = self.hosts[slot as usize].cell;
         debug_assert!(!self.cell_open[cell as usize].contains(&slot));
         self.cell_open[cell as usize].push(slot);
-        self.note_cell_write(cell);
     }
 
     /// Recomputes the cached delay of `root` from its parent and propagates
@@ -460,8 +304,6 @@ impl DynamicOverlay {
                 self.hosts[p].delay + self.hosts[r].position.distance(&self.hosts[p].position)
             }
         };
-        let root_cell = self.hosts[r].cell;
-        self.note_cell_write(root_cell);
         let mut refreshed = 1u64;
         if self.hosts[r].children.is_empty() {
             omt_obs::obs_observe!("dynamic/refresh_size", refreshed);
@@ -476,8 +318,6 @@ impl DynamicOverlay {
                 let d =
                     self.hosts[u].delay + self.hosts[u].position.distance(&self.hosts[c].position);
                 self.hosts[c].delay = d;
-                let c_cell = self.hosts[c].cell;
-                self.note_cell_write(c_cell);
                 refreshed += 1;
                 stack.push(c as u32);
             }
@@ -510,12 +350,6 @@ impl DynamicOverlay {
                 self.hosts[pu].children.push(child);
                 if self.hosts[pu].children.len() as u32 == self.max_out_degree {
                     self.open_remove(p);
-                } else if self.hgrid.is_some() {
-                    // Still open, but its degree class changed; the write
-                    // log does not need to hear about this (the open list
-                    // is untouched), the index does.
-                    let cell = self.hosts[pu].cell;
-                    self.hg_sync_cell(cell as usize);
                 }
             }
         }
@@ -533,9 +367,6 @@ impl DynamicOverlay {
                 self.hosts[pu].children.retain(|&c| c != slot);
                 if was_full {
                     self.open_push(p);
-                } else if self.hgrid.is_some() {
-                    let cell = self.hosts[pu].cell;
-                    self.hg_sync_cell(cell as usize);
                 }
             }
         }
@@ -555,13 +386,6 @@ impl DynamicOverlay {
         // host globally (exists whenever the tree is nonempty and the
         // budget is ≥ 2: leaves are open).
         let parent = self.find_parent_for(&position);
-        self.insert_host(position, parent)
-    }
-
-    /// Adds a host under an already-chosen parent (`None` = the source).
-    /// The shared tail of [`join`](Self::join) and the sharded fast path:
-    /// the caller owns parent selection, this owns all bookkeeping.
-    pub(crate) fn insert_host(&mut self, position: Point2, parent: Option<u32>) -> HostId {
         omt_obs::obs_count!("dynamic/joins");
         let id = HostId(self.next_id);
         self.next_id += 1;
@@ -588,7 +412,6 @@ impl DynamicOverlay {
         self.slot_by_id.insert(id.0, slot);
         self.cell_members[cell as usize].push(slot);
         self.cell_open[cell as usize].push(slot);
-        self.note_cell_write(cell);
         self.attach(slot, parent);
         self.live += 1;
         self.churn_since_rebuild += 1;
@@ -620,19 +443,7 @@ impl DynamicOverlay {
         let mut cell = self.cell_of(position);
         let mut hops = 0u64;
         loop {
-            // Known-empty cells are skipped without touching their open
-            // list (or the cost of walking it): the index's direct count
-            // is exact, so this can never change the answer — a zero
-            // count means there is nothing to scan, banned or not.
-            let known_empty = self
-                .hgrid
-                .as_ref()
-                .is_some_and(|hg| hg.cell_total(cell) == 0);
-            let best = if known_empty {
-                None
-            } else {
-                self.scan_cell_for(cell, position, banned)
-            };
+            let best = self.scan_cell_for(cell, position, banned);
             if best.is_some() {
                 omt_obs::obs_observe!("dynamic/chain_len", hops);
                 return best;
@@ -656,26 +467,8 @@ impl DynamicOverlay {
     /// with its attach cost, skipping the subtree rooted at `banned` (the
     /// orphan being re-homed) when given. Deterministic: first minimum
     /// wins — i.e. the winner is the lexicographic minimum of `(cost,
-    /// cell, list position)`, which is exactly the tie rule the
-    /// capacity-index search preserves, so both paths return the same host
-    /// bit for bit.
+    /// cell, list position)`.
     fn best_open_excluding(&self, position: &Point2, banned: Option<u32>) -> Option<(f64, u32)> {
-        if let Some(hg) = &self.hgrid {
-            // Bound-pruned best-first search. The per-cell closure
-            // reproduces the scan's in-cell rule (earliest strict
-            // minimum); the index handles the cross-cell `(cost, cell)`
-            // tie rule and prunes only subtrees whose guarded lower
-            // bound *strictly* exceeds the incumbent.
-            let q = *position - self.source;
-            return hg
-                .best_open_parent(
-                    &q,
-                    self.max_out_degree as usize,
-                    |cell| self.scan_cell_for(cell, position, banned),
-                    None,
-                )
-                .map(|(cost, _, s)| (cost, s));
-        }
         let mut best: Option<(f64, u32)> = None;
         for cell in 0..self.cell_open.len() {
             if let Some((cost, s)) = self.scan_cell_for(cell, position, banned) {
@@ -878,9 +671,6 @@ impl DynamicOverlay {
     pub fn rebuild(&mut self) {
         let _rebuild_span = omt_obs::obs_span!("dynamic/rebuild");
         omt_obs::obs_count!("dynamic/rebuilds");
-        if self.write_log.enabled {
-            self.write_log.rebuilt = true;
-        }
         self.churn_since_rebuild = 0;
         // The live membership in join order. The old slot array is freed
         // before the build, so the old and new arrays never coexist.
@@ -898,7 +688,6 @@ impl DynamicOverlay {
             self.cell_open = vec![Vec::new()];
             self.grid = None;
             self.source_children = 0;
-            self.refresh_hgrid();
             return;
         }
         live.sort_unstable_by_key(|&(id, _)| id);
@@ -999,7 +788,6 @@ impl DynamicOverlay {
         self.grid = Some(grid);
         self.cell_members = cell_members;
         self.cell_open = cell_open;
-        self.refresh_hgrid();
     }
 
     /// Materializes the current membership as an immutable
@@ -1211,17 +999,11 @@ impl DynamicOverlay {
             open_total, open_expected,
             "open index does not cover all open hosts"
         );
-        // The incrementally-maintained capacity index must agree with a
-        // from-scratch rebuild on every summary — counts and delay
-        // minima, bit for bit.
-        if let Some(hg) = &self.hgrid {
-            hg.assert_same(&self.build_hgrid());
-        }
     }
 }
 
 /// Inverse of the flat cell index: `(ring, seg)`.
-pub(crate) fn unflatten(idx: usize) -> (u32, u64) {
+fn unflatten(idx: usize) -> (u32, u64) {
     let v = idx as u64 + 1;
     let ring = 63 - v.leading_zeros();
     (ring, v - (1u64 << ring))

@@ -38,13 +38,6 @@ pub enum BuildError {
         /// The largest feasible number of rings for this input.
         feasible: u32,
     },
-    /// The requested shard count for a sharded overlay is not a power of
-    /// two in `1..=64` (shards map to binary polar sectors, so the count
-    /// must match a sector split).
-    BadShardCount {
-        /// The requested number of shards.
-        got: u32,
-    },
     /// The input has more points than the arena's `u32` node-id space can
     /// address (`omt_tree::MAX_NODES`). Checked up front by the store
     /// builders so oversized inputs fail with a typed error instead of
@@ -81,9 +74,6 @@ impl fmt::Display for BuildError {
                 f,
                 "ring override {requested} is infeasible; largest feasible is {feasible}"
             ),
-            Self::BadShardCount { got } => {
-                write!(f, "shard count {got} is not a power of two in 1..=64")
-            }
             Self::TooManyPoints { nodes, max } => {
                 write!(f, "{nodes} points exceed the u32 node-id space (max {max})")
             }
@@ -129,9 +119,6 @@ mod tests {
         }
         .to_string()
         .contains('9'));
-        assert!(BuildError::BadShardCount { got: 3 }
-            .to_string()
-            .contains('3'));
         assert!(BuildError::TooManyPoints {
             nodes: 5_000_000_000,
             max: omt_tree::MAX_NODES

@@ -20,8 +20,6 @@
 //!   conclusion, rooting the grid at the smallest-enclosing-ball center;
 //! * [`DynamicOverlay`] — join/leave maintenance with amortized rebuilds,
 //!   simulating the decentralized version the conclusion calls for;
-//! * [`ShardedOverlay`] — batched churn fanned across polar-sector shards
-//!   with a deterministic merge, bit-identical to the unsharded path;
 //! * [`HeteroGridBuilder`] — per-host fan-out capacities (relays carry the
 //!   grid; constrained hosts attach greedily);
 //! * [`PolarGrid2`] / [`SphereGrid3`] — the equal-measure grids
@@ -42,7 +40,6 @@
 //! | Section IV-C (convex regions) | active-cell rule in `kselect` | convex-region suites in `polar_grid` tests and `omt-experiments::convex` |
 //! | Conclusion: minimum diameter | [`MinDiameterBuilder`] | diameter-ratio convergence tests |
 //! | Conclusion: decentralized version | [`DynamicOverlay`] | churn validity + quality-tracking tests |
-//! | Conclusion: decentralized version, partitioned maintenance | [`ShardedOverlay`] | sharded-vs-unsharded bit-equivalence + cross-shard fuzz in `tests/churn_fuzz.rs` |
 //!
 //! # Examples
 //!
@@ -82,7 +79,6 @@ mod kselect;
 mod min_diameter;
 mod ndim;
 mod polar_grid;
-mod sharded;
 mod sink;
 mod sphere_grid;
 
@@ -97,5 +93,4 @@ pub use hetero::{HeteroGridBuilder, HeteroReport};
 pub use min_diameter::{MinDiameterBuilder, MinDiameterReport};
 pub use ndim::{NdGridBuilder, NdGridReport};
 pub use polar_grid::{PolarGridBuilder, PolarGridReport, RepStrategy};
-pub use sharded::{BatchStats, ChurnEvent, ShardedOverlay};
 pub use sphere_grid::SphereGridBuilder;

@@ -1,5 +1,4 @@
-//! Every-event invariant fuzzing for [`DynamicOverlay`] and its sharded
-//! batch engine [`ShardedOverlay`].
+//! Every-event invariant fuzzing for [`DynamicOverlay`].
 //!
 //! Each workload replays a seeded membership trace (joins : leaves ≈ 2 : 1)
 //! and, after **every** event, re-verifies the overlay's internal
@@ -8,30 +7,10 @@
 //! index exactness) *and* materializes a full snapshot and validates it
 //! with the tree crate's independent checker. Rebuild boundaries are
 //! crossed naturally many times per trace, so every invariant is exercised
-//! both before and after `maybe_rebuild` fires.
-//!
-//! The sharded suites additionally prove the headline guarantee of the
-//! batch engine: for every shard count, batch boundary choice, and thread
-//! count, the final overlay is **bit-identical** to applying the same
-//! event stream one at a time to an unsharded [`DynamicOverlay`] —
-//! positions, parents, cached delays, and the radius compare by bits —
-//! while the cross-shard invariants (sector ownership partitions the
-//! membership, global degree caps, drained speculation state, coherent
-//! batch counters) are re-checked after every batch.
-//!
-//! **`OMT_HGRID=1` axis.** Setting `OMT_HGRID=1` makes every overlay in
-//! this file construct with the hierarchical capacity-summary index
-//! (`omt-geom::hgrid`) enabled, so *all* of the campaigns above — the
-//! per-event invariant fuzz, both full-source regressions, and the whole
-//! sharded equivalence matrix — also run through the indexed parent
-//! search. `assert_invariants` reconciles the incrementally-maintained
-//! summary counters against a from-scratch index rebuild on every call,
-//! which the per-event and per-batch suites invoke after every event /
-//! batch. The dedicated tests at the bottom additionally pin indexed vs.
-//! scan bit-identity and the empty-cell short-circuit without needing the
-//! environment variable.
+//! both before and after `maybe_rebuild` fires. A golden trace pins the
+//! exact trees and search work of the churn path across changes.
 
-use omt_core::{BuildError, ChurnEvent, DynamicOverlay, ShardedOverlay};
+use omt_core::{BuildError, DynamicOverlay, HostId};
 use omt_geom::Point2;
 use omt_rng::rngs::SmallRng;
 use omt_rng::{RngExt, SeedableRng};
@@ -220,311 +199,6 @@ fn interior_leave_under_full_source(
 }
 
 // ---------------------------------------------------------------------------
-// Sharded batch engine: equivalence, batch-boundary invariance, cross-shard
-// invariant fuzzing, and the cross-shard orphan re-homing regression.
-// ---------------------------------------------------------------------------
-
-/// Generates a churn trace (same policy as [`churn_and_validate`]) by
-/// running the unsharded reference overlay, returning the event stream and
-/// the reference's final snapshot. Leave targets are valid because host
-/// ids are the join count at issue time, identical on every replay.
-fn build_trace(seed: u64, degree: u32, events: usize) -> (Vec<ChurnEvent>, MulticastTree<2>) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut reference = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
-    let mut live = Vec::new();
-    let mut trace = Vec::with_capacity(events);
-    for _ in 0..events {
-        if live.len() < 8 || rng.random::<f64>() < 2.0 / 3.0 {
-            let p = Point2::new([rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)]);
-            trace.push(ChurnEvent::Join(p));
-            live.push(reference.join(p));
-        } else {
-            let i = rng.random_range(0..live.len());
-            let id = live.remove(i);
-            trace.push(ChurnEvent::Leave(id));
-            reference.leave(id).unwrap();
-        }
-    }
-    (trace, reference.snapshot().unwrap())
-}
-
-/// Bit-level tree equality: same membership in the same order, same
-/// parents, and bitwise-equal delays and radius.
-fn assert_trees_identical(got: &MulticastTree<2>, want: &MulticastTree<2>, context: &str) {
-    assert_eq!(got.len(), want.len(), "{context}: membership size differs");
-    for i in 0..got.len() {
-        assert_eq!(
-            got.points()[i],
-            want.points()[i],
-            "{context}: position of host {i} differs"
-        );
-        assert_eq!(
-            got.parent(i),
-            want.parent(i),
-            "{context}: parent of host {i} differs"
-        );
-        assert_eq!(
-            got.depth(i).to_bits(),
-            want.depth(i).to_bits(),
-            "{context}: delay of host {i} differs in bits"
-        );
-    }
-    assert_eq!(
-        got.radius().to_bits(),
-        want.radius().to_bits(),
-        "{context}: radius differs in bits"
-    );
-}
-
-/// The headline acceptance matrix: sharded batch application is
-/// bit-identical to the unsharded per-event path across seeds × degrees
-/// {2,4,6} × shards {1,2,4,8} × batch sizes {1, 7, 64, full-stream}.
-#[test]
-fn sharded_batches_are_bit_identical_to_unsharded() {
-    for (seed, degree) in [
-        (0xA1u64, 2u32),
-        (0xA2, 4),
-        (0xA3, 6),
-        (0xB1, 2),
-        (0xB2, 4),
-        (0xB3, 6),
-    ] {
-        let (trace, want) = build_trace(seed, degree, 600);
-        for shards in [1u32, 2, 4, 8] {
-            for batch in [1usize, 7, 64, trace.len()] {
-                let mut ov = ShardedOverlay::new(Point2::ORIGIN, degree, shards).unwrap();
-                for (b, chunk) in trace.chunks(batch).enumerate() {
-                    ov.apply_batch(chunk).unwrap();
-                    // Full invariant re-verification after every batch
-                    // (sparsely for single-event batches, where the
-                    // dedicated fuzz below covers the per-event case).
-                    if batch > 1 || b % 13 == 0 {
-                        ov.assert_invariants();
-                    }
-                }
-                ov.assert_invariants();
-                let got = ov.snapshot().unwrap();
-                assert_trees_identical(
-                    &got,
-                    &want,
-                    &format!("seed {seed:#x} degree {degree} shards {shards} batch {batch}"),
-                );
-            }
-        }
-    }
-}
-
-/// Satellite property: replaying the same stream with different batch
-/// boundaries (1 event per batch vs. the whole stream at once) yields
-/// bit-identical overlays — any order-dependence in the merge phase, or
-/// any speculation leak across a batch boundary, breaks this.
-#[test]
-fn batch_boundaries_do_not_change_the_overlay() {
-    for (seed, degree, shards) in [
-        (0xD1u64, 2u32, 4u32),
-        (0xD2, 4, 8),
-        (0xD3, 6, 2),
-        (0xD4, 4, 1),
-    ] {
-        let (trace, _) = build_trace(seed, degree, 500);
-        let mut one = ShardedOverlay::new(Point2::ORIGIN, degree, shards).unwrap();
-        for ev in &trace {
-            one.apply_batch(std::slice::from_ref(ev)).unwrap();
-        }
-        let mut full = ShardedOverlay::new(Point2::ORIGIN, degree, shards).unwrap();
-        full.apply_batch(&trace).unwrap();
-        one.assert_invariants();
-        full.assert_invariants();
-        assert_trees_identical(
-            &one.snapshot().unwrap(),
-            &full.snapshot().unwrap(),
-            &format!("seed {seed:#x} degree {degree} shards {shards}: 1-event vs full-stream"),
-        );
-        // The full-stream run must actually have exercised speculation.
-        let st = full.last_batch_stats();
-        assert_eq!(st.joins + st.leaves, trace.len() as u64);
-        assert_eq!(st.fast_path + st.recomputed, st.joins);
-    }
-}
-
-/// Cross-shard invariant fuzz: a sharded overlay and an unsharded mirror
-/// consume the same stream batch by batch; after **every** batch the
-/// sharding invariants are re-verified (ownership partition, degree caps,
-/// drained speculation, counter coherence — `ShardedOverlay::
-/// assert_invariants` — plus the wrapped overlay's full check) and the
-/// merged view is snapshot-validated and compared to the mirror by bits.
-#[test]
-fn cross_shard_fuzz_every_batch_matches_mirror() {
-    for (degree, shards) in [(2u32, 4u32), (4, 8), (6, 4), (3, 2)] {
-        let mut rng = SmallRng::seed_from_u64(0xF0_0000 + u64::from(degree * 100 + shards));
-        let mut sharded = ShardedOverlay::new(Point2::ORIGIN, degree, shards).unwrap();
-        let mut mirror = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
-        let mut live = Vec::new();
-        let mut total_fast = 0u64;
-        for _batch in 0..30 {
-            let mut events = Vec::new();
-            for _ in 0..32 {
-                if live.len() < 8 || rng.random::<f64>() < 2.0 / 3.0 {
-                    let p = Point2::new([rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)]);
-                    events.push(ChurnEvent::Join(p));
-                } else {
-                    let i = rng.random_range(0..live.len());
-                    events.push(ChurnEvent::Leave(live.remove(i)));
-                }
-                // Track the would-be id stream so leave targets are valid.
-                if let ChurnEvent::Join(p) = events.last().unwrap() {
-                    live.push(mirror.join(*p));
-                } else if let ChurnEvent::Leave(id) = events.last().unwrap() {
-                    mirror.leave(*id).unwrap();
-                }
-            }
-            let ids = sharded.apply_batch(&events).unwrap();
-            assert_eq!(ids.len(), events.len());
-            sharded.assert_invariants();
-            let got = sharded.snapshot().unwrap();
-            got.validate(Some(degree)).unwrap();
-            assert_trees_identical(
-                &got,
-                &mirror.snapshot().unwrap(),
-                &format!("degree {degree} shards {shards} batch {_batch}"),
-            );
-            let st = sharded.last_batch_stats();
-            assert_eq!(st.fast_path + st.recomputed, st.joins);
-            assert_eq!(st.joins + st.leaves, events.len() as u64);
-            total_fast += st.fast_path;
-        }
-        assert!(
-            total_fast > 0,
-            "degree {degree} shards {shards}: speculation never took the fast path"
-        );
-    }
-}
-
-/// Sharded analogue of the full-source regression: engineer leaves near a
-/// sector boundary whose local candidates are exhausted, so orphan
-/// re-homing must attach across shards — at degrees {2,4,6}, once right
-/// after an explicit rebuild and repeatedly mid-churn (both sides of the
-/// rebuild boundary) — and prove via the unsharded mirror that the result
-/// is still bit-identical, with the cross-shard traffic visible in
-/// `BatchStats`.
-#[test]
-fn cross_shard_orphan_rehoming_regression() {
-    for degree in [2u32, 4, 6] {
-        let mut exercised_fresh = 0u32;
-        let mut exercised_churned = 0u32;
-        let mut cross_writes = 0u64;
-        let mut cross_leaves = 0u64;
-        for seed in 0..20u64 {
-            let mut rng = SmallRng::seed_from_u64(0xB0A_0000 + seed * 37 + u64::from(degree));
-            let mut sharded = ShardedOverlay::new(Point2::ORIGIN, degree, 8).unwrap();
-            let mut mirror = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
-            let mut live = Vec::new();
-            // The wedge workload concentrates hosts in ~2 adjacent ring-3
-            // sectors, so interior leaves there orphan hosts whose local
-            // candidates saturate quickly at small degrees.
-            let churn = |sharded: &mut ShardedOverlay,
-                         mirror: &mut DynamicOverlay,
-                         live: &mut Vec<omt_core::HostId>,
-                         rng: &mut SmallRng,
-                         steps: usize| {
-                let mut events = Vec::new();
-                for _ in 0..steps {
-                    if live.len() < 8 || rng.random::<f64>() < 0.7 {
-                        let p = wedge_point(rng);
-                        events.push(ChurnEvent::Join(p));
-                        live.push(mirror.join(p));
-                    } else {
-                        let i = rng.random_range(0..live.len());
-                        let id = live.remove(i);
-                        events.push(ChurnEvent::Leave(id));
-                        mirror.leave(id).unwrap();
-                    }
-                }
-                sharded.apply_batch(&events).unwrap();
-            };
-            churn(&mut sharded, &mut mirror, &mut live, &mut rng, 150);
-            // Fresh side of the rebuild boundary.
-            sharded.rebuild();
-            mirror.rebuild();
-            sharded.assert_invariants();
-            if sharded_interior_leave(&mut sharded, &mut mirror, &mut live, degree) {
-                exercised_fresh += 1;
-                let st = sharded.last_batch_stats();
-                cross_writes += st.cross_shard_writes;
-                cross_leaves += st.cross_shard_leaves;
-            }
-            // Churned side: rebuilds fire on their own schedule.
-            for _ in 0..4 {
-                churn(&mut sharded, &mut mirror, &mut live, &mut rng, 20);
-                if sharded_interior_leave(&mut sharded, &mut mirror, &mut live, degree) {
-                    exercised_churned += 1;
-                    let st = sharded.last_batch_stats();
-                    cross_writes += st.cross_shard_writes;
-                    cross_leaves += st.cross_shard_leaves;
-                }
-            }
-        }
-        assert!(
-            exercised_fresh >= 5 && exercised_churned >= 8,
-            "degree {degree}: scenario under-exercised \
-             (fresh {exercised_fresh}, churned {exercised_churned})"
-        );
-        assert!(
-            cross_writes > 0,
-            "degree {degree}: no cross-shard writes observed \
-             (leaves {cross_leaves}, writes {cross_writes})"
-        );
-    }
-}
-
-/// Fills the source via probe joins opposite the wedge (mirrored on both
-/// overlays), then removes an interior host through the batch API and
-/// verifies invariants, the degree cap, and bit-identity with the mirror.
-/// Returns whether the scenario fired.
-fn sharded_interior_leave(
-    sharded: &mut ShardedOverlay,
-    mirror: &mut DynamicOverlay,
-    live: &mut Vec<omt_core::HostId>,
-    degree: u32,
-) -> bool {
-    // Drive the source to its full budget so re-homing cannot fall back to
-    // it (same probe pattern as the unsharded regression above).
-    let mut angle: f64 = 1.6;
-    while angle < 6.0 && sharded.snapshot().unwrap().source_out_degree() < degree {
-        let p = Point2::new([0.9 * angle.cos(), 0.9 * angle.sin()]);
-        let ids = sharded.apply_batch(&[ChurnEvent::Join(p)]).unwrap();
-        let mid = mirror.join(p);
-        assert_eq!(ids[0], Some(mid));
-        live.push(mid);
-        angle += 0.37;
-    }
-    let tree = sharded.snapshot().unwrap();
-    if tree.source_out_degree() < degree {
-        return false;
-    }
-    let Some(victim) = find_interior(&tree) else {
-        return false;
-    };
-    let id = live.remove(victim);
-    sharded.apply_batch(&[ChurnEvent::Leave(id)]).unwrap();
-    mirror.leave(id).unwrap();
-    sharded.assert_invariants();
-    let after = sharded.snapshot().unwrap();
-    after.validate(Some(degree)).unwrap();
-    assert!(
-        after.source_out_degree() <= degree,
-        "re-homing over-attached the source: {} > {degree}",
-        after.source_out_degree()
-    );
-    assert_trees_identical(
-        &after,
-        &mirror.snapshot().unwrap(),
-        "after cross-shard interior leave",
-    );
-    true
-}
-
-// ---------------------------------------------------------------------------
 // Golden churn fingerprints: the exact trees and search work of one fixed
 // trace, pinned so that any change to the churn path's decisions shows up.
 // ---------------------------------------------------------------------------
@@ -548,20 +222,25 @@ fn parent_fingerprint(tree: &MulticastTree<2>) -> u64 {
 
 /// What the golden trace pins per degree: the final snapshot's radius
 /// bits, [`parent_fingerprint`] of it, and `search_probes().0` (cells
-/// scanned) in scan mode and in index mode.
+/// scanned).
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     radius_bits: u64,
     parents: u64,
     scan_cells: u64,
-    indexed_cells: u64,
+}
+
+/// One membership event of a recorded trace.
+enum Event {
+    Join(Point2),
+    Leave(HostId),
 }
 
 /// The golden trace at `degree`: 2400 events, joins : leaves ≈ 2 : 1, in
 /// which one join in six lands exactly on an earlier join's position (a
 /// zero-length edge whenever one becomes the other's parent). Returns
 /// the trace and how many of its leaves departed an interior host.
-fn golden_trace(degree: u32) -> (Vec<ChurnEvent>, usize) {
+fn golden_trace(degree: u32) -> (Vec<Event>, usize) {
     let mut rng = SmallRng::seed_from_u64(0x601D_C4A2);
     let mut reference = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
     let mut live = Vec::new();
@@ -576,7 +255,7 @@ fn golden_trace(degree: u32) -> (Vec<ChurnEvent>, usize) {
                 Point2::new([rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)])
             };
             seen.push(p);
-            trace.push(ChurnEvent::Join(p));
+            trace.push(Event::Join(p));
             live.push(reference.join(p));
         } else {
             let i = rng.random_range(0..live.len());
@@ -585,7 +264,7 @@ fn golden_trace(degree: u32) -> (Vec<ChurnEvent>, usize) {
                 interior_leaves += 1;
             }
             let id = live.remove(i);
-            trace.push(ChurnEvent::Leave(id));
+            trace.push(Event::Leave(id));
             reference.leave(id).unwrap();
         }
     }
@@ -595,12 +274,12 @@ fn golden_trace(degree: u32) -> (Vec<ChurnEvent>, usize) {
 /// How many automatic rebuilds `trace` triggers, by the documented rule:
 /// a rebuild fires once the events since the last one exceed half the
 /// live membership (`churn · 2 > max(live, 8)`).
-fn automatic_rebuilds(trace: &[ChurnEvent]) -> usize {
+fn automatic_rebuilds(trace: &[Event]) -> usize {
     let (mut live, mut churn, mut rebuilds) = (0usize, 0usize, 0);
     for ev in trace {
         match ev {
-            ChurnEvent::Join(_) => live += 1,
-            ChurnEvent::Leave(_) => live -= 1,
+            Event::Join(_) => live += 1,
+            Event::Leave(_) => live -= 1,
         }
         churn += 1;
         if churn * 2 > live.max(8) {
@@ -611,17 +290,16 @@ fn automatic_rebuilds(trace: &[ChurnEvent]) -> usize {
     rebuilds
 }
 
-/// Replays `trace` one event at a time, with the capacity index on or
-/// off, and returns the final snapshot and the cells scanned.
-fn golden_replay(trace: &[ChurnEvent], degree: u32, hgrid: bool) -> (MulticastTree<2>, u64) {
+/// Replays `trace` one event at a time and returns the final snapshot and
+/// the cells scanned.
+fn golden_replay(trace: &[Event], degree: u32) -> (MulticastTree<2>, u64) {
     let mut overlay = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
-    overlay.set_hgrid(hgrid);
     for ev in trace {
         match ev {
-            ChurnEvent::Join(p) => {
+            Event::Join(p) => {
                 overlay.join(*p);
             }
-            ChurnEvent::Leave(id) => overlay.leave(*id).unwrap(),
+            Event::Leave(id) => overlay.leave(*id).unwrap(),
         }
     }
     overlay.assert_invariants();
@@ -630,8 +308,7 @@ fn golden_replay(trace: &[ChurnEvent], degree: u32, hgrid: bool) -> (MulticastTr
 
 /// Golden fingerprints of the trace in [`golden_trace`] at degrees
 /// {2, 4, 6}. Changes to the churn path that claim to keep every tree
-/// bit-identical must leave all of them unchanged; the sharded engine
-/// replaying the same trace in batches must reproduce the same tree.
+/// bit-identical must leave all of them unchanged.
 #[test]
 fn golden_churn_fingerprints() {
     let pinned = [
@@ -641,7 +318,6 @@ fn golden_churn_fingerprints() {
                 radius_bits: 4612070420392865182,
                 parents: 18092851850185435477,
                 scan_cells: 2087,
-                indexed_cells: 2031,
             },
         ),
         (
@@ -650,7 +326,6 @@ fn golden_churn_fingerprints() {
                 radius_bits: 4612070420392865182,
                 parents: 3080242825948415786,
                 scan_cells: 2099,
-                indexed_cells: 2061,
             },
         ),
         (
@@ -659,7 +334,6 @@ fn golden_churn_fingerprints() {
                 radius_bits: 4610555280411578161,
                 parents: 13116103975485518760,
                 scan_cells: 2237,
-                indexed_cells: 2199,
             },
         ),
     ];
@@ -671,7 +345,7 @@ fn golden_churn_fingerprints() {
         );
         let rebuilds = automatic_rebuilds(&trace);
         assert!(rebuilds >= 2, "degree {degree}: only {rebuilds} rebuilds");
-        let (scan_tree, scan_cells) = golden_replay(&trace, degree, false);
+        let (scan_tree, scan_cells) = golden_replay(&trace, degree);
         let zero_edges = (0..scan_tree.len())
             .filter(|&i| match scan_tree.parent(i) {
                 ParentRef::Node(p) => scan_tree.points()[p] == scan_tree.points()[i],
@@ -679,136 +353,11 @@ fn golden_churn_fingerprints() {
             })
             .count();
         assert!(zero_edges > 0, "degree {degree}: no zero-length edge");
-        let (indexed_tree, indexed_cells) = golden_replay(&trace, degree, true);
-        assert_trees_identical(&indexed_tree, &scan_tree, "golden trace, index vs scan");
-        let mut sharded = ShardedOverlay::new(Point2::ORIGIN, degree, 4).unwrap();
-        for chunk in trace.chunks(64) {
-            sharded.apply_batch(chunk).unwrap();
-        }
-        assert_trees_identical(
-            &sharded.snapshot().unwrap(),
-            &scan_tree,
-            "golden trace, sharded vs per-event",
-        );
         let got = Golden {
             radius_bits: scan_tree.radius().to_bits(),
             parents: parent_fingerprint(&scan_tree),
             scan_cells,
-            indexed_cells,
         };
         assert_eq!(got, want, "degree {degree}: golden churn fingerprint moved");
     }
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical capacity-summary index: indexed vs. scan bit-identity and the
-// empty-cell short-circuit regression (no environment variable needed).
-// ---------------------------------------------------------------------------
-
-/// Replays the same churn trace into a scan-only overlay and an indexed
-/// one, comparing the parent *choice* for every join before applying it
-/// and reconciling the incremental summaries against a from-scratch index
-/// rebuild after every event (`assert_invariants` does exactly that when
-/// the index is on). Ends with a bit-level snapshot comparison.
-#[test]
-fn hgrid_indexed_churn_is_bit_identical_to_scan() {
-    for (seed, degree) in [(0xE1u64, 2u32), (0xE2, 4), (0xE3, 6)] {
-        let (trace, _) = build_trace(seed, degree, 600);
-        let mut scan = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
-        scan.set_hgrid(false);
-        let mut indexed = DynamicOverlay::new(Point2::ORIGIN, degree).unwrap();
-        indexed.set_hgrid(true);
-        assert!(indexed.hgrid_enabled() && !scan.hgrid_enabled());
-        for (i, ev) in trace.iter().enumerate() {
-            match ev {
-                ChurnEvent::Join(p) => {
-                    assert_eq!(
-                        scan.peek_parent(p),
-                        indexed.peek_parent(p),
-                        "seed {seed:#x} degree {degree} event {i}: \
-                         indexed parent search disagrees with the scan"
-                    );
-                    assert_eq!(scan.join(*p), indexed.join(*p));
-                }
-                ChurnEvent::Leave(id) => {
-                    scan.leave(*id).unwrap();
-                    indexed.leave(*id).unwrap();
-                }
-            }
-            indexed.assert_invariants();
-            if i % 25 == 0 {
-                assert_trees_identical(
-                    &indexed.snapshot().unwrap(),
-                    &scan.snapshot().unwrap(),
-                    &format!("seed {seed:#x} degree {degree} event {i}"),
-                );
-            }
-        }
-        assert_trees_identical(
-            &indexed.snapshot().unwrap(),
-            &scan.snapshot().unwrap(),
-            &format!("seed {seed:#x} degree {degree} final"),
-        );
-        // The index must have actually saved work for the run to mean
-        // anything: fewer open-list consultations than the scan path.
-        let (scan_cells, _) = scan.search_probes();
-        let (indexed_cells, _) = indexed.search_probes();
-        assert!(
-            indexed_cells < scan_cells,
-            "seed {seed:#x} degree {degree}: index did not reduce scans \
-             ({indexed_cells} vs {scan_cells})"
-        );
-    }
-}
-
-/// Regression for the empty-cell scan waste fixed in this change: the
-/// open-host index used to be consulted (and its free-list walked) even
-/// for cells the capacity index knows are empty. A join whose entire
-/// ancestor-cell chain is empty must now touch **zero** open lists when
-/// the index is on — and still pick the identical parent (the source).
-#[test]
-fn empty_cell_join_scans_nothing_under_the_index() {
-    let mut scan = DynamicOverlay::new(Point2::ORIGIN, 4).unwrap();
-    scan.set_hgrid(false);
-    let mut indexed = DynamicOverlay::new(Point2::ORIGIN, 4).unwrap();
-    indexed.set_hgrid(true);
-    // A tight 3-host cluster near angle 0 at radius ~0.9: after a rebuild
-    // the grid's occupied cells all sit in the cluster's wedge, and the
-    // source still has open degree budget.
-    for i in 0..3 {
-        let a = 0.02 * f64::from(i);
-        let p = Point2::new([0.9 * a.cos(), 0.9 * a.sin()]);
-        scan.join(p);
-        indexed.join(p);
-    }
-    scan.rebuild();
-    indexed.rebuild();
-    indexed.assert_invariants();
-    // A join on the far side of the disk: every cell on its ancestor
-    // chain is empty, so the answer is the source either way.
-    let q = Point2::new([-0.9, 0.0]);
-    scan.reset_search_probes();
-    indexed.reset_search_probes();
-    let ps = scan.peek_parent(&q);
-    let pi = indexed.peek_parent(&q);
-    assert_eq!(ps, pi, "index changed the empty-chain answer");
-    assert_eq!(ps, None, "expected a fallback to the source");
-    let (scan_cells, _) = scan.search_probes();
-    assert!(
-        scan_cells > 0,
-        "scan path consulted no open lists — scenario is degenerate"
-    );
-    assert_eq!(
-        indexed.search_probes(),
-        (0, 0),
-        "indexed path consulted open lists for cells known to be empty"
-    );
-    // The actual join stays bit-identical too.
-    assert_eq!(scan.join(q), indexed.join(q));
-    indexed.assert_invariants();
-    assert_trees_identical(
-        &indexed.snapshot().unwrap(),
-        &scan.snapshot().unwrap(),
-        "after the empty-chain join",
-    );
 }

@@ -6,7 +6,9 @@
 //! bisection split or an attachment shows up here, not only changes that
 //! move the deepest leaf. The 2-D and 3-D grid matrices are checked at
 //! every thread count in [`THREADS`]: the per-cell parallel fill must give
-//! the same tree as the sequential one.
+//! the same tree as the sequential one, and a build at the env-default
+//! thread count (`OMT_THREADS` or the available parallelism) must match
+//! `threads(1)` in its tree and its report.
 //!
 //! The 1k/10k matrices run everywhere; the 100k and 1M golden radii and
 //! the 1M fingerprints are `#[ignore]`d (debug-build cost) and run in
@@ -214,6 +216,35 @@ fn polar_grid_fingerprints() {
                 &tree,
                 want,
             );
+        }
+    }
+}
+
+/// A build that leaves the thread count to the environment is
+/// bit-identical to the forced-sequential one, tree and report alike.
+#[test]
+fn env_default_threads_match_sequential() {
+    let points = disk_points(2_000, 2004);
+    for deg in [2u32, 6] {
+        let (seq_tree, seq) = PolarGridBuilder::new()
+            .max_out_degree(deg)
+            .threads(1)
+            .build_with_report(Point2::ORIGIN, &points)
+            .unwrap();
+        let (env_tree, env) = PolarGridBuilder::new()
+            .max_out_degree(deg)
+            .build_with_report(Point2::ORIGIN, &points)
+            .unwrap();
+        assert_eq!(
+            env_tree, seq_tree,
+            "deg={deg}: default-threads tree drifted"
+        );
+        for (name, a, b) in [
+            ("delay", env.delay, seq.delay),
+            ("bound", env.bound, seq.bound),
+            ("lower_bound", env.lower_bound, seq.lower_bound),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "deg={deg}: report {name} drifted");
         }
     }
 }

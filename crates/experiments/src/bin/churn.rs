@@ -2,58 +2,31 @@
 //! Reports the worst delay of the churned overlay against a fresh static
 //! rebuild over the same membership, as churn progresses, plus the fraction
 //! of survivors a random 1% host crash would strand in the churned tree.
-//!
-//! With `--shards N` (N a power of two > 1) the events run through the
-//! sharded batch engine instead of the per-event path: joins are
-//! speculated across polar-sector shards in parallel and merged
-//! deterministically, and the crash column is computed per shard and
-//! aggregated (`failure_reports_by_group`), which is how a sharded
-//! deployment would actually collect it.
 
-use omt_core::{ChurnEvent, DynamicOverlay, HostId, PolarGridBuilder, ShardedOverlay};
+use omt_core::{DynamicOverlay, PolarGridBuilder};
 use omt_experiments::cli::ExpArgs;
 use omt_experiments::report::{series_csv, series_markdown, write_result};
 use omt_experiments::workload::trial_rng;
 use omt_geom::{Point2, Region};
-use omt_rng::rngs::SmallRng;
 use omt_rng::RngExt;
-use omt_sim::{failure_reports_by_group, simulate_with_failures, FailureReport};
+use omt_sim::simulate_with_failures;
 use omt_tree::MulticastTree;
 
 /// The 1%-crash strand-rate column. The crash rng derives from (seed,
 /// target, 1 + step), independent of the membership stream's rng, so this
-/// column cannot perturb the event trace. In sharded mode the report is
-/// computed per shard and aggregated.
-fn stranded_column(
-    snapshot: &MulticastTree<2>,
-    sharded: Option<&ShardedOverlay>,
-    seed: u64,
-    target: usize,
-    step: usize,
-) -> f64 {
+/// column cannot perturb the event trace.
+fn stranded_column(snapshot: &MulticastTree<2>, seed: u64, target: usize, step: usize) -> f64 {
     let mut crash_rng = trial_rng(seed, target, 1 + step);
     let crashes = (snapshot.len() / 100).max(1);
     let failed: Vec<usize> = (0..crashes)
         .map(|_| crash_rng.random_range(0..snapshot.len()))
         .collect();
-    match sharded {
-        None => simulate_with_failures(snapshot, &failed).stranded_fraction(),
-        Some(ov) => {
-            let parts = failure_reports_by_group(
-                snapshot,
-                &failed,
-                |i| ov.shard_of_position(&snapshot.points()[i]) as usize,
-                ov.shards() as usize,
-            );
-            FailureReport::aggregate(&parts).stranded_fraction()
-        }
-    }
+    simulate_with_failures(snapshot, &failed).stranded_fraction()
 }
 
 fn metrics_row(
     snapshot: &MulticastTree<2>,
     churned: f64,
-    sharded: Option<&ShardedOverlay>,
     seed: u64,
     target: usize,
     step: usize,
@@ -62,12 +35,11 @@ fn metrics_row(
         .build(Point2::ORIGIN, snapshot.points())
         .expect("valid points")
         .radius();
-    let stranded = stranded_column(snapshot, sharded, seed, target, step);
+    let stranded = stranded_column(snapshot, seed, target, step);
     vec![churned, fresh, churned / fresh, stranded]
 }
 
-/// The original per-event path (`--shards 1`, the default).
-fn run_unsharded(args: &ExpArgs, target: usize, steps: usize) -> Vec<(f64, Vec<f64>)> {
+fn run(args: &ExpArgs, target: usize, steps: usize) -> Vec<(f64, Vec<f64>)> {
     let mut rng = trial_rng(args.seed(), target, 0);
     let disk = omt_geom::Disk::unit();
     let mut overlay = DynamicOverlay::new(Point2::ORIGIN, 6).expect("degree 6 ok");
@@ -82,82 +54,10 @@ fn run_unsharded(args: &ExpArgs, target: usize, steps: usize) -> Vec<(f64, Vec<f
         }
         if step % (steps / 10).max(1) == 0 && overlay.len() > 10 {
             let snapshot = overlay.snapshot().expect("consistent overlay");
-            let row = metrics_row(&snapshot, overlay.radius(), None, args.seed(), target, step);
+            let row = metrics_row(&snapshot, overlay.radius(), args.seed(), target, step);
             rows.push((step as f64, row));
         }
     }
-    rows
-}
-
-/// Generates one batch of events with the same join/leave policy as the
-/// per-event path; leave victims are drawn (without replacement) from the
-/// pre-batch live set, since in-batch joiners' ids are only known after
-/// the batch applies.
-fn next_batch(
-    rng: &mut SmallRng,
-    live: &mut Vec<HostId>,
-    target: usize,
-    count: usize,
-) -> Vec<ChurnEvent> {
-    let mut events = Vec::with_capacity(count);
-    let mut live_now = live.len();
-    for _ in 0..count {
-        let join = live.is_empty()
-            || live_now < target / 2
-            || (live_now < target * 2 && rng.random::<f64>() < 0.55);
-        if join {
-            events.push(ChurnEvent::Join(omt_geom::Disk::unit().sample(rng)));
-            live_now += 1;
-        } else {
-            let i = rng.random_range(0..live.len());
-            events.push(ChurnEvent::Leave(live.swap_remove(i)));
-            live_now -= 1;
-        }
-    }
-    events
-}
-
-/// The sharded batch path (`--shards N`, N > 1).
-fn run_sharded(args: &ExpArgs, target: usize, steps: usize, shards: u32) -> Vec<(f64, Vec<f64>)> {
-    let mut rng = trial_rng(args.seed(), target, 0);
-    let mut overlay = ShardedOverlay::new(Point2::ORIGIN, 6, shards).expect("valid shard count");
-    let mut live: Vec<HostId> = Vec::new();
-    let mut rows = Vec::new();
-    let batch = 256usize;
-    let report_every = (steps / 10).max(1);
-    let mut next_report = 0usize;
-    let mut step = 0usize;
-    let mut fast = 0u64;
-    let mut joins = 0u64;
-    let mut cross = 0u64;
-    while step < steps {
-        let events = next_batch(&mut rng, &mut live, target, batch.min(steps - step));
-        let ids = overlay.apply_batch(&events).expect("live victims");
-        live.extend(ids.into_iter().flatten());
-        step += events.len();
-        let st = overlay.last_batch_stats();
-        fast += st.fast_path;
-        joins += st.joins;
-        cross += st.cross_shard_writes;
-        if step >= next_report && overlay.len() > 10 {
-            next_report = step + report_every;
-            let snapshot = overlay.snapshot().expect("consistent overlay");
-            let row = metrics_row(
-                &snapshot,
-                overlay.radius(),
-                Some(&overlay),
-                args.seed(),
-                target,
-                step,
-            );
-            rows.push((step as f64, row));
-        }
-    }
-    eprintln!(
-        "sharded path: {shards} shards, {joins} joins, \
-         {:.1}% fast-path, {cross} cross-shard writes",
-        100.0 * fast as f64 / joins.max(1) as f64
-    );
     rows
 }
 
@@ -165,15 +65,8 @@ fn main() {
     let args = ExpArgs::from_env();
     let target = args.sizes.as_ref().map_or(2_000, |s| s[0]);
     let steps = args.trials.unwrap_or(10) * target;
-    let shards = args.shards();
-    eprintln!(
-        "churn experiment: target size {target}, {steps} membership events, {shards} shard(s)"
-    );
-    let rows = if shards > 1 {
-        run_sharded(&args, target, steps, shards)
-    } else {
-        run_unsharded(&args, target, steps)
-    };
+    eprintln!("churn experiment: target size {target}, {steps} membership events");
+    let rows = run(&args, target, steps);
     let names = [
         "churned radius",
         "fresh rebuild radius",

@@ -10,9 +10,6 @@
 //! * `--seed 2004` — experiment seed;
 //! * `--out results/` — also write CSV files into this directory;
 //! * `--quick` — use the short size sweep (up to 50k nodes).
-//! * `--shards 4` — experiments that support it (churn) drive the
-//!   sharded batch engine instead of the per-event path; results are
-//!   bit-identical, only throughput changes. Must be a power of two.
 
 use std::path::PathBuf;
 
@@ -31,8 +28,6 @@ pub struct ExpArgs {
     pub out: Option<PathBuf>,
     /// Use the quick size sweep.
     pub quick: bool,
-    /// Shard count for the batched churn engine (default 1 = unsharded).
-    pub shards: Option<u32>,
 }
 
 impl ExpArgs {
@@ -73,18 +68,6 @@ impl ExpArgs {
                 }
                 "--out" => out.out = Some(PathBuf::from(value("--out")?)),
                 "--quick" => out.quick = true,
-                "--shards" => {
-                    let v = value("--shards")?;
-                    let shards: u32 = v
-                        .parse()
-                        .map_err(|e| format!("bad --shards value {v:?}: {e}"))?;
-                    if !shards.is_power_of_two() || shards > 64 {
-                        return Err(format!(
-                            "bad --shards value {shards}: must be a power of two in 1..=64"
-                        ));
-                    }
-                    out.shards = Some(shards);
-                }
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
@@ -98,7 +81,7 @@ impl ExpArgs {
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: [--sizes 100,1000] [--trials N] [--seed N] [--out DIR] [--quick] [--shards N]"
+                    "usage: [--sizes 100,1000] [--trials N] [--seed N] [--out DIR] [--quick]"
                 );
                 std::process::exit(2);
             }
@@ -124,11 +107,6 @@ impl ExpArgs {
     pub fn seed(&self) -> u64 {
         self.seed.unwrap_or(2004)
     }
-
-    /// The shard count (1 = the unsharded per-event path).
-    pub fn shards(&self) -> u32 {
-        self.shards.unwrap_or(1)
-    }
 }
 
 #[cfg(test)]
@@ -141,23 +119,12 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let a = parse("--sizes 10,20 --trials 5 --seed 9 --out res --quick --shards 8").unwrap();
+        let a = parse("--sizes 10,20 --trials 5 --seed 9 --out res --quick").unwrap();
         assert_eq!(a.sizes(), vec![10, 20]);
         assert_eq!(a.trials_for(1_000_000), 5);
         assert_eq!(a.seed(), 9);
         assert_eq!(a.out, Some(PathBuf::from("res")));
         assert!(a.quick);
-        assert_eq!(a.shards(), 8);
-    }
-
-    #[test]
-    fn shards_default_and_validation() {
-        assert_eq!(parse("").unwrap().shards(), 1);
-        assert_eq!(parse("--shards 4").unwrap().shards(), 4);
-        assert!(parse("--shards 3").is_err());
-        assert!(parse("--shards 0").is_err());
-        assert!(parse("--shards 128").is_err());
-        assert!(parse("--shards").is_err());
     }
 
     #[test]

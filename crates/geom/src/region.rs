@@ -294,6 +294,130 @@ impl Region<2> for ConvexPolygon {
     }
 }
 
+/// The deepest-interior point (pole of inaccessibility) of a convex
+/// polygon, to within `tolerance`: the center of the largest inscribed
+/// circle, found by the polylabel-style best-first quadtree search. This
+/// is the representative-placement mode the generalization workload uses
+/// for arbitrary convex regions with off-center sources: the returned
+/// point maximizes the clearance to the region boundary, so a source (or
+/// cell representative) placed there keeps the grid's active area
+/// balanced.
+///
+/// For a convex polygon the interior depth of a point is exactly the
+/// minimum signed distance to the edge lines, which is 1-Lipschitz — so
+/// `depth(center) + half_diagonal` upper-bounds the depth anywhere in a
+/// square search cell, and cells whose bound cannot beat the incumbent
+/// are pruned.
+///
+/// `tolerance` is the accepted depth shortfall of the returned point.
+/// Polygons with two parallel binding edges (any true trapezoid) have a
+/// *plateau* — a whole segment of maximal-depth points — and bound
+/// pruning cannot separate plateau cells from each other, so the work
+/// scales as O(plateau length / tolerance). Pick the coarsest tolerance
+/// the caller can stand (placement workloads use `1e-6`); nanometre
+/// tolerances on plateaued shapes cost gigabytes, not nanometres.
+///
+/// # Panics
+///
+/// Panics if `tolerance` is not strictly positive and finite.
+///
+/// # Examples
+///
+/// ```
+/// use omt_geom::{deepest_interior, ConvexPolygon, Point2};
+///
+/// let hex = ConvexPolygon::regular(6, Point2::new([2.0, -1.0]), 1.0);
+/// let pole = deepest_interior(&hex, 1e-9);
+/// assert!(pole.distance(&Point2::new([2.0, -1.0])) < 1e-6);
+/// ```
+pub fn deepest_interior(poly: &ConvexPolygon, tolerance: f64) -> Point2 {
+    assert!(
+        tolerance > 0.0 && tolerance.is_finite(),
+        "tolerance must be positive and finite"
+    );
+    let vertices = poly.vertices();
+    let depth = |p: &Point2| -> f64 {
+        let n = vertices.len();
+        let mut d = f64::INFINITY;
+        for i in 0..n {
+            let a = vertices[i];
+            let b = vertices[(i + 1) % n];
+            let e = b - a;
+            let len = e.norm();
+            // Signed distance to the edge line; positive inside (CCW).
+            d = d.min((e.x() * (p.y() - a.y()) - e.y() * (p.x() - a.x())) / len);
+        }
+        d
+    };
+    let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
+    let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for v in vertices {
+        min_x = min_x.min(v.x());
+        min_y = min_y.min(v.y());
+        max_x = max_x.max(v.x());
+        max_y = max_y.max(v.y());
+    }
+    /// One square search cell, ordered by its depth upper bound (ties
+    /// broken on coordinates so the heap order — and hence the returned
+    /// pole — is deterministic).
+    #[derive(PartialEq)]
+    struct Cand {
+        score: f64,
+        x: f64,
+        y: f64,
+        half: f64,
+    }
+    impl Eq for Cand {}
+    impl Ord for Cand {
+        fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+            self.score
+                .total_cmp(&other.score)
+                .then(self.x.total_cmp(&other.x))
+                .then(self.y.total_cmp(&other.y))
+        }
+    }
+    impl PartialOrd for Cand {
+        fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    let mut best_point = poly.reference_point();
+    let mut best_depth = depth(&best_point);
+    let half = ((max_x - min_x).max(max_y - min_y)) / 2.0;
+    let mut heap = std::collections::BinaryHeap::new();
+    let root = Point2::new([(min_x + max_x) / 2.0, (min_y + max_y) / 2.0]);
+    heap.push(Cand {
+        score: depth(&root) + half * core::f64::consts::SQRT_2,
+        x: root.x(),
+        y: root.y(),
+        half,
+    });
+    while let Some(cand) = heap.pop() {
+        if cand.score - best_depth <= tolerance {
+            break; // the max-heap invariant: nothing left can improve
+        }
+        let h = cand.half / 2.0;
+        for (dx, dy) in [(-h, -h), (h, -h), (-h, h), (h, h)] {
+            let center = Point2::new([cand.x + dx, cand.y + dy]);
+            let d = depth(&center);
+            if d > best_depth {
+                best_depth = d;
+                best_point = center;
+            }
+            let score = d + h * core::f64::consts::SQRT_2;
+            if score - best_depth > tolerance {
+                heap.push(Cand {
+                    score,
+                    x: center.x(),
+                    y: center.y(),
+                    half: h,
+                });
+            }
+        }
+    }
+    best_point
+}
+
 /// The annulus `{p : r_in ≤ ‖p - center‖ ≤ r_out}` — a deliberately
 /// **non-convex** region (for `r_in > 0`), used by tests to probe behaviour
 /// outside the theorem's hypotheses.
@@ -566,5 +690,49 @@ mod tests {
             let p = r.sample(&mut rng);
             assert!(r.contains(&p));
         }
+    }
+
+    #[test]
+    fn deepest_interior_of_symmetric_shapes_is_the_center() {
+        let square = ConvexPolygon::new(vec![
+            Point2::new([0.0, 0.0]),
+            Point2::new([2.0, 0.0]),
+            Point2::new([2.0, 2.0]),
+            Point2::new([0.0, 2.0]),
+        ])
+        .unwrap();
+        let pole = deepest_interior(&square, 1e-9);
+        assert!(pole.distance(&Point2::new([1.0, 1.0])) < 1e-6);
+        let hex = ConvexPolygon::regular(6, Point2::new([-3.0, 0.5]), 2.0);
+        let pole = deepest_interior(&hex, 1e-9);
+        assert!(pole.distance(&Point2::new([-3.0, 0.5])) < 1e-6);
+    }
+
+    #[test]
+    fn deepest_interior_beats_the_centroid_on_skewed_shapes() {
+        // A sharp right trapezoid: the centroid is pulled toward the long
+        // edge, while the pole of inaccessibility sits deeper.
+        let trap = ConvexPolygon::new(vec![
+            Point2::new([0.0, 0.0]),
+            Point2::new([4.0, 0.0]),
+            Point2::new([4.0, 0.2]),
+            Point2::new([0.0, 1.6]),
+        ])
+        .unwrap();
+        let pole = deepest_interior(&trap, 1e-9);
+        assert!(trap.contains(&pole));
+        let depth = |p: &Point2| {
+            let vs = trap.vertices();
+            (0..vs.len())
+                .map(|i| {
+                    let a = vs[i];
+                    let b = vs[(i + 1) % vs.len()];
+                    let e = b - a;
+                    (e.x() * (p.y() - a.y()) - e.y() * (p.x() - a.x())) / e.norm()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        assert!(depth(&pole) >= depth(&trap.reference_point()) - 1e-9);
+        assert!(depth(&pole) > 0.0);
     }
 }

@@ -102,13 +102,12 @@ where
 /// worker **exclusive mutable access** to the items it claims, and returns
 /// the per-item results in item order.
 ///
-/// This is the batch-dispatch primitive for sharded engines: each item is
-/// a shard's persistent scratch state (reused allocations, local indexes)
-/// that the shard mutates while producing its result. Items are claimed
-/// dynamically from an atomic cursor like [`par_map_indexed`], so skewed
-/// shard loads balance; every item is claimed exactly once, so the mutable
-/// borrows never alias (enforced with a per-item lock that is only ever
-/// taken uncontended).
+/// The grid builders use it for their chunked passes: each item is one
+/// chunk's work state (an output window and its cursors) that the worker
+/// fills while producing its result. Items are claimed dynamically from an
+/// atomic cursor like [`par_map_indexed`], so skewed chunks balance; every
+/// item is claimed exactly once, so the mutable borrows never alias
+/// (enforced with a per-item lock that is only ever taken uncontended).
 ///
 /// The determinism contract is the same as [`par_map_indexed`]: the result
 /// (and final state) of item `i` must be a pure function of `(i, items[i])`

@@ -1,6 +1,6 @@
-//! Pool-level determinism: the half of the differential harness that does
-//! not need the tree algorithms. The other half (sequential-parity of the
-//! actual constructions) lives in `omt-core/tests/parallel_parity.rs`.
+//! Pool-level determinism, without the tree algorithms. The constructions'
+//! thread-count independence is pinned in
+//! `omt-core/tests/construction_golden.rs`.
 
 use omt_par::par_map_indexed;
 use omt_rng::rngs::SmallRng;

@@ -250,78 +250,6 @@ impl FailureReport {
             self.stranded as f64 / survivors as f64
         }
     }
-
-    /// Combines per-group reports (e.g. one per overlay shard) into one.
-    ///
-    /// Counts add; `delivered` is the groups' vectors concatenated in the
-    /// given order (receiver indices are group-relative afterwards). The
-    /// aggregate's [`stranded_fraction`](Self::stranded_fraction) is the
-    /// correct membership-wide value — `Σ stranded / Σ survivors` — which
-    /// an average of per-group fractions gets wrong whenever groups fail
-    /// unevenly, because small heavily-crashed groups would be weighted
-    /// like large intact ones.
-    pub fn aggregate<'a>(parts: impl IntoIterator<Item = &'a FailureReport>) -> FailureReport {
-        let mut total = FailureReport {
-            delivered: Vec::new(),
-            reached: 0,
-            stranded: 0,
-            crashed: 0,
-        };
-        for p in parts {
-            total.delivered.extend_from_slice(&p.delivered);
-            total.reached += p.reached;
-            total.stranded += p.stranded;
-            total.crashed += p.crashed;
-        }
-        total
-    }
-}
-
-/// Runs [`simulate_with_failures`] and splits the outcome into one
-/// [`FailureReport`] per group, where `group_of(i)` assigns receiver `i`
-/// to a group in `0..groups` (e.g. the owning shard of a sharded
-/// overlay). Recombine with [`FailureReport::aggregate`].
-///
-/// # Panics
-///
-/// Panics if a failed index is out of range or `group_of` returns a group
-/// `>= groups`.
-pub fn failure_reports_by_group<const D: usize>(
-    tree: &MulticastTree<D>,
-    failed: &[usize],
-    group_of: impl Fn(usize) -> usize,
-    groups: usize,
-) -> Vec<FailureReport> {
-    let global = simulate_with_failures(tree, failed);
-    let mut crashed_flag = vec![false; tree.len()];
-    for &f in failed {
-        crashed_flag[f] = true;
-    }
-    let mut parts: Vec<FailureReport> = (0..groups)
-        .map(|_| FailureReport {
-            delivered: Vec::new(),
-            reached: 0,
-            stranded: 0,
-            crashed: 0,
-        })
-        .collect();
-    for i in 0..tree.len() {
-        let g = group_of(i);
-        assert!(
-            g < groups,
-            "receiver {i} assigned to out-of-range group {g}"
-        );
-        let part = &mut parts[g];
-        part.delivered.push(global.delivered[i]);
-        if crashed_flag[i] {
-            part.crashed += 1;
-        } else if global.delivered[i] {
-            part.reached += 1;
-        } else {
-            part.stranded += 1;
-        }
-    }
-    parts
 }
 
 /// Which receivers a packet still reaches when the hosts in `failed` have
@@ -563,66 +491,6 @@ mod tests {
             grid_makespan < star_makespan / 3.0,
             "grid {grid_makespan} vs star {star_makespan}"
         );
-    }
-
-    /// Pins the per-group aggregation against the unsharded global
-    /// report: splitting a mass-disconnect by shard and aggregating must
-    /// reproduce the global counts and stranded fraction exactly, even
-    /// when the shards fail maximally unevenly — while the naive mean of
-    /// per-shard fractions (the bug this API replaces) does not.
-    #[test]
-    fn per_group_aggregate_pins_unsharded_value() {
-        use omt_core::PolarGridBuilder;
-        use omt_geom::{Disk, Region};
-        use omt_rng::rngs::SmallRng;
-        use omt_rng::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(5);
-        let pts = Disk::unit().sample_n(&mut rng, 800);
-        let t = PolarGridBuilder::new().build(Point2::ORIGIN, &pts).unwrap();
-        // 4 angular groups; crash interior hosts of group 0 only, so the
-        // groups fail maximally unevenly.
-        let groups = 4usize;
-        let group_of = |i: usize| {
-            let p = t.point(i);
-            let angle = p[1].atan2(p[0]).rem_euclid(core::f64::consts::TAU);
-            ((angle / core::f64::consts::TAU * groups as f64) as usize).min(groups - 1)
-        };
-        let failed: Vec<usize> = (0..t.len())
-            .filter(|&i| group_of(i) == 0 && !t.children(i).is_empty())
-            .collect();
-        assert!(!failed.is_empty());
-        let global = simulate_with_failures(&t, &failed);
-        let parts = failure_reports_by_group(&t, &failed, group_of, groups);
-        assert_eq!(parts.len(), groups);
-        // Every receiver is in exactly one part.
-        assert_eq!(
-            parts.iter().map(|p| p.delivered.len()).sum::<usize>(),
-            t.len()
-        );
-        let agg = FailureReport::aggregate(&parts);
-        assert_eq!(agg.reached, global.reached);
-        assert_eq!(agg.stranded, global.stranded);
-        assert_eq!(agg.crashed, global.crashed);
-        assert_eq!(agg.delivered.len(), global.delivered.len());
-        assert_eq!(
-            agg.stranded_fraction().to_bits(),
-            global.stranded_fraction().to_bits(),
-            "aggregate must reproduce the unsharded stranded fraction"
-        );
-        // The naive per-shard mean is a different (wrong) number here.
-        let naive = parts
-            .iter()
-            .map(FailureReport::stranded_fraction)
-            .sum::<f64>()
-            / groups as f64;
-        assert!(
-            (naive - global.stranded_fraction()).abs() > 1e-3,
-            "scenario too even to demonstrate the aggregation fix: \
-             naive {naive} vs global {}",
-            global.stranded_fraction()
-        );
-        // Degenerate cases: no parts, and parts with no survivors.
-        assert_eq!(FailureReport::aggregate([]).stranded_fraction(), 0.0);
     }
 
     #[test]
