@@ -17,7 +17,7 @@
 
 use omt_core::{
     Bisection, Bisection3, BuildError, HeteroGridBuilder, NdGridBuilder, PolarGridBuilder,
-    RepStrategy, SphereGridBuilder,
+    PolarGridReport, RepStrategy, SphereGridBuilder,
 };
 use omt_geom::{Ball, Disk, Point, Point2, Point3, PointStore2, PointStore3, Region};
 use omt_rng::rngs::SmallRng;
@@ -56,6 +56,19 @@ fn assert_pinned<const D: usize>(label: &str, tree: &MulticastTree<D>, want: Pin
         parents: parent_fingerprint(tree),
     };
     assert_eq!(got, want, "{label}: golden construction fingerprint moved");
+}
+
+/// What a golden report entry pins: `rings`, `cells`, `occupied_cells`,
+/// and the bits of `delay`, `core_delay`, `bound` and `lower_bound`.
+type ReportPin = (u32, usize, usize, [u64; 4]);
+
+fn report_pin(r: &PolarGridReport) -> ReportPin {
+    (
+        r.rings,
+        r.cells,
+        r.occupied_cells,
+        [r.delay, r.core_delay, r.bound, r.lower_bound].map(f64::to_bits),
+    )
 }
 
 fn disk_points(n: usize, seed: u64) -> Vec<Point2> {
@@ -321,6 +334,48 @@ fn rep_strategy_fingerprints() {
             .unwrap();
         assert_pinned(&format!("{strategy:?} deg={deg}"), &tree, want);
     }
+    // 3-D: the same rules over the shell cells' inner boundaries.
+    let points = ball_points(2_000, 2004);
+    let pinned = [
+        (
+            RepStrategy::MinRadius,
+            2,
+            pin(0x400d_e8f7_64b2_25e4, 0x2989_0b3a_68e7_6514),
+        ),
+        (
+            RepStrategy::MinRadius,
+            10,
+            pin(0x4006_3bf0_b057_68fa, 0x790a_34ac_6ea5_a3d8),
+        ),
+        (
+            RepStrategy::MaxRadius,
+            2,
+            pin(0x4012_2a7c_d448_fc30, 0x9822_8bf1_ae9f_7f63),
+        ),
+        (
+            RepStrategy::MaxRadius,
+            10,
+            pin(0x400b_8402_35bd_ae7f, 0xf6c6_7dd9_964a_dcdb),
+        ),
+        (
+            RepStrategy::First,
+            2,
+            pin(0x4012_f85a_7311_453c, 0x5dce_d1ba_cdd2_2cb9),
+        ),
+        (
+            RepStrategy::First,
+            10,
+            pin(0x4009_5bbf_dac8_8150, 0x2c44_ec5a_b0e5_54d7),
+        ),
+    ];
+    for (strategy, deg, want) in pinned {
+        let tree = SphereGridBuilder::new()
+            .max_out_degree(deg)
+            .representative_strategy(strategy)
+            .build(Point3::ORIGIN, &points)
+            .unwrap();
+        assert_pinned(&format!("3d {strategy:?} deg={deg}"), &tree, want);
+    }
 }
 
 #[test]
@@ -343,8 +398,28 @@ fn rings_override_fingerprints() {
         assert_eq!(report.rings, auto.rings - 1);
         assert_pinned(&format!("rings={} deg={deg}", report.rings), &tree, want);
     }
+    let points = ball_points(2_000, 2005);
+    let (_, auto) = SphereGridBuilder::new()
+        .build_with_report(Point3::ORIGIN, &points)
+        .unwrap();
+    assert_eq!(auto.rings, 7, "automatic 3-D ring count moved");
+    let pinned = [
+        (2, pin(0x4010_a124_bc46_7a6a, 0x4883_999e_bd9d_49c1)),
+        (10, pin(0x4003_6ec3_b05e_240e, 0x16ed_4221_e21f_abee)),
+    ];
+    for (deg, want) in pinned {
+        let (tree, report) = SphereGridBuilder::new()
+            .max_out_degree(deg)
+            .rings(auto.rings - 1)
+            .build_with_report(Point3::ORIGIN, &points)
+            .unwrap();
+        assert_eq!(report.rings, auto.rings - 1);
+        assert_pinned(&format!("3d rings={} deg={deg}", report.rings), &tree, want);
+    }
 }
 
+/// An off-origin source, which leaves part of the covering disk (ball)
+/// empty; the report is pinned too, once per degree class.
 #[test]
 fn off_origin_source_fingerprints() {
     let source = Point2::new([0.25, -0.4]);
@@ -360,6 +435,94 @@ fn off_origin_source_fingerprints() {
             .build(source, &points)
             .unwrap();
         assert_pinned(&format!("off-origin deg={deg}"), &tree, want);
+    }
+    let reports: [(u32, ReportPin); 2] = [
+        (
+            2,
+            (
+                8,
+                511,
+                296,
+                [
+                    0x3ffa_e352_c732_1b3a,
+                    0x3ff7_4d89_227d_4666,
+                    0x4014_2642_d290_95b2,
+                    0x3ff7_769b_46af_58bb,
+                ],
+            ),
+        ),
+        (
+            6,
+            (
+                8,
+                511,
+                296,
+                [
+                    0x3ff9_a205_b570_57a6,
+                    0x3ff5_9a92_2e85_eb14,
+                    0x400f_15bb_b13f_03d4,
+                    0x3ff7_769b_46af_58bb,
+                ],
+            ),
+        ),
+    ];
+    for (deg, want) in reports {
+        let (_, report) = PolarGridBuilder::new()
+            .max_out_degree(deg)
+            .build_with_report(source, &points)
+            .unwrap();
+        assert_eq!(
+            report_pin(&report),
+            want,
+            "off-origin deg={deg}: report moved"
+        );
+    }
+
+    let source = Point3::new([0.25, -0.4, 0.1]);
+    let points = ball_points(3_000, 7);
+    let pinned = [
+        (
+            2,
+            pin(0x400d_c9e9_d0f1_132f, 0x07e3_6472_67b4_b47a),
+            (
+                9,
+                1023,
+                429,
+                [
+                    0x400d_c9e9_d0f1_132f,
+                    0x4008_4c78_6cbc_16b9,
+                    0x4031_2340_2f89_b4a2,
+                    0x3ff7_8524_21c8_81b4,
+                ],
+            ),
+        ),
+        (
+            10,
+            pin(0x4002_2704_f56c_2c64, 0x9bcf_9fd3_436b_39e4),
+            (
+                9,
+                1023,
+                429,
+                [
+                    0x4002_2704_f56c_2c64,
+                    0x4000_a272_a213_06e3,
+                    0x402b_5921_063d_b8ae,
+                    0x3ff7_8524_21c8_81b4,
+                ],
+            ),
+        ),
+    ];
+    for (deg, want, want_report) in pinned {
+        let (tree, report) = SphereGridBuilder::new()
+            .max_out_degree(deg)
+            .build_with_report(source, &points)
+            .unwrap();
+        assert_pinned(&format!("3d off-origin deg={deg}"), &tree, want);
+        assert_eq!(
+            report_pin(&report),
+            want_report,
+            "3d off-origin deg={deg}: report moved"
+        );
     }
 }
 
