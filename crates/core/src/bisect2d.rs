@@ -23,11 +23,9 @@
 use omt_geom::{Point2, PolarPoint, RingSegment};
 use omt_tree::{MulticastTree, ParentRef, TreeBuilder, TreeError};
 
-pub(crate) use crate::fanout::fanout_chain;
-pub(crate) use crate::sink::attach;
-
 use crate::error::BuildError;
-use crate::sink::AttachSink;
+use crate::fanout::fanout_chain;
+use crate::sink::{attach, AttachSink};
 
 /// The axis a binary split halves, cycling radius → angle → radius → …
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,20 +75,6 @@ impl PolarSlices<'_> {
     #[inline]
     pub fn radius_of(&self, i: u32) -> f64 {
         self.radius[i as usize]
-    }
-
-    /// The position of the point nearest `target` (squared Euclidean
-    /// distance of its Cartesian form), the first one on ties: the
-    /// position `min_by` with a `total_cmp` of the distances picks. Each
-    /// point's distance is computed once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view is empty.
-    pub fn nearest(&self, target: Point2) -> u32 {
-        first_min(self.radius.len() as u32, |i| {
-            self.get(i).to_cartesian().distance_squared(&target)
-        })
     }
 }
 
@@ -607,41 +591,6 @@ mod tests {
         Disk::unit().sample_n(&mut rng, n)
     }
 
-    /// The double-evaluating scan `nearest` replaced, kept as its oracle.
-    fn nearest_by_min_by(win: &PolarSlices<'_>, target: Point2) -> u32 {
-        (0..win.radius.len() as u32)
-            .min_by(|&a, &b| {
-                let da = win.get(a).to_cartesian().distance_squared(&target);
-                let db = win.get(b).to_cartesian().distance_squared(&target);
-                da.total_cmp(&db)
-            })
-            .unwrap()
-    }
-
-    #[test]
-    fn nearest_matches_min_by_on_random_windows() {
-        use omt_rng::RngExt;
-        let mut rng = SmallRng::seed_from_u64(23);
-        let pts = disk_points(4_000, 23);
-        let polar: Vec<PolarPoint> = pts.iter().map(PolarPoint::from_cartesian).collect();
-        let radius: Vec<f64> = polar.iter().map(|p| p.radius).collect();
-        let angle: Vec<f64> = polar.iter().map(|p| p.angle).collect();
-        for _ in 0..2_000 {
-            let s = rng.random_range(0..pts.len());
-            let e = rng.random_range(s + 1..=pts.len().min(s + 300));
-            let win = PolarSlices {
-                radius: &radius[s..e],
-                angle: &angle[s..e],
-            };
-            let target = pts[rng.random_range(0..pts.len())];
-            assert_eq!(win.nearest(target), nearest_by_min_by(&win, target));
-            assert_eq!(
-                win.nearest(Point2::ORIGIN),
-                nearest_by_min_by(&win, Point2::ORIGIN)
-            );
-        }
-    }
-
     #[test]
     fn first_min_matches_min_by_on_every_short_key_sequence() {
         // Every sequence of up to 5 keys over values that tie, differ only
@@ -667,31 +616,6 @@ mod tests {
                 assert_eq!(first_min(len, |i| keys[i as usize]), want, "{keys:?}");
             }
         }
-    }
-
-    #[test]
-    fn nearest_returns_the_first_minimum_on_ties() {
-        // Duplicates of one point, behind a farther point.
-        let radius = [0.9, 0.5, 0.5, 0.5];
-        let angle = [0.0, 1.0, 1.0, 1.0];
-        let win = PolarSlices {
-            radius: &radius,
-            angle: &angle,
-        };
-        assert_eq!(win.nearest(PolarPoint::new(0.5, 1.0).to_cartesian()), 1);
-        use core::f64::consts::{FRAC_PI_2, PI};
-        // Points mirrored through the target: the source pole, as in the
-        // inner disk's connector pick. Their keys tie exactly.
-        let radius = [0.8, 0.25, 0.25, 0.25, 0.25];
-        let angle = [0.1, 0.0, PI, FRAC_PI_2, 3.0 * FRAC_PI_2];
-        let win = PolarSlices {
-            radius: &radius,
-            angle: &angle,
-        };
-        let key = |i: u32| win.get(i).to_cartesian().distance_squared(&Point2::ORIGIN);
-        assert!((2..5).all(|i| key(i) == key(1)), "the mirrored keys tie");
-        assert_eq!(win.nearest(Point2::ORIGIN), 1);
-        assert_eq!(nearest_by_min_by(&win, Point2::ORIGIN), 1);
     }
 
     #[test]

@@ -3,14 +3,12 @@
 //! to connect to points inside the cell"), and a binary variant for
 //! out-degree-2 trees (axes cycling radius → azimuth → z).
 
-use omt_geom::{Point3, PointStore3, ShellCell, SphericalPoint};
+use omt_geom::{PointStore3, ShellCell, SphericalPoint};
 use omt_tree::{ParentRef, TreeBuilder, TreeError};
 
-pub(crate) use crate::fanout::fanout_chain as fanout_chain3;
-pub(crate) use crate::sink::attach as attach3;
-
-use crate::bisect2d::{first_min, reset_positions, take_closest_radius};
-use crate::sink::AttachSink;
+use crate::bisect2d::{reset_positions, take_closest_radius};
+use crate::fanout::fanout_chain;
+use crate::sink::{attach, AttachSink};
 
 /// The axis a binary split halves, cycling radius → azimuth → z.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,20 +66,6 @@ impl SphSlices<'_> {
     #[inline]
     pub fn radius_of(&self, i: u32) -> f64 {
         self.radius[i as usize]
-    }
-
-    /// The position of the point nearest `target` (squared Euclidean
-    /// distance of its Cartesian form), the first one on ties: the
-    /// position `min_by` with a `total_cmp` of the distances picks. Each
-    /// point's distance is computed once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view is empty.
-    pub fn nearest(&self, target: Point3) -> u32 {
-        first_min(self.radius.len() as u32, |i| {
-            self.get(i).to_cartesian().distance_squared(&target)
-        })
     }
 }
 
@@ -188,7 +172,7 @@ pub(crate) fn bisect8<S: AttachSink>(
             }
             let rep = take_closest_radius(sph.radius, &mut loc[cs..ce], f.q);
             let rep_row = base + rep as usize;
-            attach3(b, rep_row, f.src)?;
+            attach(b, rep_row, f.src)?;
             if ce - cs > 1 {
                 stack8.push(Frame8 {
                     cell: children[c],
@@ -236,12 +220,12 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         match end - start {
             0 => continue,
             1 => {
-                attach3(b, base + loc[start] as usize, f.src)?;
+                attach(b, base + loc[start] as usize, f.src)?;
                 continue;
             }
             2 => {
-                attach3(b, base + loc[start] as usize, f.src)?;
-                attach3(b, base + loc[start + 1] as usize, f.src)?;
+                attach(b, base + loc[start] as usize, f.src)?;
+                attach(b, base + loc[start + 1] as usize, f.src)?;
                 continue;
             }
             _ => {}
@@ -250,8 +234,8 @@ pub(crate) fn bisect2_3d<S: AttachSink>(
         omt_obs::obs_count!("bisect3d/splits");
         let a = take_closest_radius(sph.radius, &mut loc[start..end], f.q);
         let c = take_closest_radius(sph.radius, &mut loc[start..end - 1], f.q);
-        attach3(b, base + a as usize, f.src)?;
-        attach3(b, base + c as usize, f.src)?;
+        attach(b, base + a as usize, f.src)?;
+        attach(b, base + c as usize, f.src)?;
         let rm = 0.5 * (f.cell.r_lo() + f.cell.r_hi());
         let am = f.cell.arc().mid();
         let (z_lo, z_hi) = f.cell.z_range();
@@ -344,49 +328,6 @@ mod tests {
         let store = PointStore3::from_points(Point3::ORIGIN, &pts);
         let b = TreeBuilder::new(Point3::ORIGIN, pts);
         (b, store)
-    }
-
-    /// The double-evaluating scan `nearest` replaced, kept as its oracle.
-    fn nearest_by_min_by(win: &SphSlices<'_>, target: Point3) -> u32 {
-        (0..win.radius.len() as u32)
-            .min_by(|&a, &b| {
-                let da = win.get(a).to_cartesian().distance_squared(&target);
-                let db = win.get(b).to_cartesian().distance_squared(&target);
-                da.total_cmp(&db)
-            })
-            .unwrap()
-    }
-
-    #[test]
-    fn nearest_matches_min_by_on_random_windows() {
-        use omt_rng::RngExt;
-        let mut rng = SmallRng::seed_from_u64(29);
-        // Every point twice in a row, so windows hold exact ties, and a
-        // target drawn from the store ties at distance 0.
-        let pts: Vec<Point3> = Ball::<3>::unit()
-            .sample_n(&mut rng, 2_000)
-            .into_iter()
-            .flat_map(|p| [p, p])
-            .collect();
-        let store = PointStore3::from_points(Point3::ORIGIN, &pts);
-        let all = SphSlices::of(&store);
-        for _ in 0..2_000 {
-            let s = rng.random_range(0..store.len());
-            let e = rng.random_range(s + 1..=store.len().min(s + 300));
-            let win = SphSlices {
-                radius: &all.radius[s..e],
-                azimuth: &all.azimuth[s..e],
-                cos_polar: &all.cos_polar[s..e],
-            };
-            let target = all
-                .get(rng.random_range(0..store.len() as u32))
-                .to_cartesian();
-            assert_eq!(win.nearest(target), nearest_by_min_by(&win, target));
-            assert_eq!(
-                win.nearest(Point3::ORIGIN),
-                nearest_by_min_by(&win, Point3::ORIGIN)
-            );
-        }
     }
 
     #[test]
@@ -486,16 +427,6 @@ mod tests {
         // the lower bound.
         assert!(t.radius() <= 8.0 * opt_lb, "radius {}", t.radius());
     }
-
-    #[test]
-    fn fanout_chain3_attaches_everything() {
-        let pts = vec![Point3::ORIGIN; 17];
-        let mut b = TreeBuilder::new(Point3::ORIGIN, pts).max_out_degree(2);
-        fanout_chain3(&mut b, 2).unwrap();
-        let t = b.finish().unwrap();
-        assert_eq!(t.len(), 17);
-        t.validate(Some(2)).unwrap();
-    }
 }
 
 /// The standalone 3-D bisection builder: the Section-II constant-factor
@@ -572,7 +503,7 @@ impl Bisection3 {
         let store = PointStore3::from_points(source, points);
         let rho = store.radius().iter().copied().fold(0.0f64, f64::max);
         if rho == 0.0 {
-            fanout_chain3(&mut builder, self.max_out_degree)?;
+            fanout_chain(&mut builder, self.max_out_degree)?;
             return Ok(builder.finish()?);
         }
         let (sph, cell) = (SphSlices::of(&store), ShellCell::ball(rho * (1.0 + 1e-9)));

@@ -48,6 +48,10 @@ pub enum BuildError {
         /// The largest supported count ([`omt_tree::MAX_NODES`]).
         max: usize,
     },
+    /// The farthest point is too far from the source to measure: its
+    /// distance overflows `f64` (coordinates beyond about `1.3e154`, where
+    /// the squared norm overflows), so no covering grid exists.
+    RadiusOverflow,
     /// Internal tree construction failed. This indicates a bug in the
     /// algorithm implementation, never bad user input; it is surfaced
     /// instead of panicking so fuzzing can observe it.
@@ -77,6 +81,10 @@ impl fmt::Display for BuildError {
             Self::TooManyPoints { nodes, max } => {
                 write!(f, "{nodes} points exceed the u32 node-id space (max {max})")
             }
+            Self::RadiusOverflow => write!(
+                f,
+                "a point's distance from the source overflows f64 (coordinates beyond about 1.3e154)"
+            ),
             Self::Internal(e) => write!(f, "internal tree construction error: {e}"),
         }
     }
@@ -125,6 +133,7 @@ mod tests {
         }
         .to_string()
         .contains("5000000000"));
+        assert!(BuildError::RadiusOverflow.to_string().contains("overflows"));
     }
 
     #[test]

@@ -54,7 +54,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
-use crate::polar_grid::SOA_CHUNK;
+use crate::grid_builder::SOA_CHUNK;
 
 /// Per-point finest-level grid assignments plus the finest level itself.
 ///
@@ -363,6 +363,11 @@ impl<const C: usize> CellMajor<C> {
             });
         }
         Self { ids, cols }
+    }
+
+    /// Rows `s..e` of every column.
+    pub fn window(&self, s: usize, e: usize) -> [&[f64]; C] {
+        self.cols.each_ref().map(|c| &c[s..e])
     }
 
     /// Order-preserving removal: moves position `pos` to `end - 1` and

@@ -34,7 +34,7 @@
 //! | Polar grid construction (Section III-A, Fig. 2) | [`PolarGrid2`] | equal-area, nesting and locate tests in `grid2` |
 //! | Property-3 `k` selection | `kselect` (internal) | exhaustive brute-force comparison in `kselect::brute_force_tests` |
 //! | Lemmas 1–2 | [`bounds::empty_bucket_probability_bound`] | analytic tests + empirical occupancy test in `tests/paper_claims.rs` |
-//! | Core + in-cell wiring (Sections III-B/C, IV-A) | [`PolarGridBuilder`] | builder-enforced degree budgets; equation-(7) bound asserted on every build in property tests |
+//! | Core + in-cell wiring (Sections III-B/C, IV-A) | [`GridBuilder`], one driver for [`PolarGridBuilder`] and [`SphereGridBuilder`] | builder-enforced degree budgets; equation-(7) bound asserted on every build in property tests |
 //! | Theorem 2 (asymptotic optimality) | [`PolarGridBuilder`] | convergence tests (2-D, 3-D, n-D) |
 //! | Section IV-B (3-D / higher dimensions) | [`SphereGridBuilder`], [`NdGridBuilder`] | equal-volume cell tests in `grid3`, quantile-uniformity tests in `ndim` |
 //! | Section IV-C (convex regions) | active-cell rule in `kselect` | convex-region suites in `polar_grid` tests and `omt-experiments::convex` |
@@ -74,6 +74,7 @@ mod error;
 mod fanout;
 mod grid2;
 mod grid3;
+mod grid_builder;
 mod hetero;
 mod kselect;
 mod min_diameter;
@@ -89,8 +90,9 @@ pub use dynamic::{DynamicOverlay, HostId};
 pub use error::BuildError;
 pub use grid2::PolarGrid2;
 pub use grid3::SphereGrid3;
+pub use grid_builder::{GridBuilder, PolarGridReport, RepStrategy};
 pub use hetero::{HeteroGridBuilder, HeteroReport};
 pub use min_diameter::{MinDiameterBuilder, MinDiameterReport};
 pub use ndim::{NdGridBuilder, NdGridReport};
-pub use polar_grid::{PolarGridBuilder, PolarGridReport, RepStrategy};
+pub use polar_grid::PolarGridBuilder;
 pub use sphere_grid::SphereGridBuilder;

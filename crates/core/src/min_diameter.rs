@@ -15,7 +15,7 @@
 //! at most twice the tree radius, and the point-set diameter lower-bounds
 //! any spanning tree's diameter — both bounds are reported.
 
-use omt_geom::{bounding_sphere, smallest_enclosing_circle, Point2, Point3};
+use omt_geom::{bounding_sphere, smallest_enclosing_circle, Point, Point2, Point3};
 use omt_tree::MulticastTree;
 
 use crate::error::BuildError;
@@ -107,14 +107,7 @@ impl MinDiameterBuilder {
             return Err(BuildError::NonFinitePoint { index: bad });
         }
         let circle = smallest_enclosing_circle(points).ok_or(BuildError::NonFiniteSource)?;
-        // Promote the point nearest the enclosing center.
-        let root = nearest_index_2d(points, &circle.center);
-        let rest: Vec<Point2> = points
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != root)
-            .map(|(_, p)| *p)
-            .collect();
+        let (root, rest) = promote_nearest(points, &circle.center);
         let (tree, _) = PolarGridBuilder::new()
             .max_out_degree(self.max_out_degree)
             .build_with_report(points[root], &rest)?;
@@ -147,13 +140,7 @@ impl MinDiameterBuilder {
             return Err(BuildError::NonFinitePoint { index: bad });
         }
         let sphere = bounding_sphere(points).ok_or(BuildError::NonFiniteSource)?;
-        let root = nearest_index_3d(points, &sphere.center);
-        let rest: Vec<Point3> = points
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != root)
-            .map(|(_, p)| *p)
-            .collect();
+        let (root, rest) = promote_nearest(points, &sphere.center);
         let tree = SphereGridBuilder::new()
             .max_out_degree(self.max_out_degree.max(2))
             .build(points[root], &rest)?;
@@ -176,28 +163,24 @@ impl MinDiameterBuilder {
     }
 }
 
-fn nearest_index_2d(points: &[Point2], target: &Point2) -> usize {
-    points
+/// Promotes the point nearest `center` (the first on ties) to the root:
+/// returns its index and the other points, in input order.
+fn promote_nearest<const D: usize>(
+    points: &[Point<D>],
+    center: &Point<D>,
+) -> (usize, Vec<Point<D>>) {
+    let root = points
         .iter()
         .enumerate()
         .min_by(|a, b| {
-            a.1.distance_squared(target)
-                .total_cmp(&b.1.distance_squared(target))
+            a.1.distance_squared(center)
+                .total_cmp(&b.1.distance_squared(center))
         })
         .map(|(i, _)| i)
-        .expect("nonempty input")
-}
-
-fn nearest_index_3d(points: &[Point3], target: &Point3) -> usize {
-    points
-        .iter()
-        .enumerate()
-        .min_by(|a, b| {
-            a.1.distance_squared(target)
-                .total_cmp(&b.1.distance_squared(target))
-        })
-        .map(|(i, _)| i)
-        .expect("nonempty input")
+        .expect("nonempty input");
+    let mut rest = points.to_vec();
+    rest.remove(root);
+    (root, rest)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use omt_geom::Point;
 use omt_tree::{MulticastTree, ParentRef, TreeBuilder, TreeError};
 
 use crate::error::BuildError;
-use crate::fanout::fanout_chain as fanout_nd;
+use crate::fanout::fanout_chain;
 use crate::kselect::{
     bucket_cells, cell_count, cell_index, finest_level, locate_ring, select_rings, shells,
     Assignments,
@@ -237,7 +237,7 @@ impl NdGridBuilder {
         let quant: Vec<QuantPoint> = points.iter().map(|p| to_quant(&(*p - source))).collect();
         let lower_bound = quant.iter().map(|q| q.radius).fold(0.0, f64::max);
         if lower_bound == 0.0 {
-            fanout_nd(&mut builder, 2)?;
+            fanout_chain(&mut builder, 2)?;
             let tree = builder.finish()?;
             return Ok((
                 tree,

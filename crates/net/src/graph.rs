@@ -207,9 +207,9 @@ impl WaxmanConfig {
 
 /// Links each non-root component to the main component through the
 /// geometrically closest node pair, pricing repair edges with
-/// `link_delay` (a standard connectivity repair shared by all the
-/// geometric random-graph generators in this crate).
-pub(crate) fn stitch_connected(g: &mut Graph, link_delay: impl Fn(f64) -> f64) {
+/// `link_delay` (a standard connectivity repair for geometric random
+/// graphs).
+fn stitch_connected(g: &mut Graph, link_delay: impl Fn(f64) -> f64) {
     let n = g.len();
     if n == 0 {
         return;

@@ -8,11 +8,6 @@
 //!
 //! * [`WaxmanConfig`] / [`Graph`] — Internet-like random underlays with
 //!   propagation delays and shortest-path routing.
-//! * [`ErdosRenyiConfig`] — distance-blind Erdős–Rényi `G(n, p)`
-//!   underlays, the stress case for coordinate embeddings.
-//! * [`TransitStubConfig`] — hierarchical GT-ITM-style topologies whose
-//!   stub-detour paths stress the embeddings harder than flat Waxman
-//!   graphs.
 //! * [`DelayMatrix`] — measured end-to-end delays between chosen hosts,
 //!   plus embedding-quality metrics ([`stress`],
 //!   [`median_relative_error`]).
@@ -43,20 +38,16 @@
 
 mod delay;
 mod distortion;
-mod er;
 mod gnp;
 mod graph;
 mod matrix_tree;
 mod staleness;
-mod transit_stub;
 mod vivaldi;
 
 pub use delay::{median_relative_error, stress, DelayMatrix};
 pub use distortion::{distortion_report, true_delays, true_radius, DistortionReport};
-pub use er::ErdosRenyiConfig;
 pub use gnp::{gnp_embed, GnpConfig, GnpEmbedding};
 pub use graph::{Graph, WaxmanConfig};
 pub use matrix_tree::{matrix_compact_tree, MatrixTree};
 pub use staleness::CoordDrift;
-pub use transit_stub::{TransitStub, TransitStubConfig};
 pub use vivaldi::{vivaldi_embed, VivaldiConfig};
