@@ -1,11 +1,15 @@
 //! Figure 8 (timing dimension): 3-D unit-sphere construction at out-degree
-//! 10 and out-degree 2.
+//! 10 and out-degree 2, plus the general-dimension grid on the unit 4-ball
+//! (`nd4`, out-degree 2) at the sizes where its points/s and peak RSS
+//! matter.
 
 use omt_bench::ball_points;
 use omt_bench::harness::{BenchmarkId, Criterion, Throughput};
 use omt_bench::{criterion_group, criterion_main};
-use omt_core::SphereGridBuilder;
-use omt_geom::Point3;
+use omt_core::{NdGridBuilder, SphereGridBuilder};
+use omt_geom::{Ball, Point, Point3, Region};
+use omt_rng::rngs::SmallRng;
+use omt_rng::SeedableRng;
 
 fn bench_sphere(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8");
@@ -20,6 +24,14 @@ fn bench_sphere(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("deg2", n), &points, |b, pts| {
             let builder = SphereGridBuilder::new().max_out_degree(2);
             b.iter(|| builder.build(Point3::ORIGIN, pts).unwrap());
+        });
+    }
+    for n in [100_000usize, 1_000_000] {
+        let points = Ball::<4>::unit().sample_n(&mut SmallRng::seed_from_u64(2004), n);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::new("nd4", n), &points, |b, pts| {
+            let builder = NdGridBuilder::new();
+            b.iter(|| builder.build(Point::ORIGIN, pts).unwrap());
         });
     }
     group.finish();
