@@ -67,6 +67,7 @@ use omt_tree::{validate_parent_forest, MulticastTree, NodeId, ParentRef, TreeBui
 
 use crate::error::BuildError;
 use crate::grid2::PolarGrid2;
+use crate::kselect::{cell_at_index, cell_index};
 use crate::polar_grid::PolarGridBuilder;
 
 /// Identifier of a live host inside a [`DynamicOverlay`]. Stable across
@@ -216,13 +217,6 @@ impl DynamicOverlay {
     pub fn reset_search_probes(&self) {
         self.probes.cells_scanned.set(0);
         self.probes.cost_probes.set(0);
-    }
-
-    /// Read-only parent search: the host a [`join`](Self::join) at
-    /// `position` would attach to right now (`None` = the source).
-    pub fn peek_parent(&self, position: &Point2) -> Option<HostId> {
-        self.find_parent_for(position)
-            .map(|s| self.hosts[s as usize].id)
     }
 
     /// Number of live hosts.
@@ -454,11 +448,11 @@ impl DynamicOverlay {
             }
             hops += 1;
             // Parent cell: flat index arithmetic of the binary layout.
-            let (ring, seg) = unflatten(cell);
+            let (ring, seg) = cell_at_index(cell);
             cell = if ring <= 1 {
                 0
             } else {
-                ((1u64 << (ring - 1)) - 1 + seg / 2) as usize
+                cell_index(ring - 1, seg / 2)
             };
         }
     }
@@ -1002,13 +996,6 @@ impl DynamicOverlay {
     }
 }
 
-/// Inverse of the flat cell index: `(ring, seg)`.
-fn unflatten(idx: usize) -> (u32, u64) {
-    let v = idx as u64 + 1;
-    let ring = 63 - v.leading_zeros();
-    (ring, v - (1u64 << ring))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1121,16 +1108,6 @@ mod tests {
             got.equal_inside,
             got.equal_outside
         );
-    }
-
-    #[test]
-    fn unflatten_inverts_layout() {
-        for ring in 0..8u32 {
-            for seg in 0..(1u64 << ring) {
-                let idx = ((1u64 << ring) - 1 + seg) as usize;
-                assert_eq!(unflatten(idx), (ring, seg));
-            }
-        }
     }
 
     #[test]

@@ -17,6 +17,9 @@ use omt_geom::{PolarPoint, RingSegment};
 
 use crate::kselect::{locate_ring, shells};
 
+/// A grid cell address: `(ring, segment)`. The inner disk is `(0, 0)`.
+pub type CellId = (u32, u64);
+
 /// The 2-D polar grid over a disk of radius `rho` with `k` rings.
 ///
 /// # Examples

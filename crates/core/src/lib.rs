@@ -15,7 +15,8 @@
 //! * [`SphereGridBuilder`] — the three-dimensional version of
 //!   Section IV-B evaluated in Figure 8 (out-degree 10, or 2);
 //! * [`NdGridBuilder`] — the general-dimension variant Section IV-B
-//!   sketches, made exact with sine-power quantile splits;
+//!   sketches, made exact with sine-power quantile splits, on the same
+//!   driver ([`GridBuilder`]) as the 2-D and 3-D builders;
 //! * [`MinDiameterBuilder`] — the minimum-diameter variant of the
 //!   conclusion, rooting the grid at the smallest-enclosing-ball center;
 //! * [`DynamicOverlay`] — join/leave maintenance with amortized rebuilds,
@@ -34,9 +35,9 @@
 //! | Polar grid construction (Section III-A, Fig. 2) | [`PolarGrid2`] | equal-area, nesting and locate tests in `grid2` |
 //! | Property-3 `k` selection | `kselect` (internal) | exhaustive brute-force comparison in `kselect::brute_force_tests` |
 //! | Lemmas 1–2 | [`bounds::empty_bucket_probability_bound`] | analytic tests + empirical occupancy test in `tests/paper_claims.rs` |
-//! | Core + in-cell wiring (Sections III-B/C, IV-A) | [`GridBuilder`], one driver for [`PolarGridBuilder`] and [`SphereGridBuilder`] | builder-enforced degree budgets; equation-(7) bound asserted on every build in property tests |
+//! | Core + in-cell wiring (Sections III-B/C, IV-A) | [`GridBuilder`], one driver for [`PolarGridBuilder`], [`SphereGridBuilder`] and [`NdGridBuilder`] | builder-enforced degree budgets; equation-(7) bound asserted on every build in property tests |
 //! | Theorem 2 (asymptotic optimality) | [`PolarGridBuilder`] | convergence tests (2-D, 3-D, n-D) |
-//! | Section IV-B (3-D / higher dimensions) | [`SphereGridBuilder`], [`NdGridBuilder`] | equal-volume cell tests in `grid3`, quantile-uniformity tests in `ndim` |
+//! | Section IV-B (3-D / higher dimensions) | [`SphereGridBuilder`], [`NdGridBuilder`] | equal-volume cell tests in `grid3`, quantile-uniformity and angular-path tests in `ndim`, `construction_golden::nd_grid_fingerprints` |
 //! | Section IV-C (convex regions) | active-cell rule in `kselect` | convex-region suites in `polar_grid` tests and `omt-experiments::convex` |
 //! | Conclusion: minimum diameter | [`MinDiameterBuilder`] | diameter-ratio convergence tests |
 //! | Conclusion: decentralized version | [`DynamicOverlay`] | churn validity + quality-tracking tests |
@@ -68,7 +69,6 @@
 mod bisect2d;
 mod bisect3d;
 pub mod bounds;
-mod cellview;
 mod dynamic;
 mod error;
 mod fanout;
@@ -85,10 +85,9 @@ mod sphere_grid;
 
 pub use bisect2d::Bisection;
 pub use bisect3d::Bisection3;
-pub use cellview::{CellId, CellView};
 pub use dynamic::{DynamicOverlay, HostId};
 pub use error::BuildError;
-pub use grid2::PolarGrid2;
+pub use grid2::{CellId, PolarGrid2};
 pub use grid3::SphereGrid3;
 pub use grid_builder::{GridBuilder, PolarGridReport, RepStrategy};
 pub use hetero::{HeteroGridBuilder, HeteroReport};

@@ -198,9 +198,14 @@ impl CellGeometry<2> for PolarGrid2 {
         PolarPoint::new(cell.r_lo(), cell.arc().mid()).to_cartesian()
     }
 
-    fn cartesian(polar: [&[f64]; 2], i: usize) -> Point2 {
-        let [radius, angle] = polar.map(|c| c[i]);
+    /// The source-relative frame, read from the polar window.
+    fn connector_point(win: [&[f64]; 2], _: [&[f64]; 2], _: &[u32], i: usize) -> Point2 {
+        let [radius, angle] = win.map(|c| c[i]);
         PolarPoint { radius, angle }.to_cartesian()
+    }
+
+    fn pole(_source: Point2) -> Point2 {
+        Point2::ORIGIN
     }
 
     fn bisect<S: AttachSink>(

@@ -185,8 +185,13 @@ impl CellGeometry<3> for SphereGrid3 {
         SphericalPoint::new(cell.r_lo(), cell.arc().mid(), 0.5 * (z_lo + z_hi)).to_cartesian()
     }
 
-    fn cartesian(polar: [&[f64]; 3], i: usize) -> Point3 {
-        spherical(polar, i).to_cartesian()
+    /// The source-relative frame, read from the spherical window.
+    fn connector_point(win: [&[f64]; 3], _: [&[f64]; 3], _: &[u32], i: usize) -> Point3 {
+        spherical(win, i).to_cartesian()
+    }
+
+    fn pole(_source: Point3) -> Point3 {
+        Point3::ORIGIN
     }
 
     fn bisect<S: AttachSink>(

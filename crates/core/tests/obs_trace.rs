@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 
-use omt_core::{PolarGridBuilder, SphereGridBuilder};
-use omt_geom::{Ball, Disk, Point2, Point3, Region};
+use omt_core::{NdGridBuilder, PolarGridBuilder, SphereGridBuilder};
+use omt_geom::{Ball, Disk, Point, Point2, Point3, Region};
 use omt_rng::rngs::SmallRng;
 use omt_rng::SeedableRng;
 
@@ -95,6 +95,18 @@ fn phase_spans_cover_the_build_and_metrics_match_the_work() {
     assert_eq!(build.count, 1);
     assert_eq!(reg4.counter("sphere_grid/builds"), 1);
     assert_phases_tile(&reg4, "sphere_grid", build.total_ns, "3-D build");
+
+    // So does the general-dimension builder, on the same driver.
+    let mut rng = SmallRng::seed_from_u64(77);
+    let pts4 = Ball::<4>::unit().sample_n(&mut rng, n);
+    let _ = omt_obs::take_local();
+    let tree = NdGridBuilder::new().build(Point::ORIGIN, &pts4).unwrap();
+    assert_eq!(tree.len(), n);
+    let reg5 = omt_obs::take_local();
+    let build = reg5.span("nd_grid/build").expect("n-D build span");
+    assert_eq!(build.count, 1);
+    assert_eq!(reg5.counter("nd_grid/builds"), 1);
+    assert_phases_tile(&reg5, "nd_grid", build.total_ns, "4-D build");
 }
 
 /// The five phases tile the build span: together they must account for

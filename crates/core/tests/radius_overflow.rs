@@ -3,9 +3,10 @@
 //! grid-based builder must return the typed error, never panic.
 
 use omt_core::{
-    BuildError, HeteroGridBuilder, MinDiameterBuilder, PolarGridBuilder, SphereGridBuilder,
+    BuildError, HeteroGridBuilder, MinDiameterBuilder, NdGridBuilder, PolarGridBuilder,
+    SphereGridBuilder,
 };
-use omt_geom::{Ball, Disk, Point2, Point3, Region};
+use omt_geom::{Ball, Disk, Point, Point2, Point3, Region};
 use omt_rng::rngs::SmallRng;
 use omt_rng::SeedableRng;
 
@@ -47,6 +48,11 @@ fn grid_builders_reject_overflowing_radii() {
             "3-D deg {deg}"
         );
     }
+    let ball4 = Ball::<4>::unit().sample_n(&mut SmallRng::seed_from_u64(1), 2_000);
+    let ball4: Vec<Point<4>> = ball4.into_iter().map(|p| p * SCALE).collect();
+    assert!(ball4.iter().all(Point::is_finite));
+    let got = NdGridBuilder::new().build(Point::ORIGIN, &ball4);
+    assert_eq!(got.unwrap_err(), BuildError::RadiusOverflow, "4-D");
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! decentralized version — this crate is that protocol. Each host knows
 //! only the advertised deployment parameters `(k, ρ)`, its own virtual
 //! coordinates, the polar cell they land in
-//! ([`omt_core::PolarGrid2::cell_of`]), its local
-//! [`CellView`](omt_core::CellView), and its direct tree neighbors. All
+//! ([`omt_core::PolarGrid2::cell_of`]) and their ancestor cells on the
+//! aligned core ([`omt_core::PolarGrid2::parent`]), and its direct tree
+//! neighbors. All
 //! coordination happens through [`Msg`] traffic over the deterministic,
 //! fault-injected message engine of `omt-sim`; no host ever reads global
 //! state.

@@ -14,8 +14,9 @@
 //! so both constructions quantize the disk identically — the comparison
 //! is purely message-driven wiring vs. omniscient wiring.
 //!
-//! The n = 100_000 leg multiplies runtime by ~20 and is gated behind
-//! `OMT_PROTO_FULL=1`; CI and `scripts/verify.sh` run the 1k/10k legs.
+//! The n = 100_000 leg multiplies runtime by ~20 and is `#[ignore]`d; run
+//! it with `cargo test --release -p omt-proto --test differential --
+//! --ignored`. CI and `scripts/verify.sh` run the 1k/10k legs.
 
 use omt_core::PolarGridBuilder;
 use omt_geom::{Disk, Point2, Region};
@@ -113,11 +114,8 @@ fn differential_10k() {
 }
 
 #[test]
+#[ignore = "n = 100k; run with --ignored in release"]
 fn differential_100k_full() {
-    if std::env::var("OMT_PROTO_FULL").is_err() {
-        eprintln!("skipping 100k differential leg; set OMT_PROTO_FULL=1 to run");
-        return;
-    }
     for degree in DEGREES {
         differential_case(100_000, degree, SEEDS[0]);
     }

@@ -50,8 +50,8 @@ OMT_THREADS=4 cargo test -q --release --offline -p omt-sim -p omt-proto
 
 # API docs are part of the contract: the library crates deny
 # missing_docs, and this build additionally fails on any rustdoc
-# warning (broken intra-doc links, bad code fences). CI's docs job runs
-# the same command plus the doctests.
+# warning (broken intra-doc links, bad code fences). The doctests ran
+# with the workspace tests above.
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
