@@ -158,7 +158,7 @@ impl<const D: usize> AttachSink for CellSink<'_, '_, D> {
 }
 
 /// Attaches row `child` under `parent` in any sink (the shared helper the
-/// 2-D and 3-D construction code calls).
+/// construction code of every dimension calls).
 pub(crate) fn attach<S: AttachSink + ?Sized>(
     b: &mut S,
     child: usize,
