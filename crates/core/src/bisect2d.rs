@@ -24,7 +24,7 @@ use omt_geom::{Point2, PolarPoint, RingSegment};
 use omt_tree::{MulticastTree, ParentRef, TreeBuilder, TreeError};
 
 use crate::error::BuildError;
-use crate::fanout::fanout_chain;
+use crate::fanout::fanout_sink;
 use crate::sink::{attach, AttachSink};
 
 /// The axis a binary split halves, cycling radius → angle → radius → …
@@ -544,7 +544,7 @@ impl Bisection {
             None => {
                 // Every point coincides with the source: any
                 // degree-respecting tree is optimal (radius 0).
-                fanout_chain(&mut builder, self.max_out_degree)?;
+                fanout_sink(&mut builder, points.len(), self.max_out_degree)?;
             }
             Some(frame) => {
                 // The frame's columns are indexed by point id, so the

@@ -7,7 +7,7 @@ use omt_geom::{PointStore3, ShellCell, SphericalPoint};
 use omt_tree::{ParentRef, TreeBuilder, TreeError};
 
 use crate::bisect2d::{reset_positions, take_closest_radius};
-use crate::fanout::fanout_chain;
+use crate::fanout::fanout_sink;
 use crate::sink::{attach, AttachSink};
 
 /// The axis a binary split halves, cycling radius → azimuth → z.
@@ -503,7 +503,7 @@ impl Bisection3 {
         let store = PointStore3::from_points(source, points);
         let rho = store.radius().iter().copied().fold(0.0f64, f64::max);
         if rho == 0.0 {
-            fanout_chain(&mut builder, self.max_out_degree)?;
+            fanout_sink(&mut builder, points.len(), self.max_out_degree)?;
             return Ok(builder.finish()?);
         }
         let (sph, cell) = (SphSlices::of(&store), ShellCell::ball(rho * (1.0 + 1e-9)));

@@ -2,13 +2,13 @@
 //! the source): any degree-respecting tree has radius 0, so only
 //! feasibility matters.
 
-use omt_tree::{ParentRef, TreeBuilder, TreeError};
+use omt_tree::{ParentRef, TreeError};
 
 use crate::sink::{attach, AttachSink};
 
-/// Attaches nodes `0..n` to any sink in a breadth-first fan-out respecting
-/// `max_out_degree`. This is the sink-generic core shared by the
-/// [`TreeBuilder`] callers ([`fanout_chain`]) and the grid builders' arena.
+/// Attaches rows `0..n` of any sink in a breadth-first fan-out respecting
+/// `max_out_degree`: the bisection builders' `TreeBuilder` and the grid
+/// builders' arena.
 ///
 /// # Panics
 ///
@@ -39,31 +39,18 @@ pub(crate) fn fanout_sink<S: AttachSink>(
     Ok(())
 }
 
-/// Attaches all nodes of `b` in a breadth-first fan-out respecting
-/// `max_out_degree`.
-///
-/// # Panics
-///
-/// Panics if `max_out_degree == 0` with a nonempty builder.
-pub(crate) fn fanout_chain<const D: usize>(
-    b: &mut TreeBuilder<D>,
-    max_out_degree: u32,
-) -> Result<(), TreeError> {
-    let n = b.len();
-    fanout_sink(b, n, max_out_degree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use omt_geom::{Point2, Point3};
+    use omt_tree::TreeBuilder;
 
     #[test]
     fn attaches_everything_within_budget() {
         for deg in [1u32, 2, 5] {
             let pts = vec![Point2::new([1.0, 1.0]); 23];
             let mut b = TreeBuilder::new(Point2::ORIGIN, pts).max_out_degree(deg);
-            fanout_chain(&mut b, deg).unwrap();
+            fanout_sink(&mut b, 23, deg).unwrap();
             let t = b.finish().unwrap();
             assert_eq!(t.len(), 23);
             t.validate(Some(deg)).unwrap();
@@ -74,7 +61,7 @@ mod tests {
     fn works_in_three_dimensions() {
         let pts = vec![Point3::ORIGIN; 9];
         let mut b = TreeBuilder::new(Point3::ORIGIN, pts).max_out_degree(2);
-        fanout_chain(&mut b, 2).unwrap();
+        fanout_sink(&mut b, 9, 2).unwrap();
         b.finish().unwrap().validate(Some(2)).unwrap();
     }
 }

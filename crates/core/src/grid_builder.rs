@@ -34,6 +34,14 @@ use crate::sink::{attach, unpack_parent, AttachSink, CellSink, RowArena, PACKED_
 /// the calling thread.
 pub(crate) const SOA_CHUNK: usize = 1 << 16;
 
+/// The points of the Cartesian columns `coords`, in id order: the tree's
+/// one point vector, gathered at the finish's points stage.
+fn store_points<const D: usize>(coords: [&[f64]; D]) -> Vec<Point<D>> {
+    (0..coords[0].len())
+        .map(|i| Point::new(core::array::from_fn(|d| coords[d][i])))
+        .collect()
+}
+
 /// A point store as the driver reads it, by point id: the source, the
 /// Cartesian columns, and the source-relative polar columns — the radius
 /// first, then the angular coordinates the grid bins on.
@@ -187,7 +195,7 @@ struct CellJob {
 /// Every attachment is a pure function of the job and the read-only
 /// columns, so the tree is the same for every thread count.
 fn run_cell_jobs<G: CellGeometry<D>, const D: usize>(
-    arena: &mut TreeArena<'_, D>,
+    arena: &mut TreeArena<D>,
     cm: &CellMajor<D>,
     coords: [&[f64]; D],
     grid: &G,
@@ -195,7 +203,7 @@ fn run_cell_jobs<G: CellGeometry<D>, const D: usize>(
     binary: bool,
     threads: usize,
 ) -> Result<(), TreeError> {
-    let shared: &TreeArena<'_, D> = arena;
+    let shared: &TreeArena<D> = arena;
     let scratch = <(G::Scratch, Vec<Point<D>>)>::default;
     let results = omt_par::par_map_with(jobs, threads, scratch, |(scratch, points), _, job| {
         // The bisection offset `q` is the local root's cell-major radius
@@ -359,12 +367,17 @@ impl<const D: usize> GridBuilder<D> {
             nodes: n,
             max: omt_tree::MAX_NODES,
         })?;
-        let threads = if n <= SOA_CHUNK {
+        self.build_on::<G>(store, self.threads_for(n))
+    }
+
+    /// The worker count of a build over `n` points: one for builds of at
+    /// most one pre-pass chunk, else the pinned or ambient thread count.
+    pub(crate) fn threads_for(&self, n: usize) -> usize {
+        if n <= SOA_CHUNK {
             1
         } else {
             omt_par::resolve_threads(self.threads)
-        };
-        self.build_on::<G>(store, threads)
+        }
     }
 
     /// The build after the argument checks, on `threads` workers.
@@ -415,7 +428,7 @@ impl<const D: usize> GridBuilder<D> {
         if lower_bound == 0.0 {
             // No points, or every point at the source: no grid, and any
             // fan-out within the budget is optimal. Rows are point ids.
-            let mut arena = TreeArena::new(source, coords).max_out_degree(self.max_out_degree);
+            let mut arena = TreeArena::new(source, n).max_out_degree(self.max_out_degree);
             let ids: Vec<u32> = (0..n as u32).collect();
             let rows = &mut RowArena {
                 arena: &mut arena,
@@ -432,7 +445,7 @@ impl<const D: usize> GridBuilder<D> {
                 cells: 1,
                 occupied_cells: n.min(1),
             };
-            return Ok((arena.into_tree(ids)?, report));
+            return Ok((arena.into_tree(ids, store_points(coords))?, report));
         }
 
         // Assign every point once at the finest level, then select k. The
@@ -522,7 +535,7 @@ impl<const D: usize> GridBuilder<D> {
         // together, and it moves every point it wires to its final row
         // *before* attaching it, so no attached row moves afterwards.
         let core_span = omt_obs::obs_span!(names.core);
-        let mut arena = TreeArena::new(source, coords).max_out_degree(self.max_out_degree);
+        let mut arena = TreeArena::new(source, n).max_out_degree(self.max_out_degree);
         let mut core_delay = 0.0f64;
         let mut jobs: Vec<CellJob> = Vec::with_capacity(reps.len() + 1);
         let mut next_rep = reps.iter().copied();
@@ -608,7 +621,8 @@ impl<const D: usize> GridBuilder<D> {
         let _finish_span = omt_obs::obs_span!(names.finish);
         let CellMajor { ids: order, cols } = cm;
         drop(cols);
-        let tree = arena.into_tree_staged(order, threads, |stage| {
+        let points = || store_points(coords);
+        let tree = arena.into_tree_staged(order, threads, points, |stage| {
             omt_obs::obs_span!(match stage {
                 FinishStage::Permute => names.permute,
                 FinishStage::Points => names.points,
@@ -666,7 +680,7 @@ impl<const D: usize> GridBuilder<D> {
 /// bisection source leave the window from the back, by a swap with the last
 /// member, before their rows are attached. `cols` are the store's columns.
 fn wire_cell_deg2<G: CellGeometry<D>, const D: usize>(
-    arena: &mut TreeArena<'_, D>,
+    arena: &mut TreeArena<D>,
     cm: &mut CellMajor<D>,
     cols: &StoreColumns<'_, D>,
     (ring, seg): (u32, u32),
@@ -807,7 +821,7 @@ mod tests {
         let ball: Vec<Point<4>> = Ball::<4>::unit().sample_n(&mut rng, 2_000);
         let ball = ball.into_iter().flat_map(|p| [p, p]).collect::<Vec<_>>();
         let source = Point::new([0.25, -0.5, 0.125, 0.0]);
-        assert_nearest_is_first_min::<NdGrid<4>, 4>(&NdStore::from_points(source, &ball));
+        assert_nearest_is_first_min::<NdGrid<4>, 4>(&NdStore::from_points(source, &ball, 1));
     }
 
     /// The build of `store` on `threads` workers equals the inline one,
@@ -852,6 +866,9 @@ mod tests {
         let ball4: Vec<Point<4>> = Ball::<4>::unit().sample_n(&mut rng, 10_000);
         let builder =
             GridBuilder::<4>::with_degree(2).representative_strategy(RepStrategy::MinRadius);
-        assert_threads_match::<NdGrid<4>, 4>(builder, &NdStore::from_points(Point::ORIGIN, &ball4));
+        assert_threads_match::<NdGrid<4>, 4>(
+            builder,
+            &NdStore::from_points(Point::ORIGIN, &ball4, 1),
+        );
     }
 }

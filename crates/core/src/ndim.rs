@@ -30,7 +30,9 @@ use omt_tree::{MulticastTree, ParentRef, TreeError};
 
 use crate::bisect2d::{reset_positions, take_closest_radius};
 use crate::error::BuildError;
-use crate::grid_builder::{obs_names, CellGeometry, GridBuilder, ObsNames, StoreColumns};
+use crate::grid_builder::{
+    obs_names, CellGeometry, GridBuilder, ObsNames, StoreColumns, SOA_CHUNK,
+};
 use crate::kselect::{locate_ring, shells};
 use crate::sink::{attach, AttachSink};
 use crate::RepStrategy;
@@ -101,16 +103,34 @@ pub(crate) struct NdStore<const D: usize> {
 }
 
 impl<const D: usize> NdStore<D> {
-    pub(crate) fn from_points(source: Point<D>, points: &[Point<D>]) -> Self {
+    /// The columns of `points` relative to `source`, filled in chunks of
+    /// [`SOA_CHUNK`] points on `threads` workers. Every row is a pure
+    /// function of its point, so the store is the same for every thread
+    /// count.
+    pub(crate) fn from_points(source: Point<D>, points: &[Point<D>], threads: usize) -> Self {
         let n = points.len();
-        let mut coords: [Vec<f64>; D] = core::array::from_fn(|_| Vec::with_capacity(n));
-        let mut polar: [Vec<f64>; D] = core::array::from_fn(|_| Vec::with_capacity(n));
-        for p in points {
-            let row = quant_row(&(*p - source));
-            for d in 0..D {
-                coords[d].push(p[d]);
-                polar[d].push(row[d]);
-            }
+        let mut coords: [Vec<f64>; D] = core::array::from_fn(|_| vec![0.0; n]);
+        let mut polar: [Vec<f64>; D] = core::array::from_fn(|_| vec![0.0; n]);
+        {
+            let mut coord_chunks = coords.each_mut().map(|c| c.chunks_mut(SOA_CHUNK));
+            let mut polar_chunks = polar.each_mut().map(|c| c.chunks_mut(SOA_CHUNK));
+            let mut chunks: Vec<_> = points
+                .chunks(SOA_CHUNK)
+                .map(|pts| {
+                    let c = coord_chunks.each_mut().map(|it| it.next().expect("n rows"));
+                    let q = polar_chunks.each_mut().map(|it| it.next().expect("n rows"));
+                    (pts, c, q)
+                })
+                .collect();
+            omt_par::par_map_indexed_mut(&mut chunks, threads, |_, (pts, c, q)| {
+                for (j, p) in pts.iter().enumerate() {
+                    let row = quant_row(&(*p - source));
+                    for d in 0..D {
+                        c[d][j] = p[d];
+                        q[d][j] = row[d];
+                    }
+                }
+            });
         }
         Self {
             source,
@@ -461,7 +481,10 @@ impl NdGridBuilder {
         if let Some(k) = self.rings_override {
             driver = driver.rings(k);
         }
-        let store = NdStore::from_points(source, points);
+        let store = {
+            let _store_span = omt_obs::obs_span!("nd_grid/store");
+            NdStore::from_points(source, points, driver.threads_for(points.len()))
+        };
         let (tree, report) = driver.build_checked::<NdGrid<D>>(&store)?;
         Ok((
             tree,
@@ -503,7 +526,7 @@ mod tests {
         // uniform in [0,1): check first and second moments per axis.
         let mut rng = SmallRng::seed_from_u64(1);
         let pts = Ball::<4>::unit().sample_n(&mut rng, 20_000);
-        let store = NdStore::from_points(Point::ORIGIN, &pts);
+        let store = NdStore::from_points(Point::ORIGIN, &pts, 1);
         for axis in 0..3 {
             let vals = &store.polar[1 + axis];
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
@@ -511,6 +534,20 @@ mod tests {
             assert!((mean - 0.5).abs() < 0.01, "axis {axis} mean {mean}");
             assert!((var - 1.0 / 12.0).abs() < 0.005, "axis {axis} var {var}");
         }
+    }
+
+    /// The chunked fill gives the same columns on one thread and several
+    /// (more than one chunk, so the threaded path runs).
+    #[test]
+    fn store_fill_is_the_same_on_every_thread_count() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        let pts = Ball::<4>::unit().sample_n(&mut rng, SOA_CHUNK + 1000);
+        let source = Point::new([0.1, -0.2, 0.0, 0.3]);
+        let inline = NdStore::from_points(source, &pts, 1);
+        let threaded = NdStore::from_points(source, &pts, 3);
+        assert_eq!(inline.coords, threaded.coords);
+        assert_eq!(inline.polar, threaded.polar);
+        assert_eq!(inline.coords[2][SOA_CHUNK + 5], pts[SOA_CHUNK + 5][2]);
     }
 
     #[test]

@@ -70,13 +70,13 @@ fn point_of<const D: usize>(coords: [&[f64]; D], id: u32) -> Point<D> {
 
 /// A sequential arena sink: `ids[row]` is the point id of each row and
 /// `coords` the store's Cartesian columns by point id.
-pub(crate) struct RowArena<'s, 'a, const D: usize> {
-    pub arena: &'s mut TreeArena<'a, D>,
+pub(crate) struct RowArena<'s, const D: usize> {
+    pub arena: &'s mut TreeArena<D>,
     pub ids: &'s [u32],
     pub coords: [&'s [f64]; D],
 }
 
-impl<const D: usize> AttachSink for RowArena<'_, '_, D> {
+impl<const D: usize> AttachSink for RowArena<'_, D> {
     fn attach_edge(&mut self, child: u32, parent: ParentRef) -> Result<(), TreeError> {
         let child_point = point_of(self.coords, self.ids[child as usize]);
         match parent {
@@ -94,8 +94,8 @@ impl<const D: usize> AttachSink for RowArena<'_, '_, D> {
 /// The sink of one cell job: the window of rows `base..base + ids.len()`
 /// below its local root, writing into the shared arena through `&self`
 /// (see [`TreeArena::attach_parallel`] for the disjointness contract).
-pub(crate) struct CellSink<'s, 'a, const D: usize> {
-    arena: &'s TreeArena<'a, D>,
+pub(crate) struct CellSink<'s, const D: usize> {
+    arena: &'s TreeArena<D>,
     base: usize,
     /// Point ids of the window, by local position.
     ids: &'s [u32],
@@ -105,13 +105,13 @@ pub(crate) struct CellSink<'s, 'a, const D: usize> {
     root: Option<(usize, NodeId, Point<D>)>,
 }
 
-impl<'s, 'a, const D: usize> CellSink<'s, 'a, D> {
+impl<'s, const D: usize> CellSink<'s, D> {
     /// The sink of the job over rows `s..e` below the packed root `root`:
     /// gathers the window's points and the root's, by point id
     /// (`order[row]`), from the Cartesian columns `coords` into `points`.
     /// Returns the sink and the root as the kernel's source reference.
     pub fn gather(
-        arena: &'s TreeArena<'a, D>,
+        arena: &'s TreeArena<D>,
         order: &'s [u32],
         coords: [&[f64]; D],
         (s, e): (usize, usize),
@@ -139,7 +139,7 @@ impl<'s, 'a, const D: usize> CellSink<'s, 'a, D> {
     }
 }
 
-impl<const D: usize> AttachSink for CellSink<'_, '_, D> {
+impl<const D: usize> AttachSink for CellSink<'_, D> {
     fn attach_edge(&mut self, child: u32, parent: ParentRef) -> Result<(), TreeError> {
         let child = child as usize;
         let child_point = self.points[child - self.base];
@@ -180,8 +180,13 @@ mod tests {
         let ys = [0.0, 0.5, 1.0, -1.0];
         let order = vec![2, 0, 3, 1];
         let coords = [&xs[..], &ys[..]];
+        let by_id: Vec<Point2> = xs
+            .iter()
+            .zip(ys)
+            .map(|(&x, y)| Point2::new([x, y]))
+            .collect();
 
-        let mut direct = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
+        let mut direct = TreeArena::new(Point2::ORIGIN, 4);
         {
             let mut sink = RowArena {
                 arena: &mut direct,
@@ -194,7 +199,7 @@ mod tests {
             attach(&mut sink, 3, ParentRef::Node(0)).unwrap();
         }
 
-        let mut shared = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
+        let mut shared = TreeArena::new(Point2::ORIGIN, 4);
         RowArena {
             arena: &mut shared,
             ids: &order,
@@ -214,8 +219,8 @@ mod tests {
         }
         shared.add_attached(3);
         assert_eq!(
-            direct.into_tree(order.clone()).unwrap(),
-            shared.into_tree(order).unwrap(),
+            direct.into_tree(order.clone(), by_id.clone()).unwrap(),
+            shared.into_tree(order, by_id).unwrap(),
             "direct-fill sink must be indistinguishable from &mut attachment"
         );
     }

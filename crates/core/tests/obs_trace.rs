@@ -96,17 +96,32 @@ fn phase_spans_cover_the_build_and_metrics_match_the_work() {
     assert_eq!(reg4.counter("sphere_grid/builds"), 1);
     assert_phases_tile(&reg4, "sphere_grid", build.total_ns, "3-D build");
 
-    // So does the general-dimension builder, on the same driver.
+    // So does the general-dimension builder, on the same driver. Its
+    // column-store fill runs before the driver, under its own span: the
+    // store and build spans together tile the whole call.
     let mut rng = SmallRng::seed_from_u64(77);
     let pts4 = Ball::<4>::unit().sample_n(&mut rng, n);
     let _ = omt_obs::take_local();
+    let wall = Instant::now();
     let tree = NdGridBuilder::new().build(Point::ORIGIN, &pts4).unwrap();
+    let wall_ns = wall.elapsed().as_nanos() as u64;
     assert_eq!(tree.len(), n);
     let reg5 = omt_obs::take_local();
     let build = reg5.span("nd_grid/build").expect("n-D build span");
     assert_eq!(build.count, 1);
     assert_eq!(reg5.counter("nd_grid/builds"), 1);
     assert_phases_tile(&reg5, "nd_grid", build.total_ns, "4-D build");
+    let store = reg5.span("nd_grid/store").expect("n-D store span");
+    assert_eq!(store.count, 1);
+    let spanned = store.total_ns + build.total_ns;
+    assert!(
+        spanned <= wall_ns,
+        "4-D: store + build spans ({spanned} ns) exceed the wall ({wall_ns} ns)"
+    );
+    assert!(
+        spanned * 10 >= wall_ns * 9,
+        "4-D: store + build spans cover only {spanned} of {wall_ns} ns (< 90%)"
+    );
 }
 
 /// The five phases tile the build span: together they must account for

@@ -57,8 +57,7 @@ pub use hull::{convex_hull, diameter};
 pub use point::{Point, Point2, Point3};
 pub use polar::{normalize_angle, Arc, PolarPoint, SphericalPoint};
 pub use region::{
-    deepest_interior, Annulus, Ball, BoxRegion, ConvexPolygon, Disk, DynRegion2, DynRegion3,
-    Region, Translated,
+    deepest_interior, Annulus, Ball, BoxRegion, ConvexPolygon, Disk, Region, Translated,
 };
 pub use segment::{RingSegment, ShellCell};
 pub use soa::{PointStore2, PointStore3};

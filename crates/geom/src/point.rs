@@ -100,16 +100,6 @@ impl<const D: usize> Point<D> {
         self.distance_squared(other).sqrt()
     }
 
-    /// Dot product with `other`.
-    #[inline]
-    pub fn dot(&self, other: &Self) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..D {
-            acc += self.coords[i] * other.coords[i];
-        }
-        acc
-    }
-
     /// Midpoint of the segment between `self` and `other`.
     ///
     /// ```
@@ -122,19 +112,6 @@ impl<const D: usize> Point<D> {
         let mut coords = [0.0; D];
         for (c, (a, b)) in coords.iter_mut().zip(self.coords.iter().zip(&other.coords)) {
             *c = 0.5 * (a + b);
-        }
-        Self { coords }
-    }
-
-    /// Linear interpolation: `self + t * (other - self)`.
-    ///
-    /// `t = 0` yields `self`, `t = 1` yields `other`; values outside `[0, 1]`
-    /// extrapolate.
-    #[inline]
-    pub fn lerp(&self, other: &Self, t: f64) -> Self {
-        let mut coords = [0.0; D];
-        for (c, (a, b)) in coords.iter_mut().zip(self.coords.iter().zip(&other.coords)) {
-            *c = a + t * (b - a);
         }
         Self { coords }
     }
@@ -391,15 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_lerp_agree() {
-        let a = Point2::new([0.0, 0.0]);
-        let b = Point2::new([2.0, 6.0]);
-        assert_eq!(a.midpoint(&b), a.lerp(&b, 0.5));
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-    }
-
-    #[test]
     fn angle_quadrants() {
         use core::f64::consts::PI;
         assert!((Point2::new([1.0, 0.0]).angle() - 0.0).abs() < 1e-12);
@@ -433,14 +401,6 @@ mod tests {
         let n = p.normalized().unwrap();
         assert!((n.norm() - 1.0).abs() < 1e-12);
         assert!(Point2::ORIGIN.normalized().is_none());
-    }
-
-    #[test]
-    fn dot_product_orthogonal() {
-        let a = Point2::new([1.0, 0.0]);
-        let b = Point2::new([0.0, 5.0]);
-        assert_eq!(a.dot(&b), 0.0);
-        assert_eq!(a.dot(&a), 1.0);
     }
 
     #[test]

@@ -445,16 +445,6 @@ impl Annulus {
             r_out,
         }
     }
-
-    /// Inner radius.
-    pub const fn r_in(&self) -> f64 {
-        self.r_in
-    }
-
-    /// Outer radius.
-    pub const fn r_out(&self) -> f64 {
-        self.r_out
-    }
 }
 
 impl Region<2> for Annulus {
@@ -483,12 +473,6 @@ impl Region<2> for Annulus {
         self.r_out
     }
 }
-
-/// Convenience alias for boxed dynamic regions.
-pub type DynRegion2 = Box<dyn Region<2>>;
-
-/// Convenience alias for boxed dynamic 3-D regions.
-pub type DynRegion3 = Box<dyn Region<3>>;
 
 /// Offsets every sampled point of an inner region — used to test arbitrary
 /// source placement (the source stays at the caller's chosen point while the
@@ -680,7 +664,7 @@ mod tests {
 
     #[test]
     fn regions_are_object_safe() {
-        let regions: Vec<DynRegion2> = vec![
+        let regions: Vec<Box<dyn Region<2>>> = vec![
             Box::new(Disk::unit()),
             Box::new(BoxRegion::<2>::unit()),
             Box::new(Annulus::new(Point2::ORIGIN, 0.2, 0.9)),

@@ -26,15 +26,6 @@ pub fn standard_normal(rng: &mut (impl Rng + ?Sized)) -> f64 {
     }
 }
 
-/// A point uniform in the disk of the given radius centered at the origin.
-///
-/// Uses the inverse-CDF radius `R·√u`, which is exact.
-pub fn uniform_in_disk(rng: &mut (impl Rng + ?Sized), radius: f64) -> Point2 {
-    let r = radius * rng.random::<f64>().sqrt();
-    let theta = rng.random_range(0.0..core::f64::consts::TAU);
-    Point2::new([r * theta.cos(), r * theta.sin()])
-}
-
 /// A point uniform in the `D`-ball of the given radius centered at the
 /// origin: Gaussian direction scaled by `R·u^(1/D)`.
 pub fn uniform_in_ball<const D: usize>(rng: &mut (impl Rng + ?Sized), radius: f64) -> Point<D> {
@@ -119,22 +110,6 @@ mod tests {
     }
 
     const N: usize = 20_000;
-
-    #[test]
-    fn disk_points_are_inside_and_uniform() {
-        let mut rng = rng();
-        let mut inside_half = 0usize;
-        for _ in 0..N {
-            let p = uniform_in_disk(&mut rng, 2.0);
-            assert!(p.norm() <= 2.0 + 1e-12);
-            if p.norm() <= 2.0 / 2.0_f64.sqrt() {
-                inside_half += 1;
-            }
-        }
-        // Half the area lies within radius R/sqrt(2).
-        let frac = inside_half as f64 / N as f64;
-        assert!((frac - 0.5).abs() < 0.02, "fraction {frac}");
-    }
 
     #[test]
     fn ball_points_are_inside_and_radially_uniform() {
@@ -226,7 +201,7 @@ mod tests {
 
     #[test]
     fn two_dim_ball_matches_disk_distribution() {
-        // uniform_in_ball::<2> must agree statistically with uniform_in_disk.
+        // Half a disk's area lies within radius R/sqrt(2).
         let mut rng = rng();
         let mut inside = 0usize;
         for _ in 0..N {

@@ -55,7 +55,7 @@ const SAMPLE_CHUNK: usize = 1 << 16;
 ///     1000,
 /// );
 /// let reference = Disk::unit().sample_n(&mut SmallRng::seed_from_u64(2004), 1000);
-/// assert_eq!(store.to_points(), reference);
+/// assert!((0..1000).all(|i| store.point(i) == reference[i]));
 ///
 /// // ...and the stored polar view matches the AoS conversion bit-for-bit.
 /// let p = store.point(17);
@@ -212,13 +212,6 @@ impl PointStore2 {
             radius: self.radius[i],
             angle: self.angle[i],
         }
-    }
-
-    /// Materializes the Cartesian points as a `Vec` (test/interop helper;
-    /// the construction path itself never needs this copy).
-    #[must_use]
-    pub fn to_points(&self) -> Vec<Point2> {
-        (0..self.len()).map(|i| self.point(i)).collect()
     }
 }
 
@@ -406,12 +399,6 @@ impl PointStore3 {
             cos_polar: self.cos_polar[i],
         }
     }
-
-    /// Materializes the Cartesian points as a `Vec`.
-    #[must_use]
-    pub fn to_points(&self) -> Vec<Point3> {
-        (0..self.len()).map(|i| self.point(i)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -463,7 +450,8 @@ mod tests {
                 n,
             );
             let reference = Ball::<2>::unit().sample_n(&mut SmallRng::seed_from_u64(2004), n);
-            assert_eq!(store.to_points(), reference);
+            assert_eq!(store.len(), n);
+            assert!((0..n).all(|i| store.point(i) == reference[i]));
         }
     }
 
@@ -476,7 +464,8 @@ mod tests {
             333,
         );
         let reference = Ball::<3>::unit().sample_n(&mut SmallRng::seed_from_u64(2005), 333);
-        assert_eq!(store.to_points(), reference);
+        assert_eq!(store.len(), 333);
+        assert!((0..333).all(|i| store.point(i) == reference[i]));
     }
 
     #[test]

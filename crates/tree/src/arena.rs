@@ -1,11 +1,18 @@
-//! Arena-style tree construction for the million-scale grid builders.
+//! Tree construction: the one implementation of top-down attachment,
+//! its validation, delay arithmetic and the CSR finish.
 //!
-//! [`TreeArena`] is the million-scale twin of [`crate::TreeBuilder`]. It
-//! preallocates one 20-byte row per node in one shot from `n`, so no
-//! allocation happens per attachment, and it borrows the structure-of-arrays
-//! coordinate columns (`omt_geom::PointStore2` / `PointStore3`) only to
-//! materialize the finished tree's one `Vec<Point<D>>` at
-//! [`TreeArena::into_tree`] time.
+//! [`TreeArena`] preallocates one 20-byte row per node in one shot from
+//! `n`, so no allocation happens per attachment. It holds no coordinates:
+//! each attachment passes the points it connects, and the finished tree's
+//! one `Vec<Point<D>>` is handed over at finish time
+//! ([`TreeArena::into_tree`]), after the rows are freed.
+//!
+//! Every builder in the workspace goes through it. [`crate::TreeBuilder`]
+//! is a thin owner of its point vector plus one arena, filled with rows in
+//! point-id order and finished with the identity order; the million-scale
+//! grid builders fill an arena directly, in their own row order and in
+//! parallel, and gather the points from their store at the finish's
+//! points stage.
 //!
 //! # Rows are positions
 //!
@@ -36,18 +43,16 @@
 //! non-atomic access, so the sequential path pays nothing. Callers of the
 //! parallel methods own the partitioning argument: concurrent attachments
 //! must target disjoint child rows and never share a parent row. Getting
-//! that wrong produces nondeterministic links — caught by the parity and
+//! that wrong produces nondeterministic links — caught by the golden and
 //! validation suites — but never undefined behavior, because no `unsafe`
 //! is involved (`omt-tree` is `#![forbid(unsafe_code)]`).
 //!
-//! The attachment semantics — validation order, error variants, degree
-//! accounting, and the floating-point expressions for delays — are mirrored
-//! from [`crate::TreeBuilder`] operation-for-operation, so a sequence of
-//! attachments performed against a `TreeArena` in any row order produces a
-//! tree bit-identical to the same sequence against a `TreeBuilder` by point
-//! id. The golden construction pins in `omt-core`
-//! (`tests/construction_golden.rs`) fix the trees the grid builders make
-//! with it, across thread counts.
+//! The finished parent, depth, hop and CSR arrays depend only on the edge
+//! set and the points, not on the row order or the attachment order, so a
+//! fill in any row order gives the tree of the same edges attached by
+//! point id. The golden construction pins in `omt-core`
+//! (`tests/construction_golden.rs`) fix the trees the builders make with
+//! it, across thread counts.
 
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
@@ -163,7 +168,8 @@ fn for_each_part<T: Send>(parts: Vec<T>, f: impl Fn(T) + Sync) {
 pub enum FinishStage {
     /// Inverting the row order and gathering the rows into id order.
     Permute,
-    /// Copying the coordinate columns into the tree's points.
+    /// Taking over the tree's points (the grid builders gather them from
+    /// their store here).
     Points,
     /// Scattering children into the CSR child list.
     Csr,
@@ -173,15 +179,10 @@ pub enum FinishStage {
 /// are filled in a caller-chosen order and mapped to point ids once, in
 /// [`TreeArena::into_tree`].
 ///
-/// `coords[d][i]` is the `d`-th Cartesian coordinate of point `i`; all `D`
-/// slices must have equal length. They are read only when the finished
-/// tree copies its points: attachments pass the points they connect.
-///
-/// The arena keeps the parent-array bookkeeping of `TreeBuilder` and
-/// nothing else: the CSR child layout produced by [`TreeArena::into_tree`]
-/// is derived from the parent array alone, exactly like
-/// [`crate::TreeBuilder::finish`], so no child list is maintained while
-/// the tree grows.
+/// The arena keeps a parent array's bookkeeping and nothing else: the CSR
+/// child layout produced by [`TreeArena::into_tree`] is derived from the
+/// parent array alone, so no child list is maintained while the tree grows.
+/// [`crate::TreeBuilder`] wraps one arena whose rows are the point ids.
 ///
 /// Disjoint regions of one arena can be filled concurrently through shared
 /// references — see the [module docs](crate::arena) for the contract and
@@ -196,33 +197,29 @@ pub enum FinishStage {
 /// use omt_geom::Point2;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let xs = [1.0, 1.0];
-/// let ys = [0.0, 1.0];
-/// let point = |id: usize| Point2::new([xs[id], ys[id]]);
-/// let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(2);
-/// arena.attach_to_source(1, point(0))?;
-/// arena.attach(0, point(1), 1, 0, point(0))?;
-/// let tree = arena.into_tree(vec![1, 0])?;
+/// let points = vec![Point2::new([1.0, 0.0]), Point2::new([1.0, 1.0])];
+/// let mut arena = TreeArena::new(Point2::ORIGIN, 2).max_out_degree(2);
+/// arena.attach_to_source(1, points[0])?;
+/// arena.attach(0, points[1], 1, 0, points[0])?;
+/// let tree = arena.into_tree(vec![1, 0], points)?;
 /// assert_eq!(tree.len(), 2);
 /// assert_eq!(tree.children(0), &[1]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct TreeArena<'a, const D: usize> {
+pub struct TreeArena<const D: usize> {
     source: Point<D>,
-    coords: [&'a [f64]; D],
     rows: Vec<Row>,
     source_out_degree: AtomicU32,
     max_out_degree: Option<u32>,
     attached_count: usize,
 }
 
-impl<const D: usize> Clone for TreeArena<'_, D> {
+impl<const D: usize> Clone for TreeArena<D> {
     fn clone(&self) -> Self {
         Self {
             source: self.source,
-            coords: self.coords,
             rows: self.rows.clone(),
             source_out_degree: AtomicU32::new(self.source_out_degree.load(Relaxed)),
             max_out_degree: self.max_out_degree,
@@ -231,30 +228,23 @@ impl<const D: usize> Clone for TreeArena<'_, D> {
     }
 }
 
-impl<'a, const D: usize> TreeArena<'a, D> {
-    /// Creates an arena for a tree over the borrowed coordinate columns,
-    /// rooted at `source`, with one row per point, sized exactly for
-    /// `n = coords[0].len()`.
+impl<const D: usize> TreeArena<D> {
+    /// Creates an arena for a tree of `n` receiver nodes rooted at
+    /// `source`, with one row per node.
     ///
     /// # Panics
     ///
-    /// Panics if the coordinate slices have unequal lengths, or if `n`
-    /// exceeds [`MAX_NODES`] (builders that accept untrusted sizes should
-    /// call [`check_node_capacity`] first and surface the typed error).
+    /// Panics if `n` exceeds [`MAX_NODES`] (builders that accept untrusted
+    /// sizes should call [`check_node_capacity`] first and surface the
+    /// typed error).
     #[must_use]
-    pub fn new(source: Point<D>, coords: [&'a [f64]; D]) -> Self {
-        let n = coords[0].len();
-        assert!(
-            coords.iter().all(|c| c.len() == n),
-            "coordinate columns must have equal lengths"
-        );
+    pub fn new(source: Point<D>, n: usize) -> Self {
         assert!(
             check_node_capacity(n).is_ok(),
             "node count {n} exceeds the arena's u32 id space (max {MAX_NODES})"
         );
         Self {
             source,
-            coords,
             rows: (0..n).map(|_| Row::default()).collect(),
             source_out_degree: AtomicU32::new(0),
             max_out_degree: None,
@@ -268,18 +258,6 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     pub fn max_out_degree(mut self, bound: u32) -> Self {
         self.max_out_degree = Some(bound);
         self
-    }
-
-    /// Number of rows (one per receiver node).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if there are no receiver nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// How many nodes have been attached so far.
@@ -328,6 +306,25 @@ impl<'a, const D: usize> TreeArena<'a, D> {
             .map(Row::depth)
     }
 
+    /// Remaining out-degree budget of the node in row `row` (`None` if
+    /// unbounded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the budget is bounded and `row` is out of range.
+    #[must_use]
+    pub fn remaining_degree(&self, row: usize) -> Option<u32> {
+        self.max_out_degree
+            .map(|b| b.saturating_sub(self.rows[row].out_degree.load(Relaxed)))
+    }
+
+    /// Remaining out-degree budget of the source (`None` if unbounded).
+    #[must_use]
+    pub fn remaining_source_degree(&self) -> Option<u32> {
+        self.max_out_degree
+            .map(|b| b.saturating_sub(self.source_out_degree.load(Relaxed)))
+    }
+
     fn check_index(&self, row: usize) -> Result<(), TreeError> {
         if row >= self.rows.len() {
             Err(TreeError::NodeOutOfRange {
@@ -344,12 +341,9 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     ///
     /// # Errors
     ///
-    /// Fails if the row is out of range, the child is already attached, or
-    /// the source's degree budget is exhausted — the same conditions, checked
-    /// in the same order, as [`TreeBuilder::attach_to_source`]. Indices in
-    /// errors are rows.
-    ///
-    /// [`TreeBuilder::attach_to_source`]: crate::TreeBuilder::attach_to_source
+    /// Fails, in this order, if the row is out of range, the child is
+    /// already attached, or the source's degree budget is exhausted.
+    /// Indices in errors are rows.
     pub fn attach_to_source(
         &mut self,
         child: usize,
@@ -366,12 +360,10 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     ///
     /// # Errors
     ///
-    /// Fails if either row is out of range, `child == parent`, the child
-    /// is already attached, the parent is not attached yet, or the parent's
-    /// degree budget is exhausted — the same conditions, checked in the same
-    /// order, as [`TreeBuilder::attach`]. Indices in errors are rows.
-    ///
-    /// [`TreeBuilder::attach`]: crate::TreeBuilder::attach
+    /// Fails, in this order, if either row is out of range (the child's
+    /// first), `child == parent`, the child is already attached, the parent
+    /// is not attached yet (construction is top-down), or the parent's
+    /// degree budget is exhausted. Indices in errors are rows.
     pub fn attach(
         &mut self,
         child: usize,
@@ -438,7 +430,7 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     /// The grid builders satisfy both by construction — every cell job's
     /// write set is its own counting-sort window of rows plus that window's
     /// already-attached local root, and windows are disjoint. A violated
-    /// contract yields nondeterministic links (caught by the parity
+    /// contract yields nondeterministic links (caught by the golden
     /// suites), never undefined behavior.
     ///
     /// # Errors
@@ -481,7 +473,8 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     }
 
     /// Finalizes the tree: `order[row]` is the point id of row `row`, a
-    /// permutation of `0..n`. See [`TreeArena::into_tree_staged`].
+    /// permutation of `0..n`, and `points[id]` the position of point `id`.
+    /// See [`TreeArena::into_tree_staged`].
     ///
     /// # Errors
     ///
@@ -490,16 +483,21 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     ///
     /// # Panics
     ///
-    /// Panics if `order` does not have one entry per row.
-    pub fn into_tree(self, order: Vec<NodeId>) -> Result<MulticastTree<D>, TreeError> {
-        self.into_tree_staged(order, 1, |_| ())
+    /// Panics if `order` or `points` does not have one entry per row.
+    pub fn into_tree(
+        self,
+        order: Vec<NodeId>,
+        points: Vec<Point<D>>,
+    ) -> Result<MulticastTree<D>, TreeError> {
+        self.into_tree_staged(order, 1, || points, |_| ())
     }
 
     /// [`TreeArena::into_tree`] with the permute stage split over up to
-    /// `threads` scoped threads, calling `stage` as each [`FinishStage`]
-    /// begins and dropping what it returns when the stage ends (the grid
-    /// builders return a phase-span guard). The tree is the same for every
-    /// thread count.
+    /// `threads` scoped threads, the points produced by `points` at the
+    /// points stage, and `stage` called as each [`FinishStage`] begins,
+    /// what it returns dropped when the stage ends (the grid builders
+    /// return a phase-span guard). The tree is the same for every thread
+    /// count.
     ///
     /// Peak memory at finish time is the binding constraint at n in the
     /// millions, so the conversion is sequenced to keep transients minimal:
@@ -515,8 +513,10 @@ impl<'a, const D: usize> TreeArena<'a, D> {
     ///    range of the inverse, scanning the whole order for its ids, and
     ///    runs the sweep over it, reading the range's first two rows up
     ///    front (their slots belong to the range below).
-    /// 2. *Points.* The coordinate columns are copied into the owned point
-    ///    vector, the one full point copy of the arena path.
+    /// 2. *Points.* `points` is called, once the rows are freed: the grid
+    ///    builders gather their store's coordinate columns into the tree's
+    ///    point vector here, the one full point copy of their path, and
+    ///    [`crate::TreeBuilder`] moves its own vector in.
     /// 3. *CSR.* The children are scattered using the offset array itself
     ///    as the cursor (restored with a one-slot shift) instead of a
     ///    cloned cursor array.
@@ -532,11 +532,11 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         self,
         order: Vec<NodeId>,
         threads: usize,
+        points: impl FnOnce() -> Vec<Point<D>>,
         mut stage: impl FnMut(FinishStage) -> G,
     ) -> Result<MulticastTree<D>, TreeError> {
         let Self {
             source,
-            coords,
             rows,
             source_out_degree,
             attached_count,
@@ -620,9 +620,8 @@ impl<'a, const D: usize> TreeArena<'a, D> {
         drop(permute);
 
         let points_stage = stage(FinishStage::Points);
-        let points: Vec<Point<D>> = (0..n)
-            .map(|i| Point::new(core::array::from_fn(|d| coords[d][i])))
-            .collect();
+        let points = points();
+        assert_eq!(points.len(), n, "the tree needs one point per row");
         drop(points_stage);
 
         let _csr = stage(FinishStage::Csr);
@@ -660,16 +659,9 @@ mod tests {
     use crate::TreeBuilder;
     use omt_geom::Point2;
 
-    fn columns(n: usize) -> (Vec<f64>, Vec<f64>) {
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
-        let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 0.5) - 1.0).collect();
-        (xs, ys)
-    }
-
-    fn points(xs: &[f64], ys: &[f64]) -> Vec<Point2> {
-        xs.iter()
-            .zip(ys)
-            .map(|(&x, &y)| Point2::new([x, y]))
+    fn points(n: usize) -> Vec<Point2> {
+        (0..n)
+            .map(|i| Point2::new([i as f64 + 1.0, (i as f64 * 0.5) - 1.0]))
             .collect()
     }
 
@@ -691,10 +683,12 @@ mod tests {
         inv
     }
 
+    /// Filling the rows in a shuffled order, and splitting the finish over
+    /// 2 or 3 threads, gives the tree of the identity-order fill finished
+    /// on one thread, bit for bit.
     #[test]
-    fn mirrors_builder_bit_for_bit() {
-        let (xs, ys) = columns(8);
-        let pts = points(&xs, &ys);
+    fn shuffled_rows_and_split_finish_match_identity_order() {
+        let pts = points(8);
         // A mixed attachment schedule by point id: sources, chains, fans.
         let schedule: &[(usize, Option<usize>)] = &[
             (3, None),
@@ -706,17 +700,9 @@ mod tests {
             (6, Some(4)),
             (7, Some(3)),
         ];
-        let mut builder = TreeBuilder::new(Point2::ORIGIN, pts.clone()).max_out_degree(3);
-        for &(child, parent) in schedule {
-            match parent {
-                None => builder.attach_to_source(child).unwrap(),
-                Some(p) => builder.attach(child, p).unwrap(),
-            }
-        }
-        let expected = builder.clone().finish().unwrap();
-        for order in orders(8) {
-            let row = inverse(&order);
-            let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(3);
+        let fill = |order: &[NodeId]| {
+            let row = inverse(order);
+            let mut arena = TreeArena::new(Point2::ORIGIN, 8).max_out_degree(3);
             for &(child, parent) in schedule {
                 match parent {
                     None => arena.attach_to_source(row[child], pts[child]).unwrap(),
@@ -724,64 +710,42 @@ mod tests {
                         .attach(row[child], pts[child], row[p], p as NodeId, pts[p])
                         .unwrap(),
                 }
+            }
+            arena
+        };
+        let [identity, shuffled] = orders(8);
+        let expected = fill(&identity)
+            .into_tree(identity.clone(), pts.clone())
+            .unwrap();
+        for order in [identity, shuffled] {
+            let row = inverse(&order);
+            let arena = fill(&order);
+            for id in 0..8 {
                 assert_eq!(
-                    arena.depth_of(row[child]).map(f64::to_bits),
-                    builder.depth_of(child).map(f64::to_bits)
+                    arena.depth_of(row[id]).map(f64::to_bits),
+                    Some(expected.depth(id).to_bits())
                 );
             }
             // The permute stage splits over id ranges (at 3 threads, of
             // 2 and 3 ids); every split gives the same tree.
-            for threads in 2..=3 {
-                let tree = arena
-                    .clone()
-                    .into_tree_staged(order.clone(), threads, |_| ());
+            for threads in 1..=3 {
+                let tree =
+                    arena
+                        .clone()
+                        .into_tree_staged(order.clone(), threads, || pts.clone(), |_| ());
                 assert_eq!(tree.unwrap(), expected, "threads {threads}");
             }
-            assert_eq!(arena.into_tree(order).unwrap(), expected);
         }
-    }
-
-    #[test]
-    fn error_parity_with_builder() {
-        let (xs, ys) = columns(3);
-        let pts = points(&xs, &ys);
-        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(1);
-        let mut builder = TreeBuilder::new(Point2::ORIGIN, pts.clone()).max_out_degree(1);
-        // Identity rows, so row indices in errors are point ids.
-        let attach = |arena: &mut TreeArena<'_, 2>, c: usize, p: usize| {
-            arena.attach(c, pts[c], p, p as NodeId, pts[p])
-        };
-        assert_eq!(attach(&mut arena, 0, 0), builder.attach(0, 0)); // self-loop
-        assert_eq!(attach(&mut arena, 1, 0), builder.attach(1, 0)); // parent not attached
-        assert_eq!(
-            arena.attach_to_source(9, Point2::ORIGIN),
-            builder.attach_to_source(9)
-        ); // range
-        arena.attach_to_source(0, pts[0]).unwrap();
-        builder.attach_to_source(0).unwrap();
-        assert_eq!(
-            arena.attach_to_source(1, pts[1]),
-            builder.attach_to_source(1)
-        ); // source full
-        assert_eq!(attach(&mut arena, 0, 1), builder.attach(0, 1)); // already attached
-        attach(&mut arena, 1, 0).unwrap();
-        builder.attach(1, 0).unwrap();
-        assert_eq!(attach(&mut arena, 2, 0), builder.attach(2, 0)); // parent full
-        assert_eq!(
-            arena.clone().into_tree(vec![0, 1, 2]).unwrap_err(),
-            builder.clone().finish().unwrap_err()
-        ); // not spanning
     }
 
     /// Under a permutation, `NotSpanning::first` names the smallest
     /// unattached *point id*, not the first unattached row.
     #[test]
     fn not_spanning_reports_the_smallest_unattached_point_id() {
-        let (xs, ys) = columns(8);
-        let pts = points(&xs, &ys);
+        let pts = points(8);
         let [_, order] = orders(8);
         let row = inverse(&order);
-        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
+        let mut arena = TreeArena::new(Point2::ORIGIN, 8);
         // Leave points 2 and 5 unattached.
         for id in [0, 1, 3, 4, 6, 7] {
             arena.attach_to_source(row[id], pts[id]).unwrap();
@@ -791,7 +755,7 @@ mod tests {
             "the shuffle puts point 5 in an earlier row"
         );
         assert_eq!(
-            arena.into_tree(order),
+            arena.into_tree(order, pts),
             Err(TreeError::NotSpanning {
                 unattached: 2,
                 first: 2
@@ -801,9 +765,8 @@ mod tests {
 
     #[test]
     fn no_per_attachment_allocation_in_node_arrays() {
-        let (xs, ys) = columns(32);
-        let pts = points(&xs, &ys);
-        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
+        let pts = points(32);
+        let mut arena = TreeArena::new(Point2::ORIGIN, 32);
         let rows_ptr = arena.rows.as_ptr();
         assert_eq!(core::mem::size_of::<Row>(), 20, "one 20-byte row per node");
         arena.attach_to_source(0, pts[0]).unwrap();
@@ -823,8 +786,7 @@ mod tests {
     /// and in a shuffled one, with the finish on one thread or several.
     #[test]
     fn parallel_fill_matches_sequential_bit_for_bit() {
-        let (xs, ys) = columns(64);
-        let pts = points(&xs, &ys);
+        let pts = points(64);
         // 4 source children, each the parent of a window of 15 descendants
         // attached as a chain-of-fans. Windows are ranges of rows.
         let windows: Vec<(usize, Vec<usize>)> = (0..4)
@@ -852,7 +814,7 @@ mod tests {
             }
             let sequential = builder.finish().unwrap();
 
-            let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]).max_out_degree(8);
+            let mut arena = TreeArena::new(Point2::ORIGIN, 64).max_out_degree(8);
             for w in 0..4 {
                 arena.attach_to_source(w, pts[id(w)]).unwrap();
             }
@@ -874,7 +836,7 @@ mod tests {
             for threads in [1, 2, 4] {
                 let parallel = arena
                     .clone()
-                    .into_tree_staged(order.clone(), threads, |_| ())
+                    .into_tree_staged(order.clone(), threads, || pts.clone(), |_| ())
                     .unwrap();
                 assert_eq!(parallel, sequential, "threads {threads}");
                 for i in 0..64 {
@@ -886,17 +848,25 @@ mod tests {
 
     #[test]
     fn finish_stages_run_in_order() {
-        let (xs, ys) = columns(2);
-        let pts = points(&xs, &ys);
-        let mut arena = TreeArena::new(Point2::ORIGIN, [&xs, &ys]);
+        let pts = points(2);
+        let mut arena = TreeArena::new(Point2::ORIGIN, 2);
         arena.attach_to_source(0, pts[1]).unwrap();
         arena.attach(1, pts[0], 0, 1, pts[1]).unwrap();
-        let mut seen = Vec::new();
+        let seen = std::cell::RefCell::new(Vec::new());
         let tree = arena
-            .into_tree_staged(vec![1, 0], 1, |s| seen.push(s))
+            .into_tree_staged(
+                vec![1, 0],
+                1,
+                || {
+                    // The points are taken inside their own stage.
+                    assert_eq!(*seen.borrow(), [FinishStage::Permute, FinishStage::Points]);
+                    pts.clone()
+                },
+                |s| seen.borrow_mut().push(s),
+            )
             .unwrap();
         assert_eq!(
-            seen,
+            seen.into_inner(),
             [FinishStage::Permute, FinishStage::Points, FinishStage::Csr]
         );
         assert_eq!(tree.children(1), &[0]);
@@ -920,17 +890,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn unequal_columns_rejected() {
-        let xs = [1.0, 2.0];
-        let ys = [1.0];
-        let _ = TreeArena::new(Point2::ORIGIN, [&xs[..], &ys[..]]);
+    #[should_panic(expected = "one point per row")]
+    fn unequal_point_count_rejected() {
+        let pts = points(2);
+        let mut arena = TreeArena::new(Point2::ORIGIN, 2);
+        arena.attach_to_source(0, pts[0]).unwrap();
+        arena.attach_to_source(1, pts[1]).unwrap();
+        let _ = arena.into_tree(vec![0, 1], pts[..1].to_vec());
     }
 
     #[test]
     fn empty_arena_finishes_to_empty_tree() {
-        let arena: TreeArena<'_, 2> = TreeArena::new(Point2::ORIGIN, [&[], &[]]);
-        let tree = arena.into_tree(Vec::new()).unwrap();
+        let arena = TreeArena::<2>::new(Point2::ORIGIN, 0);
+        let tree = arena.into_tree(Vec::new(), Vec::new()).unwrap();
         assert_eq!(tree.len(), 0);
     }
 }

@@ -1,9 +1,10 @@
-//! Incremental, degree-enforcing tree construction.
+//! Incremental, degree-enforcing tree construction by point id.
 
 use omt_geom::Point;
 
+use crate::arena::TreeArena;
 use crate::error::TreeError;
-use crate::tree::{MulticastTree, SOURCE_PARENT};
+use crate::tree::{MulticastTree, NodeId};
 
 /// Builds a [`MulticastTree`] top-down, enforcing the out-degree budget and
 /// acyclicity at every step.
@@ -11,6 +12,11 @@ use crate::tree::{MulticastTree, SOURCE_PARENT};
 /// Attachment must be *top-down*: a node can only become a parent after it
 /// has itself been attached. This is how all the algorithms in this
 /// workspace naturally operate, and it makes cycles unrepresentable.
+///
+/// The builder owns its points and one [`TreeArena`] whose rows are the
+/// point ids: the arena does the validation, the delay arithmetic and the
+/// finish, and [`TreeBuilder::finish`] hands it the identity row order and
+/// the points.
 ///
 /// # Examples
 ///
@@ -30,41 +36,26 @@ use crate::tree::{MulticastTree, SOURCE_PARENT};
 /// ```
 #[derive(Clone, Debug)]
 pub struct TreeBuilder<const D: usize> {
-    source: Point<D>,
     points: Vec<Point<D>>,
-    parent: Vec<u32>,
-    depth: Vec<f64>,
-    hops: Vec<u32>,
-    attached: Vec<bool>,
-    out_degree: Vec<u32>,
-    source_out_degree: u32,
-    max_out_degree: Option<u32>,
-    attached_count: usize,
+    arena: TreeArena<D>,
 }
 
 impl<const D: usize> TreeBuilder<D> {
     /// Creates a builder for a tree over `points` rooted at `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`crate::MAX_NODES`] points.
     pub fn new(source: Point<D>, points: Vec<Point<D>>) -> Self {
-        let n = points.len();
-        Self {
-            source,
-            points,
-            parent: vec![SOURCE_PARENT; n],
-            depth: vec![0.0; n],
-            hops: vec![0; n],
-            attached: vec![false; n],
-            out_degree: vec![0; n],
-            source_out_degree: 0,
-            max_out_degree: None,
-            attached_count: 0,
-        }
+        let arena = TreeArena::new(source, points.len());
+        Self { points, arena }
     }
 
     /// Sets the maximum out-degree enforced on every node including the
     /// source. Unset means unbounded.
     #[must_use]
     pub fn max_out_degree(mut self, bound: u32) -> Self {
-        self.max_out_degree = Some(bound);
+        self.arena = self.arena.max_out_degree(bound);
         self
     }
 
@@ -80,7 +71,7 @@ impl<const D: usize> TreeBuilder<D> {
 
     /// How many nodes have been attached so far.
     pub fn attached_count(&self) -> usize {
-        self.attached_count
+        self.arena.attached_count()
     }
 
     /// Whether node `i` has been attached.
@@ -89,7 +80,7 @@ impl<const D: usize> TreeBuilder<D> {
     ///
     /// Panics if `i` is out of range.
     pub fn is_attached(&self, i: usize) -> bool {
-        self.attached[i]
+        self.arena.is_attached(i)
     }
 
     /// Position of receiver `i`.
@@ -103,39 +94,29 @@ impl<const D: usize> TreeBuilder<D> {
 
     /// The source position.
     pub fn source(&self) -> Point<D> {
-        self.source
+        self.arena.source()
     }
 
     /// Current delay from the source to node `i`, if attached.
     pub fn depth_of(&self, i: usize) -> Option<f64> {
-        self.attached
-            .get(i)
-            .copied()
-            .unwrap_or(false)
-            .then(|| self.depth[i])
+        self.arena.depth_of(i)
     }
 
     /// Remaining out-degree budget of node `i` (`None` if unbounded).
     pub fn remaining_degree(&self, i: usize) -> Option<u32> {
-        self.max_out_degree
-            .map(|b| b.saturating_sub(self.out_degree[i]))
+        self.arena.remaining_degree(i)
     }
 
     /// Remaining out-degree budget of the source (`None` if unbounded).
     pub fn remaining_source_degree(&self) -> Option<u32> {
-        self.max_out_degree
-            .map(|b| b.saturating_sub(self.source_out_degree))
+        self.arena.remaining_source_degree()
     }
 
-    fn check_index(&self, i: usize) -> Result<(), TreeError> {
-        if i >= self.points.len() {
-            Err(TreeError::NodeOutOfRange {
-                index: i,
-                len: self.points.len(),
-            })
-        } else {
-            Ok(())
-        }
+    /// The position of node `i` for an attachment; an out-of-range `i`
+    /// gets the source's, which is never read: the arena rejects the index
+    /// first.
+    fn point_or_source(&self, i: usize) -> Point<D> {
+        self.points.get(i).copied().unwrap_or(self.source())
     }
 
     /// Attaches node `child` directly to the source.
@@ -145,25 +126,8 @@ impl<const D: usize> TreeBuilder<D> {
     /// Fails if the index is out of range, the child is already attached, or
     /// the source's degree budget is exhausted.
     pub fn attach_to_source(&mut self, child: usize) -> Result<(), TreeError> {
-        self.check_index(child)?;
-        if self.attached[child] {
-            return Err(TreeError::AlreadyAttached { index: child });
-        }
-        if let Some(bound) = self.max_out_degree {
-            if self.source_out_degree >= bound {
-                return Err(TreeError::DegreeExceeded {
-                    parent: None,
-                    max_out_degree: bound,
-                });
-            }
-        }
-        self.source_out_degree += 1;
-        self.parent[child] = SOURCE_PARENT;
-        self.depth[child] = self.source.distance(&self.points[child]);
-        self.hops[child] = 1;
-        self.attached[child] = true;
-        self.attached_count += 1;
-        Ok(())
+        let child_point = self.point_or_source(child);
+        self.arena.attach_to_source(child, child_point)
     }
 
     /// Attaches node `child` under node `parent`.
@@ -174,32 +138,10 @@ impl<const D: usize> TreeBuilder<D> {
     /// the parent is *not* attached yet (construction must be top-down),
     /// `child == parent`, or the parent's degree budget is exhausted.
     pub fn attach(&mut self, child: usize, parent: usize) -> Result<(), TreeError> {
-        self.check_index(child)?;
-        self.check_index(parent)?;
-        if child == parent {
-            return Err(TreeError::SelfLoop { index: child });
-        }
-        if self.attached[child] {
-            return Err(TreeError::AlreadyAttached { index: child });
-        }
-        if !self.attached[parent] {
-            return Err(TreeError::ParentNotAttached { parent });
-        }
-        if let Some(bound) = self.max_out_degree {
-            if self.out_degree[parent] >= bound {
-                return Err(TreeError::DegreeExceeded {
-                    parent: Some(parent),
-                    max_out_degree: bound,
-                });
-            }
-        }
-        self.out_degree[parent] += 1;
-        self.parent[child] = parent as u32;
-        self.depth[child] = self.depth[parent] + self.points[parent].distance(&self.points[child]);
-        self.hops[child] = self.hops[parent] + 1;
-        self.attached[child] = true;
-        self.attached_count += 1;
-        Ok(())
+        let (child_point, parent_point) =
+            (self.point_or_source(child), self.point_or_source(parent));
+        self.arena
+            .attach(child, child_point, parent, parent as NodeId, parent_point)
     }
 
     /// Finalizes the tree.
@@ -208,48 +150,8 @@ impl<const D: usize> TreeBuilder<D> {
     ///
     /// Fails with [`TreeError::NotSpanning`] if any node is unattached.
     pub fn finish(self) -> Result<MulticastTree<D>, TreeError> {
-        let n = self.points.len();
-        if self.attached_count != n {
-            let first = self
-                .attached
-                .iter()
-                .position(|&a| !a)
-                .expect("some node is unattached");
-            return Err(TreeError::NotSpanning {
-                unattached: n - self.attached_count,
-                first,
-            });
-        }
-        // Build the CSR children adjacency with a counting pass. Slot 0 is
-        // the source, slot i+1 is node i.
-        let mut child_offsets = vec![0u32; n + 2];
-        child_offsets[1] = self.source_out_degree;
-        child_offsets[2..n + 2].copy_from_slice(&self.out_degree);
-        for i in 1..child_offsets.len() {
-            child_offsets[i] += child_offsets[i - 1];
-        }
-        // Start cursor of each slot = offset of its range start.
-        let mut cursor: Vec<u32> = child_offsets[..n + 1].to_vec();
-        let mut child_list = vec![0u32; n];
-        for child in 0..n {
-            let p = self.parent[child];
-            let slot = if p == SOURCE_PARENT {
-                0
-            } else {
-                p as usize + 1
-            };
-            child_list[cursor[slot] as usize] = child as u32;
-            cursor[slot] += 1;
-        }
-        Ok(MulticastTree {
-            source: self.source,
-            points: self.points,
-            parent: self.parent,
-            depth: self.depth,
-            hops: self.hops,
-            child_offsets,
-            child_list,
-        })
+        let order = (0..self.points.len() as NodeId).collect();
+        self.arena.into_tree(order, self.points)
     }
 }
 
@@ -312,6 +214,14 @@ mod tests {
         assert_eq!(b.attach(1, 0), Err(TreeError::AlreadyAttached { index: 1 }));
     }
 
+    /// An attached child is reported before an unattached parent.
+    #[test]
+    fn already_attached_checked_before_parent() {
+        let mut b = TreeBuilder::new(Point2::ORIGIN, pts(2));
+        b.attach_to_source(0).unwrap();
+        assert_eq!(b.attach(0, 1), Err(TreeError::AlreadyAttached { index: 0 }));
+    }
+
     #[test]
     fn self_loop_rejected() {
         let mut b = TreeBuilder::new(Point2::ORIGIN, pts(1));
@@ -330,6 +240,19 @@ mod tests {
             b.attach(9, 0),
             Err(TreeError::NodeOutOfRange { index: 9, len: 1 })
         );
+        assert_eq!(
+            b.attach(0, 7),
+            Err(TreeError::NodeOutOfRange { index: 7, len: 1 })
+        );
+        // Range comes before the self-loop check, the child's first.
+        assert_eq!(
+            b.attach(9, 9),
+            Err(TreeError::NodeOutOfRange { index: 9, len: 1 })
+        );
+        assert_eq!(
+            b.attach(9, 7),
+            Err(TreeError::NodeOutOfRange { index: 9, len: 1 })
+        );
     }
 
     #[test]
@@ -341,6 +264,18 @@ mod tests {
             Err(TreeError::NotSpanning {
                 unattached: 1,
                 first: 0
+            })
+        );
+        // `first` is the smallest unattached id, wherever it is.
+        let mut b = TreeBuilder::new(Point2::ORIGIN, pts(5));
+        for i in [0, 2, 4] {
+            b.attach_to_source(i).unwrap();
+        }
+        assert_eq!(
+            b.finish(),
+            Err(TreeError::NotSpanning {
+                unattached: 2,
+                first: 1
             })
         );
     }

@@ -100,27 +100,6 @@ impl<const D: usize> MulticastTree<D> {
             },
         }
     }
-
-    /// Histogram of hop counts: entry `h` is the number of receivers exactly
-    /// `h` hops from the source (entry 0 is always 0 for nonempty trees).
-    pub fn hop_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.max_hops() as usize + 1];
-        for i in 0..self.len() {
-            hist[self.hops(i) as usize] += 1;
-        }
-        hist
-    }
-
-    /// Histogram of out-degrees over receivers **and** the source: entry `d`
-    /// is the number of nodes with out-degree exactly `d`.
-    pub fn fanout_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.max_out_degree() as usize + 1];
-        hist[self.source_out_degree() as usize] += 1;
-        for i in 0..self.len() {
-            hist[self.out_degree(i) as usize] += 1;
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -169,14 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn histograms() {
-        let t = chain(3);
-        assert_eq!(t.hop_histogram(), vec![0, 1, 1, 1]);
-        // Source and two interior nodes have out-degree 1; the leaf has 0.
-        assert_eq!(t.fanout_histogram(), vec![1, 3]);
-    }
-
-    #[test]
     fn empty_metrics() {
         let t = TreeBuilder::<2>::new(Point2::ORIGIN, vec![])
             .finish()
@@ -184,8 +155,6 @@ mod tests {
         let m = t.metrics();
         assert_eq!(m.len, 0);
         assert_eq!(m.radius, 0.0);
-        assert_eq!(t.hop_histogram(), vec![0]);
-        assert_eq!(t.fanout_histogram(), vec![1]);
     }
 
     #[test]

@@ -33,10 +33,16 @@ echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test chu
 OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test churn_fuzz
 
 # Construction changes are gated on tree identity: every golden pin,
-# including the release-only 100k/1M radii and 1M fingerprints (about
-# 5 s in release), must stay bit-identical.
-echo "==> cargo test --release --offline -p omt-core --test construction_golden -- --include-ignored"
-cargo test --release --offline -p omt-core --test construction_golden -- --include-ignored
+# including the release-only 100k/1M radii and 1M fingerprints, must
+# stay bit-identical. The million-scale pins run under an address-space
+# cap, one test at a time so the cap applies to one build, so a memory
+# regression on the million-scale path fails loudly instead of silently
+# fitting.
+echo "==> ulimit -v 6000000; cargo test --release --offline -p omt-core --test construction_golden -- --include-ignored --test-threads 1"
+(
+    ulimit -v 6000000
+    cargo test --release --offline -p omt-core --test construction_golden -- --include-ignored --test-threads 1
+)
 
 # The decentralized protocol's acceptance suites: differential parity
 # against the centralized builder, the fault-injection fuzz campaigns
