@@ -4,6 +4,8 @@
 //! Supported flags, all optional:
 //!
 //! * `--sizes 100,1000,10000` — problem sizes to sweep;
+//! * `--degrees 2,6` — out-degree caps to sweep (for binaries that sweep
+//!   degrees; each has its own default);
 //! * `--trials 200` — trials per size (default: the paper's 200 up to
 //!   100k nodes, scaled down above — see
 //!   [`default_trials`]).
@@ -20,6 +22,8 @@ use crate::workload::{default_trials, PAPER_SIZES, QUICK_SIZES};
 pub struct ExpArgs {
     /// Explicit size sweep, if given.
     pub sizes: Option<Vec<usize>>,
+    /// Explicit out-degree caps, if given.
+    pub degrees: Option<Vec<u32>>,
     /// Trials per size, overriding the default policy.
     pub trials: Option<usize>,
     /// Experiment seed (default 2004, the paper's year).
@@ -46,12 +50,8 @@ impl ExpArgs {
                     .ok_or_else(|| format!("flag {name} expects a value"))
             };
             match flag.as_str() {
-                "--sizes" => {
-                    let v = value("--sizes")?;
-                    let sizes: Result<Vec<usize>, _> =
-                        v.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                    out.sizes = Some(sizes.map_err(|e| format!("bad --sizes value {v:?}: {e}"))?);
-                }
+                "--sizes" => out.sizes = Some(list("--sizes", &value("--sizes")?)?),
+                "--degrees" => out.degrees = Some(list("--degrees", &value("--degrees")?)?),
                 "--trials" => {
                     let v = value("--trials")?;
                     out.trials = Some(
@@ -81,7 +81,8 @@ impl ExpArgs {
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: [--sizes 100,1000] [--trials N] [--seed N] [--out DIR] [--quick]"
+                    "usage: [--sizes 100,1000] [--degrees 2,6] [--trials N] [--seed N] \
+                     [--out DIR] [--quick]"
                 );
                 std::process::exit(2);
             }
@@ -109,6 +110,17 @@ impl ExpArgs {
     }
 }
 
+/// Parses a comma-separated list value of `flag`.
+fn list<T: std::str::FromStr>(flag: &str, v: &str) -> Result<Vec<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.split(',')
+        .map(|s| s.trim().parse::<T>())
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("bad {flag} value {v:?}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +131,9 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let a = parse("--sizes 10,20 --trials 5 --seed 9 --out res --quick").unwrap();
+        let a = parse("--sizes 10,20 --degrees 2,6 --trials 5 --seed 9 --out res --quick").unwrap();
         assert_eq!(a.sizes(), vec![10, 20]);
+        assert_eq!(a.degrees, Some(vec![2, 6]));
         assert_eq!(a.trials_for(1_000_000), 5);
         assert_eq!(a.seed(), 9);
         assert_eq!(a.out, Some(PathBuf::from("res")));
@@ -141,6 +154,7 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         assert!(parse("--sizes ten").is_err());
+        assert!(parse("--degrees 2,x").is_err());
         assert!(parse("--trials").is_err());
         assert!(parse("--frobnicate 3").is_err());
         assert!(parse("--seed -1").is_err());

@@ -14,8 +14,16 @@
 # change/parent, the parent's interquartile range, and the number of
 # pairs the change won.
 #
+# BENCH of the form `bin:NAME` pairs an omt-experiments binary instead:
+# each run is `NAME $BIN_ARGS --out DIR` from a release build, a row's
+# time is the `mean_ns` of its one run, and the run's peak RSS (the
+# process `VmHWM`, from getrusage) is recorded on every row it wrote. Pick
+# BIN_ARGS so one run writes one row (`--sizes 100000 --degrees 2` for
+# `bin:proto`).
+#
 # Environment:
 #   OUT   output file (default results/BENCH_<group>.json)
+#   BIN_ARGS  arguments of a `bin:NAME` run
 #   WORK  scratch directory (default: a fresh mktemp -d, removed on
 #         success)
 #
@@ -44,13 +52,25 @@ work=${WORK:-$(mktemp -d)}
 cleanup_work=${WORK:+no}
 mkdir -p "$work"
 
+bin=${bench#bin:}
+[ "$bin" = "$bench" ] && bin=
+
 run_side() { # side rev run-index
     local dir="$work/runs/$1-$3"
     rm -rf "$dir"
     mkdir -p "$dir"
     echo "==> run $3/$runs: $1 (${2:0:9})" >&2
-    (cd "$work/$1" && OMT_BENCH_DIR="$dir" CARGO_TARGET_DIR="$work/$1/target" \
-        cargo bench --offline --quiet -p omt-bench --bench "$bench" >/dev/null)
+    if [ -n "$bin" ]; then
+        # shellcheck disable=SC2086 # BIN_ARGS is a word list
+        (cd "$work/$1" && python3 -c 'import resource, subprocess, sys
+subprocess.run(sys.argv[2:], check=True, stdout=subprocess.DEVNULL)
+kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+open(sys.argv[1], "w").write(str(kb * 1024))' "$dir/peak_rss_bytes" \
+            "$work/$1/target/release/$bin" ${BIN_ARGS:-} --out "$dir")
+    else
+        (cd "$work/$1" && OMT_BENCH_DIR="$dir" CARGO_TARGET_DIR="$work/$1/target" \
+            cargo bench --offline --quiet -p omt-bench --bench "$bench" >/dev/null)
+    fi
 }
 
 for side in parent change; do
@@ -60,8 +80,13 @@ for side in parent change; do
     mkdir -p "$work/$side"
     git archive "$rev" | tar -x -C "$work/$side"
     echo "==> building $side (${rev:0:9})" >&2
-    (cd "$work/$side" && CARGO_TARGET_DIR="$work/$side/target" \
-        cargo bench --offline --quiet -p omt-bench --bench "$bench" --no-run)
+    if [ -n "$bin" ]; then
+        (cd "$work/$side" && CARGO_TARGET_DIR="$work/$side/target" \
+            cargo build --release --offline --quiet -p omt-experiments --bin "$bin")
+    else
+        (cd "$work/$side" && CARGO_TARGET_DIR="$work/$side/target" \
+            cargo bench --offline --quiet -p omt-bench --bench "$bench" --no-run)
+    fi
 done
 
 for i in $(seq 1 "$runs"); do
@@ -75,10 +100,11 @@ for i in $(seq 1 "$runs"); do
 done
 
 PARENT_REV=$parent_rev CHANGE_REV=$change_rev BENCH=$bench RUNS=$runs WORK=$work \
-    OUT=${OUT:-} python3 - <<'EOF'
+    OUT=${OUT:-} BIN_ARGS=${BIN_ARGS:-} python3 - <<'EOF'
 import glob, json, os, platform, statistics, subprocess
 
 work, runs, bench = os.environ["WORK"], int(os.environ["RUNS"]), os.environ["BENCH"]
+binary = bench[4:] if bench.startswith("bin:") else None
 
 def git(*args):
     return subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout.strip()
@@ -90,7 +116,14 @@ def load(side):
         if len(files) != 1:
             raise SystemExit(f"{side} run {i}: expected one BENCH_*.json, found {len(files)}")
         with open(files[0]) as f:
-            out.append(json.load(f))
+            doc = json.load(f)
+        rss = os.path.join(work, "runs", f"{side}-{i}", "peak_rss_bytes")
+        if os.path.exists(rss):
+            with open(rss) as f:
+                peak = int(f.read())
+            for b in doc["benches"]:
+                b.setdefault("peak_rss_bytes", peak)
+        out.append(doc)
     return out
 
 def cpu_model():
@@ -120,7 +153,7 @@ for row in rows:
         picked = [next((b for b in r["benches"] if b["id"] == row), None) for r in side_runs]
         if any(b is None for b in picked):
             break
-        per[side] = [b["median_ns"] for b in picked]
+        per[side] = [b.get("median_ns", b.get("mean_ns")) for b in picked]
         if all("peak_rss_bytes" in b for b in picked):
             rss[side] = statistics.median(b["peak_rss_bytes"] for b in picked) / 2**20
     else:
@@ -141,21 +174,27 @@ for row in rows:
         summary.append(entry)
 
 rustc = subprocess.run(["rustc", "-V"], capture_output=True, text=True).stdout.strip()
+if binary:
+    command = f"cargo run --release --offline --bin {binary} -- {os.environ['BIN_ARGS']}".rstrip()
+else:
+    command = f"cargo bench --offline -p omt-bench --bench {bench}"
 doc = {
     "schema": "omt-bench/pair-v1",
     "group": group,
-    "command": f"cargo bench --offline -p omt-bench --bench {bench}",
+    "command": command,
     "host": {
         "nproc": os.cpu_count(),
         "cpu": cpu_model(),
         "rustc": rustc,
-        "profile": "bench (release + debuginfo)",
+        "profile": "release + debuginfo" if binary else "bench (release + debuginfo)",
         "OMT_THREADS": os.environ.get("OMT_THREADS", "unset"),
         "RUSTFLAGS": os.environ.get("RUSTFLAGS", "unset"),
         "obs": "off",
     },
     "protocol": f"{runs} pairs of full bench runs, alternating which side runs first; "
-    "per row, the median over the runs of each run's median_ns",
+    + ("per row, the median over the runs of each run's one-run mean_ns; peak RSS is "
+       "the process VmHWM (getrusage maxrss) of the run"
+       if binary else "per row, the median over the runs of each run's median_ns"),
     "parent": {
         "rev": os.environ["PARENT_REV"][:7],
         "subject": git("log", "-1", "--format=%s", os.environ["PARENT_REV"]),
