@@ -126,12 +126,15 @@ impl GreedyBuilder {
         }
         let mut attached_order: Vec<u32> = Vec::with_capacity(n);
         let mut attached_count = 0usize;
+        // The builder's own attached flags, kept locally: the relaxation
+        // loop below reads them n times per attach.
+        let mut attached = vec![false; n];
         while attached_count < n {
             let Some(Reverse((_, node, parent))) = heap.pop() else {
                 // Heap exhausted with nodes left: recompute candidates for
                 // all unattached nodes (can happen after saturations).
                 for (i, bk) in best_key.iter_mut().enumerate() {
-                    if builder.is_attached(i) {
+                    if attached[i] {
                         continue;
                     }
                     if let Some(k) = push_candidates(
@@ -154,7 +157,7 @@ impl GreedyBuilder {
                 continue;
             };
             let node = node as usize;
-            if builder.is_attached(node) {
+            if attached[node] {
                 continue;
             }
             // Try to attach; if the parent saturated since the entry was
@@ -187,12 +190,13 @@ impl GreedyBuilder {
                     .attach(node, parent as usize)
                     .expect("checked budget");
             }
+            attached[node] = true;
             attached_order.push(node as u32);
             attached_count += 1;
             // Offer the new parent to every unattached node that improves.
             let nd = builder.depth_of(node).expect("just attached");
             for i in 0..n {
-                if !builder.is_attached(i) {
+                if !attached[i] {
                     let k = key(nd, points[node].distance(&points[i]));
                     if k < best_key[i] {
                         best_key[i] = k;
