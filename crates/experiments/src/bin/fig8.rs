@@ -3,7 +3,7 @@
 //! bound 1 (more slowly than 2-D, as the paper notes).
 
 use omt_experiments::cli::ExpArgs;
-use omt_experiments::report::{fig8_csv, fig8_markdown, metrics_markdown, write_result};
+use omt_experiments::report::{fig8_csv, fig8_markdown, print_metrics, write_result};
 use omt_experiments::runner::run_fig8_row;
 
 fn main() {
@@ -24,12 +24,5 @@ fn main() {
         let p = write_result(dir, "fig8.csv", &fig8_csv(&rows)).expect("write CSV");
         eprintln!("wrote {}", p.display());
     }
-    // With OMT_TRACE recording on, append the metric snapshot to the
-    // report (and to the trace file when OMT_TRACE names a path).
-    if omt_obs::enabled() {
-        let reg = omt_obs::take_local();
-        println!("{}", metrics_markdown(&reg));
-        omt_obs::merge_into_local(reg);
-        let _ = omt_obs::flush("fig8");
-    }
+    print_metrics("fig8");
 }

@@ -9,7 +9,7 @@
 //! ```
 
 use omt_experiments::cli::ExpArgs;
-use omt_experiments::report::{metrics_markdown, table1_csv, table1_markdown, write_result};
+use omt_experiments::report::{print_metrics, table1_csv, table1_markdown, write_result};
 use omt_experiments::runner::run_table1_row;
 
 fn main() {
@@ -47,12 +47,5 @@ fn main() {
         let path = write_result(dir, "table1.csv", &table1_csv(&rows)).expect("write CSV");
         eprintln!("wrote {}", path.display());
     }
-    // With OMT_TRACE recording on, append the metric snapshot to the
-    // report (and to the trace file when OMT_TRACE names a path).
-    if omt_obs::enabled() {
-        let reg = omt_obs::take_local();
-        println!("{}", metrics_markdown(&reg));
-        omt_obs::merge_into_local(reg);
-        let _ = omt_obs::flush("table1");
-    }
+    print_metrics("table1");
 }

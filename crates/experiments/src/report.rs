@@ -191,6 +191,19 @@ pub fn write_result(dir: &Path, name: &str, contents: &str) -> io::Result<PathBu
     Ok(path)
 }
 
+/// With `OMT_TRACE` recording on, prints this thread's metric snapshot
+/// ([`metrics_markdown`]) after a binary's report and flushes it under
+/// `label` (to the trace file when `OMT_TRACE` names a path); a no-op
+/// otherwise.
+pub fn print_metrics(label: &str) {
+    if omt_obs::enabled() {
+        let reg = omt_obs::take_local();
+        println!("{}", metrics_markdown(&reg));
+        omt_obs::merge_into_local(reg);
+        let _ = omt_obs::flush(label);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
