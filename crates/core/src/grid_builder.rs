@@ -3,8 +3,9 @@
 //! the 2-D polar grid ([`crate::PolarGridBuilder`]), the 3-D spherical
 //! shells of Section IV-B ([`crate::SphereGridBuilder`]) and the
 //! general-dimension quantile grid ([`crate::NdGridBuilder`]). Only the
-//! cell geometry and the in-cell bisection differ by dimension; they are
-//! the grid type's [`CellGeometry`].
+//! cell geometry differs by dimension; it is the grid type's
+//! [`CellGeometry`]. The in-cell bisection is the one kernel pair of
+//! [`crate::bisect`] in every dimension.
 //!
 //! A build ([`GridBuilder::build_on`]) runs five stages, each under an
 //! `obs` span (`polar_grid/…`, `sphere_grid/…`, `nd_grid/…`):
@@ -15,17 +16,15 @@
 //! (the bisections, on the worker pool) and `finish`.
 
 use omt_geom::Point;
-use omt_tree::{
-    check_node_capacity, FinishStage, MulticastTree, NodeId, ParentRef, TreeArena, TreeError,
-};
+use omt_tree::{check_node_capacity, FinishStage, MulticastTree, NodeId, TreeArena, TreeError};
 
-use crate::bisect2d::first_min;
+use crate::bisect::{bisect_all, bisect_binary, Anchor, PolarBox, Scratch};
 use crate::error::BuildError;
 use crate::fanout::fanout_sink;
 use crate::kselect::{
     bucket_cells, cell_count, cell_index, finest_level, select_rings, Assignments, CellMajor,
 };
-use crate::sink::{attach, unpack_parent, AttachSink, CellSink, RowArena, PACKED_SOURCE};
+use crate::sink::{attach, unpack_parent, CellSink, RowArena, PACKED_SOURCE};
 
 /// Chunk length for the batched column pre-passes (finiteness scan, lower
 /// bound, polar-column ring/path binning, cell-major gather): large enough
@@ -110,8 +109,6 @@ pub(crate) use obs_names;
 pub(crate) trait CellGeometry<const D: usize>: Sized + Sync {
     /// The point store the typed entry points take.
     type Store;
-    /// Per-worker scratch of the bisection kernels.
-    type Scratch: Default;
     /// Budgets at or above this use the full-degree construction: 2 core
     /// links plus the `2^D`-way bisection. Budgets 2 up to it use the
     /// degree-2 wiring of Section IV-A.
@@ -137,24 +134,37 @@ pub(crate) trait CellGeometry<const D: usize>: Sized + Sync {
     fn connector_point(win: [&[f64]; D], coords: [&[f64]; D], ids: &[u32], i: usize) -> Point<D>;
     /// The source's position in the connector frame.
     fn pole(source: Point<D>) -> Point<D>;
-    /// Bisects the window `win` of polar columns — the sink's rows from
-    /// `base` on — in the cell `(ring, seg)` below `parent`, whose radius is
-    /// `q`: with the binary kernel if `binary`, else the `2^D`-way one.
-    #[allow(clippy::too_many_arguments)]
-    fn bisect<S: AttachSink>(
-        &self,
-        sink: &mut S,
-        win: [&[f64]; D],
-        base: usize,
-        cell: (u32, u64),
-        parent: ParentRef,
-        q: f64,
-        binary: bool,
-        scratch: &mut Self::Scratch,
-    ) -> Result<(), TreeError>;
+    /// The box of cell `(ring, seg)` over the polar columns, where the
+    /// in-cell bisection starts.
+    fn cell_box(&self, ring: u32, seg: u64) -> PolarBox<D>;
+    /// The anchor of the in-cell bisection below a local root of radius
+    /// `q`: the local source's radius, the paper's rule, unless the grid
+    /// pins another.
+    fn anchor(q: f64) -> Anchor {
+        Anchor::Source(q)
+    }
     /// The analytic delay bound the report carries, at this grid's rings
     /// and radius.
     fn bound(&self, max_out_degree: u32) -> f64;
+}
+
+/// The first `i` in `0..len` with the least `key(i)` under `total_cmp`:
+/// the position `min_by` with a `total_cmp` of the keys picks, `inf` and
+/// `NaN` keys included. Each key is computed once.
+///
+/// # Panics
+///
+/// Panics if `len` is 0.
+fn first_min(len: u32, key: impl Fn(u32) -> f64) -> u32 {
+    assert!(len > 0, "first_min over an empty range");
+    let mut best = (0, key(0));
+    for i in 1..len {
+        let d = key(i);
+        if d.total_cmp(&best.1).is_lt() {
+            best = (i, d);
+        }
+    }
+    best.0
 }
 
 /// The position in rows `s..e` of `cm` whose point is nearest `target`
@@ -204,7 +214,7 @@ fn run_cell_jobs<G: CellGeometry<D>, const D: usize>(
     threads: usize,
 ) -> Result<(), TreeError> {
     let shared: &TreeArena<D> = arena;
-    let scratch = <(G::Scratch, Vec<Point<D>>)>::default;
+    let scratch = <(Scratch<D>, Vec<Point<D>>)>::default;
     let results = omt_par::par_map_with(jobs, threads, scratch, |(scratch, points), _, job| {
         // The bisection offset `q` is the local root's cell-major radius
         // (0 at the source) — exactly the value the core pass saw when it
@@ -217,9 +227,10 @@ fn run_cell_jobs<G: CellGeometry<D>, const D: usize>(
         let (s, e) = (job.start as usize, job.end as usize);
         let (mut sink, parent) =
             CellSink::gather(shared, &cm.ids, coords, (s, e), job.parent, points);
-        let cell = (job.ring, u64::from(job.seg));
-        let win = cm.window(s, e);
-        grid.bisect(&mut sink, win, s, cell, parent, q, binary, scratch)
+        let (win, anchor) = (cm.window(s, e), G::anchor(q));
+        let cell = grid.cell_box(job.ring, u64::from(job.seg));
+        let kernel = if binary { bisect_binary } else { bisect_all };
+        kernel(&mut sink, win, s, cell, parent, anchor, scratch)
             // One result per job is held until the join, at the fill's
             // peak RSS: a boxed error keeps each to one word.
             .map_err(Box::new)
@@ -770,6 +781,33 @@ mod tests {
     use omt_geom::{Ball, Disk, Point2, Point3, PointStore2, PointStore3, Region};
     use omt_rng::rngs::SmallRng;
     use omt_rng::{RngExt, SeedableRng};
+
+    #[test]
+    fn first_min_matches_min_by_on_every_short_key_sequence() {
+        // Every sequence of up to 5 keys over values that tie, differ only
+        // in sign (`total_cmp` puts -0 before +0), or are infinite or NaN
+        // of either sign: the first minimum `min_by` picks, in every case.
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for len in 1..=5u32 {
+            for code in 0..values.len().pow(len) {
+                let keys: Vec<f64> = (0..len)
+                    .map(|j| values[code / values.len().pow(j) % values.len()])
+                    .collect();
+                let want = (0..len)
+                    .min_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]))
+                    .unwrap();
+                assert_eq!(first_min(len, |i| keys[i as usize]), want, "{keys:?}");
+            }
+        }
+    }
 
     /// `nearest` against the double-evaluating `min_by` scan it replaced,
     /// on random windows of `store`, toward a stored point and the pole.

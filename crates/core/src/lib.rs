@@ -31,7 +31,7 @@
 //! | Paper artifact | Implementation | Certified by |
 //! |---|---|---|
 //! | Bisection algorithm (Section II, Fig. 1) | [`Bisection`], [`Bisection3`] | `exact::theorem1_factors_hold_empirically`, `tests/paper_claims.rs` |
-//! | Theorem 1 (factors 5 / 9) | [`bounds::bisection_bound_deg4`] / [`bounds::bisection_bound_deg2`] | path bounds asserted per-tree in `bisect2d` tests |
+//! | Theorem 1 (factors 5 / 9) | [`bounds::bisection_bound_deg4`] / [`bounds::bisection_bound_deg2`] | path bounds asserted per-tree in `bisect` tests |
 //! | Polar grid construction (Section III-A, Fig. 2) | [`PolarGrid2`] | equal-area, nesting and locate tests in `grid2` |
 //! | Property-3 `k` selection | `kselect` (internal) | exhaustive brute-force comparison in `kselect::brute_force_tests` |
 //! | Lemmas 1–2 | [`bounds::empty_bucket_probability_bound`] | analytic tests + empirical occupancy test in `tests/paper_claims.rs` |
@@ -66,8 +66,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod bisect2d;
-mod bisect3d;
+mod bisect;
 pub mod bounds;
 mod dynamic;
 mod error;
@@ -83,8 +82,7 @@ mod polar_grid;
 mod sink;
 mod sphere_grid;
 
-pub use bisect2d::Bisection;
-pub use bisect3d::Bisection3;
+pub use bisect::{Bisection, Bisection3};
 pub use dynamic::{DynamicOverlay, HostId};
 pub use error::BuildError;
 pub use grid2::{CellId, PolarGrid2};

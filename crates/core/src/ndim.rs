@@ -20,21 +20,22 @@
 //!
 //! The pipeline is the shared driver of [`crate::grid_builder`], with
 //! least-radius representatives and the degree-2 wiring of Section IV-A
-//! only: this module holds the quantile store, the grid's
-//! [`CellGeometry`] and its binary in-cell bisection (axes cycling radius
-//! → quantile axes). Any out-degree budget ≥ 2 is supported; the emitted
-//! tree always has out-degree ≤ 2.
+//! only: this module holds the quantile store and the grid's
+//! [`CellGeometry`]. The in-cell bisection is the binary kernel of
+//! [`crate::bisect`] (axes cycling radius → quantile axes), with carriers
+//! picked by closeness to the inner radius of the box being split. Any
+//! out-degree budget ≥ 2 is supported; the emitted tree always has
+//! out-degree ≤ 2.
 
 use omt_geom::Point;
-use omt_tree::{MulticastTree, ParentRef, TreeError};
+use omt_tree::MulticastTree;
 
-use crate::bisect2d::{reset_positions, take_closest_radius};
+use crate::bisect::{Anchor, PolarBox};
 use crate::error::BuildError;
 use crate::grid_builder::{
     obs_names, CellGeometry, GridBuilder, ObsNames, StoreColumns, SOA_CHUNK,
 };
 use crate::kselect::{locate_ring, shells};
-use crate::sink::{attach, AttachSink};
 use crate::RepStrategy;
 
 /// `F_m(x) = ∫_0^x sin^m t dt` via the reduction formula
@@ -148,154 +149,8 @@ pub(crate) struct NdGrid<const D: usize> {
     shells: Vec<f64>,
 }
 
-impl<const D: usize> NdGrid<D> {
-    /// The box of cell `(ring, seg)` in grid coordinates: the radius
-    /// interval, then one quantile interval per angular axis.
-    fn cell_box(&self, ring: u32, seg: u64) -> [(f64, f64); D] {
-        let mut cell = [(0.0, 1.0); D];
-        let r_lo = if ring == 0 {
-            0.0
-        } else {
-            self.shells[ring as usize - 1]
-        };
-        cell[0] = (r_lo, self.shells[ring as usize]);
-        for l in 0..ring {
-            let a = 1 + (l as usize) % (D - 1);
-            let mid = 0.5 * (cell[a].0 + cell[a].1);
-            if (seg >> (ring - 1 - l)) & 1 == 1 {
-                cell[a].0 = mid;
-            } else {
-                cell[a].1 = mid;
-            }
-        }
-        cell
-    }
-}
-
-/// A binary work frame over a range of the scratch position array: the
-/// frame's box in grid coordinates and the axis it splits next.
-#[derive(Clone, Copy, Debug)]
-struct FrameNd<const D: usize> {
-    cell: [(f64, f64); D],
-    axis: usize,
-    src: ParentRef,
-    start: u32,
-    end: u32,
-}
-
-/// Reusable scratch of [`bisect2_nd`]: the window's local positions, the
-/// work stack and the staging buffer of the stable partitions.
-#[derive(Debug, Default)]
-pub(crate) struct ScratchNd<const D: usize> {
-    loc: Vec<u32>,
-    perm: Vec<u32>,
-    stack: Vec<FrameNd<D>>,
-}
-
-/// Connects every point of a window below `src` with out-degree at most 2
-/// per node, the general-dimension analogue of the binary bisection: the
-/// source adopts the two points with radius closest to the box's inner
-/// boundary (a stand-in for the local source radius; exactness is not
-/// needed for validity), which then take over the two halves of the box,
-/// split on axes cycling radius → quantile axis 0 → quantile axis 1 → …
-/// Each step removes two points, so termination is unconditional.
-///
-/// `win` holds the window's grid coordinates by local position, and the
-/// window is the sink's rows `base..base + len`.
-fn bisect2_nd<S: AttachSink, const D: usize>(
-    b: &mut S,
-    win: [&[f64]; D],
-    base: usize,
-    cell: [(f64, f64); D],
-    src: ParentRef,
-    scratch: &mut ScratchNd<D>,
-) -> Result<(), TreeError> {
-    let ScratchNd { loc, perm, stack } = scratch;
-    reset_positions(loc, win[0].len());
-    stack.clear();
-    stack.push(FrameNd {
-        cell,
-        axis: 0,
-        src,
-        start: 0,
-        end: loc.len() as u32,
-    });
-    while let Some(f) = stack.pop() {
-        let (start, end) = (f.start as usize, f.end as usize);
-        match end - start {
-            0 => continue,
-            1 => {
-                attach(b, base + loc[start] as usize, f.src)?;
-                continue;
-            }
-            2 => {
-                attach(b, base + loc[start] as usize, f.src)?;
-                attach(b, base + loc[start + 1] as usize, f.src)?;
-                continue;
-            }
-            _ => {}
-        }
-        let r_lo = f.cell[0].0;
-        let a = take_closest_radius(win[0], &mut loc[start..end], r_lo);
-        let c = take_closest_radius(win[0], &mut loc[start..end - 1], r_lo);
-        attach(b, base + a as usize, f.src)?;
-        attach(b, base + c as usize, f.src)?;
-        // Stable lo/hi partition of the remaining window (the two carriers
-        // are parked past `rest_end` and are no longer members).
-        let rest_end = end - 2;
-        let coord = win[f.axis];
-        let mid = 0.5 * (f.cell[f.axis].0 + f.cell[f.axis].1);
-        let is_hi = |p: u32| coord[p as usize] >= mid;
-        perm.clear();
-        perm.extend_from_slice(&loc[start..rest_end]);
-        let mut w = start;
-        for &p in perm.iter() {
-            if !is_hi(p) {
-                loc[w] = p;
-                w += 1;
-            }
-        }
-        let split = w;
-        for &p in perm.iter() {
-            if is_hi(p) {
-                loc[w] = p;
-                w += 1;
-            }
-        }
-        debug_assert_eq!(w, rest_end);
-        // Give the lower half to the carrier closer to it in the split
-        // coordinate, to avoid pointless criss-crossing.
-        let (lo, hi) = if coord[a as usize] <= coord[c as usize] {
-            (a, c)
-        } else {
-            (c, a)
-        };
-        let axis = (f.axis + 1) % D;
-        let mut lo_cell = f.cell;
-        lo_cell[f.axis].1 = mid;
-        let mut hi_cell = f.cell;
-        hi_cell[f.axis].0 = mid;
-        stack.push(FrameNd {
-            cell: lo_cell,
-            axis,
-            src: ParentRef::Node(base + lo as usize),
-            start: start as u32,
-            end: split as u32,
-        });
-        stack.push(FrameNd {
-            cell: hi_cell,
-            axis,
-            src: ParentRef::Node(base + hi as usize),
-            start: split as u32,
-            end: rest_end as u32,
-        });
-    }
-    Ok(())
-}
-
 impl<const D: usize> CellGeometry<D> for NdGrid<D> {
     type Store = NdStore<D>;
-    type Scratch = ScratchNd<D>;
     /// No budget reaches a full-degree construction: every build runs the
     /// degree-2 wiring.
     const FULL_DEGREE: u32 = u32::MAX;
@@ -340,20 +195,33 @@ impl<const D: usize> CellGeometry<D> for NdGrid<D> {
         source
     }
 
-    fn bisect<S: AttachSink>(
-        &self,
-        sink: &mut S,
-        win: [&[f64]; D],
-        base: usize,
-        (ring, seg): (u32, u64),
-        parent: ParentRef,
-        _q: f64,
-        binary: bool,
-        scratch: &mut ScratchNd<D>,
-    ) -> Result<(), TreeError> {
-        debug_assert!(binary, "the n-D grid only runs the degree-2 wiring");
-        let cell = self.cell_box(ring, seg);
-        bisect2_nd(sink, win, base, cell, parent, scratch)
+    /// The box of cell `(ring, seg)` in grid coordinates: the radius
+    /// interval, then one quantile interval per angular axis.
+    fn cell_box(&self, ring: u32, seg: u64) -> PolarBox<D> {
+        let mut cell = [(0.0, 1.0); D];
+        let r_lo = if ring == 0 {
+            0.0
+        } else {
+            self.shells[ring as usize - 1]
+        };
+        cell[0] = (r_lo, self.shells[ring as usize]);
+        for l in 0..ring {
+            let a = 1 + (l as usize) % (D - 1);
+            let mid = 0.5 * (cell[a].0 + cell[a].1);
+            if (seg >> (ring - 1 - l)) & 1 == 1 {
+                cell[a].0 = mid;
+            } else {
+                cell[a].1 = mid;
+            }
+        }
+        cell
+    }
+
+    /// Carriers closest to the inner radius of the box being split, the
+    /// rule the n-D trees are pinned with (a stand-in for the local
+    /// source's radius; exactness is not needed for validity).
+    fn anchor(_q: f64) -> Anchor {
+        Anchor::InnerRadius
     }
 
     /// [`NdGridReport`] carries no analytic bound.

@@ -23,20 +23,19 @@
 //!
 //! The pipeline is the shared driver of [`crate::grid_builder`]; this
 //! module holds the 2-D entry points and the polar grid's
-//! [`CellGeometry`]: angle binning, the inner-arc target and the 4-way and
-//! binary bisection kernels.
+//! [`CellGeometry`]: angle binning, the inner-arc target and the cell's
+//! ring segment as a bisection box.
 
 use core::f64::consts::TAU;
 
 use omt_geom::{Point2, PointStore2, PolarPoint};
-use omt_tree::{MulticastTree, ParentRef, TreeError};
+use omt_tree::MulticastTree;
 
-use crate::bisect2d::{bisect2, bisect4, PolarSlices, Scratch2};
+use crate::bisect::{ring_box, PolarBox};
 use crate::bounds::upper_bound_eq7;
 use crate::error::BuildError;
 use crate::grid2::PolarGrid2;
 use crate::grid_builder::{obs_names, CellGeometry, GridBuilder, ObsNames, StoreColumns};
-use crate::sink::AttachSink;
 use crate::PolarGridReport;
 
 /// Builder for the `Polar_Grid` algorithm: the 2-D [`GridBuilder`].
@@ -167,7 +166,6 @@ impl GridBuilder<2> {
 
 impl CellGeometry<2> for PolarGrid2 {
     type Store = PointStore2;
-    type Scratch = Scratch2;
     const FULL_DEGREE: u32 = 6;
     const OBS: ObsNames = obs_names!("polar_grid");
 
@@ -208,23 +206,8 @@ impl CellGeometry<2> for PolarGrid2 {
         Point2::ORIGIN
     }
 
-    fn bisect<S: AttachSink>(
-        &self,
-        sink: &mut S,
-        [radius, angle]: [&[f64]; 2],
-        base: usize,
-        (ring, seg): (u32, u64),
-        parent: ParentRef,
-        q: f64,
-        binary: bool,
-        scratch: &mut Scratch2,
-    ) -> Result<(), TreeError> {
-        let (win, cell) = (PolarSlices { radius, angle }, self.segment(ring, seg));
-        if binary {
-            bisect2(sink, win, base, cell, parent, q, scratch)
-        } else {
-            bisect4(sink, win, base, cell, parent, q, scratch)
-        }
+    fn cell_box(&self, ring: u32, seg: u64) -> PolarBox<2> {
+        ring_box(&self.segment(ring, seg))
     }
 
     fn bound(&self, max_out_degree: u32) -> f64 {

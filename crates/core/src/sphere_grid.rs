@@ -8,13 +8,12 @@
 //! [`CellGeometry`].
 
 use omt_geom::{Point3, PointStore3, SphericalPoint};
-use omt_tree::{MulticastTree, ParentRef, TreeError};
+use omt_tree::MulticastTree;
 
-use crate::bisect3d::{bisect2_3d, bisect8, Scratch3, SphSlices};
+use crate::bisect::PolarBox;
 use crate::error::BuildError;
 use crate::grid3::SphereGrid3;
 use crate::grid_builder::{obs_names, CellGeometry, GridBuilder, ObsNames, StoreColumns};
-use crate::sink::AttachSink;
 use crate::PolarGridReport;
 
 /// Builder for the 3-D `Polar_Grid` algorithm over points in a ball: the
@@ -155,7 +154,6 @@ fn spherical(polar: [&[f64]; 3], i: usize) -> SphericalPoint {
 
 impl CellGeometry<3> for SphereGrid3 {
     type Store = PointStore3;
-    type Scratch = Scratch3;
     const FULL_DEGREE: u32 = 10;
     const OBS: ObsNames = obs_names!("sphere_grid");
 
@@ -194,28 +192,14 @@ impl CellGeometry<3> for SphereGrid3 {
         Point3::ORIGIN
     }
 
-    fn bisect<S: AttachSink>(
-        &self,
-        sink: &mut S,
-        [radius, azimuth, cos_polar]: [&[f64]; 3],
-        base: usize,
-        (ring, seg): (u32, u64),
-        parent: ParentRef,
-        q: f64,
-        binary: bool,
-        scratch: &mut Scratch3,
-    ) -> Result<(), TreeError> {
-        let win = SphSlices {
-            radius,
-            azimuth,
-            cos_polar,
-        };
+    fn cell_box(&self, ring: u32, seg: u64) -> PolarBox<3> {
         let cell = self.cell(ring, seg);
-        if binary {
-            bisect2_3d(sink, win, base, cell, parent, q, scratch)
-        } else {
-            bisect8(sink, win, base, cell, parent, q, scratch)
-        }
+        let arc = cell.arc();
+        [
+            (cell.r_lo(), cell.r_hi()),
+            (arc.lo(), arc.hi()),
+            cell.z_range(),
+        ]
     }
 
     fn bound(&self, max_out_degree: u32) -> f64 {

@@ -1,10 +1,11 @@
 //! Finite points too far from the source to measure: beyond about 1.3e154
 //! the squared norm overflows, so the covering radius is infinite. Every
-//! grid-based builder must return the typed error, never panic.
+//! grid-based builder, and both bisection builders, must return the typed
+//! error, never panic.
 
 use omt_core::{
-    BuildError, HeteroGridBuilder, MinDiameterBuilder, NdGridBuilder, PolarGridBuilder,
-    SphereGridBuilder,
+    Bisection, Bisection3, BuildError, HeteroGridBuilder, MinDiameterBuilder, NdGridBuilder,
+    PolarGridBuilder, SphereGridBuilder,
 };
 use omt_geom::{Ball, Disk, Point, Point2, Point3, Region};
 use omt_rng::rngs::SmallRng;
@@ -73,4 +74,26 @@ fn grid_based_builders_reject_overflowing_radii() {
         BuildError::RadiusOverflow,
         "min-diameter 3-D"
     );
+}
+
+#[test]
+fn bisection_builders_reject_overflowing_radii() {
+    let disk = far_disk();
+    for deg in [2, 4] {
+        let got = Bisection::new(deg).unwrap().build(Point2::ORIGIN, &disk);
+        assert_eq!(
+            got.unwrap_err(),
+            BuildError::RadiusOverflow,
+            "2-D deg {deg}"
+        );
+    }
+    let ball = far_ball();
+    for deg in [2, 8] {
+        let got = Bisection3::new(deg).unwrap().build(Point3::ORIGIN, &ball);
+        assert_eq!(
+            got.unwrap_err(),
+            BuildError::RadiusOverflow,
+            "3-D deg {deg}"
+        );
+    }
 }

@@ -202,13 +202,6 @@ impl Arc {
     pub fn contains(&self, angle: f64) -> bool {
         self.lo <= angle && angle < self.hi
     }
-
-    /// Splits the arc into two equal halves `[lo, mid)` and `[mid, hi)`.
-    #[inline]
-    pub fn split(&self) -> (Self, Self) {
-        let m = self.mid();
-        (Self { lo: self.lo, hi: m }, Self { lo: m, hi: self.hi })
-    }
 }
 
 #[cfg(test)]
@@ -265,16 +258,11 @@ mod tests {
     }
 
     #[test]
-    fn arc_contains_and_split() {
+    fn arc_contains() {
         let arc = Arc::new(0.0, PI);
         assert!(arc.contains(0.0));
         assert!(arc.contains(FRAC_PI_2));
         assert!(!arc.contains(PI));
-        let (a, b) = arc.split();
-        assert_eq!(a.hi(), b.lo());
-        assert!((a.width() - b.width()).abs() < 1e-15);
-        assert!(a.contains(FRAC_PI_2 - 0.1));
-        assert!(b.contains(FRAC_PI_2 + 0.1));
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! A *ring segment* (Figure 1 of the paper) is the region between two
 //! concentric circles, cut by an angular wedge: `{(r, θ) : r_lo ≤ r < r_hi,
-//! θ_lo ≤ θ < θ_hi}`. The bisection algorithm recursively splits a segment
-//! into four sub-segments (two radially × two angularly). The 3-D analogue,
-//! a *shell cell*, adds a `cos_polar` extent and splits into eight.
+//! θ_lo ≤ θ < θ_hi}`. The 3-D analogue, a *shell cell*, adds a `cos_polar`
+//! extent. The bisection algorithm that recursively halves them lives in
+//! `omt-core`, on plain coordinate boxes.
 //!
-//! Cells are half-open in every coordinate so that the children of a split
-//! tile the parent exactly: every point of the parent belongs to exactly one
-//! child. (The outermost grid ring treats its outer radius as inclusive at a
+//! Cells are half-open in every coordinate so that the cells of a grid ring
+//! tile it exactly: every point of the ring belongs to exactly one cell.
+//! (The outermost grid ring treats its outer radius as inclusive at a
 //! higher level, by nudging the boundary — see `omt-core`.)
 
 use crate::polar::{Arc, PolarPoint, SphericalPoint};
@@ -23,9 +23,7 @@ use crate::polar::{Arc, PolarPoint, SphericalPoint};
 /// let seg = RingSegment::new(0.5, 1.0, 0.0, core::f64::consts::PI);
 /// assert!(seg.contains(&PolarPoint::new(0.75, 1.0)));
 /// assert!(!seg.contains(&PolarPoint::new(0.25, 1.0)));
-/// let children = seg.split4();
-/// let p = PolarPoint::new(0.9, 0.1);
-/// assert_eq!(children.iter().filter(|c| c.contains(&p)).count(), 1);
+/// assert!((seg.area() - 0.375 * core::f64::consts::PI).abs() < 1e-12);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RingSegment {
@@ -99,78 +97,12 @@ impl RingSegment {
     pub fn contains(&self, p: &PolarPoint) -> bool {
         self.r_lo <= p.radius && p.radius < self.r_hi && self.arc.contains(p.angle)
     }
-
-    /// Splits into four sub-segments: radius halved at `(r_lo + r_hi)/2` and
-    /// angle halved at the arc midpoint, exactly as in the bisection
-    /// algorithm (Figure 1 b).
-    ///
-    /// Children are ordered `[inner-low-angle, inner-high-angle,
-    /// outer-low-angle, outer-high-angle]`.
-    pub fn split4(&self) -> [Self; 4] {
-        let rm = 0.5 * (self.r_lo + self.r_hi);
-        let (a_lo, a_hi) = self.arc.split();
-        [
-            Self {
-                r_lo: self.r_lo,
-                r_hi: rm,
-                arc: a_lo,
-            },
-            Self {
-                r_lo: self.r_lo,
-                r_hi: rm,
-                arc: a_hi,
-            },
-            Self {
-                r_lo: rm,
-                r_hi: self.r_hi,
-                arc: a_lo,
-            },
-            Self {
-                r_lo: rm,
-                r_hi: self.r_hi,
-                arc: a_hi,
-            },
-        ]
-    }
-
-    /// Index (0–3, matching [`RingSegment::split4`] order) of the child that
-    /// contains `p`. Faster than testing each child and immune to boundary
-    /// rounding: classification uses the same midpoint comparisons as the
-    /// split.
-    ///
-    /// The point is assumed to lie inside `self`; out-of-cell points are
-    /// clamped to the nearest child.
-    #[inline]
-    pub fn classify4(&self, p: &PolarPoint) -> usize {
-        let rm = 0.5 * (self.r_lo + self.r_hi);
-        let am = self.arc.mid();
-        let outer = usize::from(p.radius >= rm);
-        let high = usize::from(p.angle >= am);
-        outer * 2 + high
-    }
-
-    /// Splits into two sub-segments along the angle only.
-    pub fn split_angle(&self) -> (Self, Self) {
-        let (a_lo, a_hi) = self.arc.split();
-        (
-            Self {
-                r_lo: self.r_lo,
-                r_hi: self.r_hi,
-                arc: a_lo,
-            },
-            Self {
-                r_lo: self.r_lo,
-                r_hi: self.r_hi,
-                arc: a_hi,
-            },
-        )
-    }
 }
 
 /// A 3-D spherical-grid cell: radii `[r_lo, r_hi)`, azimuth `[θ_lo, θ_hi)`,
 /// and `cos_polar ∈ [z_lo, z_hi)`.
 ///
-/// Splitting alternately in azimuth and `cos_polar` halves the solid angle
+/// Halving the azimuth or the `cos_polar` extent halves the solid angle
 /// exactly (Archimedes), so an equal-volume grid needs no transcendental
 /// inversions in 3-D.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -273,57 +205,6 @@ impl ShellCell {
         let max_sin = max_sin_polar(self.z_lo, self.z_hi);
         self.r_hi * (self.arc.width() * max_sin + polar_angle_span(self.z_lo, self.z_hi))
     }
-
-    /// Splits into eight children: radius halved, azimuth halved, `z` halved.
-    ///
-    /// Child index bit layout: `outer·4 + high_azimuth·2 + high_z`.
-    pub fn split8(&self) -> [Self; 8] {
-        let rm = 0.5 * (self.r_lo + self.r_hi);
-        let (a_lo, a_hi) = self.arc.split();
-        let zm = 0.5 * (self.z_lo + self.z_hi);
-        let mut out = [*self; 8];
-        for (idx, cell) in out.iter_mut().enumerate() {
-            let (outer, high_a, high_z) = (idx & 4 != 0, idx & 2 != 0, idx & 1 != 0);
-            cell.r_lo = if outer { rm } else { self.r_lo };
-            cell.r_hi = if outer { self.r_hi } else { rm };
-            cell.arc = if high_a { a_hi } else { a_lo };
-            cell.z_lo = if high_z { zm } else { self.z_lo };
-            cell.z_hi = if high_z { self.z_hi } else { zm };
-        }
-        out
-    }
-
-    /// Index (0–7, matching [`ShellCell::split8`] order) of the child
-    /// containing `p`, by midpoint comparisons.
-    #[inline]
-    pub fn classify8(&self, p: &SphericalPoint) -> usize {
-        let rm = 0.5 * (self.r_lo + self.r_hi);
-        let am = self.arc.mid();
-        let zm = 0.5 * (self.z_lo + self.z_hi);
-        usize::from(p.radius >= rm) * 4
-            + usize::from(p.azimuth >= am) * 2
-            + usize::from(p.cos_polar >= zm)
-    }
-
-    /// Splits into two cells of equal solid angle along the azimuth.
-    pub fn split_azimuth(&self) -> (Self, Self) {
-        let (a_lo, a_hi) = self.arc.split();
-        let mut lo = *self;
-        let mut hi = *self;
-        lo.arc = a_lo;
-        hi.arc = a_hi;
-        (lo, hi)
-    }
-
-    /// Splits into two cells of equal solid angle along `cos_polar`.
-    pub fn split_z(&self) -> (Self, Self) {
-        let zm = 0.5 * (self.z_lo + self.z_hi);
-        let mut lo = *self;
-        let mut hi = *self;
-        lo.z_hi = zm;
-        hi.z_lo = zm;
-        (lo, hi)
-    }
 }
 
 /// Maximum of `sin(polar angle)` over `cos_polar ∈ [z_lo, z_hi]`: 1 if the
@@ -346,44 +227,7 @@ fn polar_angle_span(z_lo: f64, z_hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::f64::consts::{FRAC_PI_2, PI, TAU};
-
-    #[test]
-    fn split4_tiles_parent_area() {
-        let seg = RingSegment::new(0.3, 1.1, 0.5, 2.5);
-        let total: f64 = seg.split4().iter().map(RingSegment::area).sum();
-        assert!((total - seg.area()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn split4_children_are_disjoint_and_cover() {
-        let seg = RingSegment::new(0.2, 1.0, 0.0, PI);
-        let kids = seg.split4();
-        // Sample a grid of points inside the parent.
-        for i in 0..20 {
-            for j in 0..20 {
-                let r = 0.2 + (i as f64 + 0.5) / 20.0 * 0.8;
-                let t = (j as f64 + 0.5) / 20.0 * PI;
-                let p = PolarPoint::new(r, t);
-                assert!(seg.contains(&p));
-                let n = kids.iter().filter(|c| c.contains(&p)).count();
-                assert_eq!(n, 1, "point {p:?}");
-                assert!(kids[seg.classify4(&p)].contains(&p));
-            }
-        }
-    }
-
-    #[test]
-    fn classify4_matches_containment_on_boundaries() {
-        let seg = RingSegment::new(0.0, 2.0, 0.0, TAU);
-        // Exactly at the radial midpoint -> outer children.
-        let p = PolarPoint::new(1.0, 0.1);
-        assert!(seg.classify4(&p) >= 2);
-        assert!(seg.split4()[seg.classify4(&p)].contains(&p));
-        // Exactly at the angular midpoint -> high-angle children.
-        let q = PolarPoint::new(0.5, PI);
-        assert_eq!(seg.classify4(&q) % 2, 1);
-    }
+    use core::f64::consts::PI;
 
     #[test]
     fn disk_constructor() {
@@ -401,56 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn shell_split8_tiles_parent_volume() {
-        let cell = ShellCell::new(0.2, 0.9, 0.3, 2.0, -0.5, 0.8);
-        let total: f64 = cell.split8().iter().map(ShellCell::volume).sum();
-        assert!((total - cell.volume()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shell_children_partition_points() {
-        let cell = ShellCell::new(0.1, 1.0, 0.0, PI, -1.0, 1.0);
-        let kids = cell.split8();
-        for i in 0..8 {
-            for j in 0..8 {
-                for k in 0..8 {
-                    let p = SphericalPoint::new(
-                        0.1 + (i as f64 + 0.5) / 8.0 * 0.9,
-                        (j as f64 + 0.5) / 8.0 * PI,
-                        -1.0 + (k as f64 + 0.5) / 8.0 * 2.0,
-                    );
-                    assert!(cell.contains(&p));
-                    let n = kids.iter().filter(|c| c.contains(&p)).count();
-                    assert_eq!(n, 1);
-                    assert!(kids[cell.classify8(&p)].contains(&p));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn ball_volume() {
         let b = ShellCell::ball(1.0);
         assert!((b.volume() - 4.0 / 3.0 * PI).abs() < 1e-12);
         assert!((b.solid_angle() - 4.0 * PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn north_pole_belongs_to_top_cell() {
-        let b = ShellCell::ball(2.0);
-        let (lo, hi) = b.split_z();
-        let pole = SphericalPoint::new(1.0, 0.0, 1.0);
-        assert!(!lo.contains(&pole));
-        assert!(hi.contains(&pole));
-    }
-
-    #[test]
-    fn split_z_equal_solid_angle() {
-        let b = ShellCell::new(0.0, 1.0, 0.0, FRAC_PI_2, -0.25, 0.75);
-        let (lo, hi) = b.split_z();
-        assert!((lo.solid_angle() - hi.solid_angle()).abs() < 1e-12);
-        let (la, ha) = b.split_azimuth();
-        assert!((la.solid_angle() - ha.solid_angle()).abs() < 1e-12);
     }
 
     #[test]

@@ -4,11 +4,11 @@ use core::f64::consts::TAU;
 
 use omt_geom::{
     normalize_angle, Ball, BoxRegion, Point, Point2, Point3, PolarPoint, Region, RingSegment,
-    ShellCell, SphericalPoint,
+    SphericalPoint,
 };
 use omt_rng::proptest::Strategy;
 use omt_rng::rngs::SmallRng;
-use omt_rng::{prop_assert, prop_assert_eq, props, RngExt, SeedableRng};
+use omt_rng::{prop_assert, props, RngExt, SeedableRng};
 
 fn finite_point2() -> impl Strategy<Value = Point2> {
     (-1e6f64..1e6, -1e6f64..1e6).prop_map(|(x, y)| Point2::new([x, y]))
@@ -43,56 +43,6 @@ props! {
     fn normalized_angles_in_range(theta in -1e5f64..1e5) {
         let a = normalize_angle(theta);
         prop_assert!((0.0..TAU).contains(&a), "angle {a}");
-    }
-
-    fn segment_split4_partitions(
-        r_lo in 0.0f64..10.0,
-        dr in 0.001f64..10.0,
-        t_lo in 0.0f64..3.0,
-        dt in 0.001f64..3.0,
-        fr in 0.0f64..1.0,
-        ft in 0.0f64..1.0,
-    ) {
-        let seg = RingSegment::new(r_lo, r_lo + dr, t_lo, t_lo + dt);
-        // An interior point of the segment.
-        let p = PolarPoint::new(
-            r_lo + fr.min(0.999) * dr,
-            t_lo + ft.min(0.999) * dt,
-        );
-        prop_assert!(seg.contains(&p));
-        let kids = seg.split4();
-        let containing = kids.iter().filter(|k| k.contains(&p)).count();
-        prop_assert_eq!(containing, 1);
-        prop_assert!(kids[seg.classify4(&p)].contains(&p));
-        // Areas tile exactly.
-        let total: f64 = kids.iter().map(RingSegment::area).sum();
-        prop_assert!((total - seg.area()).abs() < 1e-9 * (1.0 + seg.area()));
-    }
-
-    fn shell_split8_partitions(
-        r_lo in 0.0f64..5.0,
-        dr in 0.001f64..5.0,
-        t_lo in 0.0f64..3.0,
-        dt in 0.001f64..3.0,
-        z_lo in -1.0f64..0.99,
-        fz in 0.001f64..1.0,
-        fr in 0.0f64..1.0,
-        ft in 0.0f64..1.0,
-        fzz in 0.0f64..1.0,
-    ) {
-        let z_hi = z_lo + fz * (1.0 - z_lo);
-        let cell = ShellCell::new(r_lo, r_lo + dr, t_lo, t_lo + dt, z_lo, z_hi);
-        let p = SphericalPoint::new(
-            r_lo + fr.min(0.999) * dr,
-            t_lo + ft.min(0.999) * dt,
-            z_lo + fzz.min(0.999) * (z_hi - z_lo),
-        );
-        prop_assert!(cell.contains(&p));
-        let kids = cell.split8();
-        prop_assert_eq!(kids.iter().filter(|k| k.contains(&p)).count(), 1);
-        prop_assert!(kids[cell.classify8(&p)].contains(&p));
-        let total: f64 = kids.iter().map(ShellCell::volume).sum();
-        prop_assert!((total - cell.volume()).abs() < 1e-9 * (1.0 + cell.volume()));
     }
 
     fn ball_samples_inside(seed in 0u64..1000, radius in 0.001f64..100.0) {
