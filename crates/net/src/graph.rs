@@ -74,11 +74,6 @@ impl Graph {
         self.edges += 1;
     }
 
-    /// Whether the edge `(u, v)` exists.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.adjacency[u].iter().any(|&(w, _)| w as usize == v)
-    }
-
     /// Single-source shortest path delays (Dijkstra). Unreachable nodes get
     /// `f64::INFINITY`.
     pub fn dijkstra(&self, source: usize) -> Vec<f64> {
@@ -367,12 +362,9 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_and_counts() {
+    fn edge_counts() {
         let mut g = Graph::new(vec![Point2::ORIGIN, Point2::new([1.0, 0.0])]);
-        assert!(!g.has_edge(0, 1));
         g.add_edge(0, 1, 0.5);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.neighbors(0), &[(1, 0.5)]);
     }

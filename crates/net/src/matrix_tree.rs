@@ -59,18 +59,6 @@ impl MatrixTree {
     pub fn radius(&self) -> f64 {
         self.delay.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Out-degree of each receiver plus, in the last slot, the source.
-    pub fn out_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.len() + 1];
-        for p in &self.parent {
-            match p {
-                None => deg[self.len()] += 1,
-                Some(q) => deg[*q] += 1,
-            }
-        }
-        deg
-    }
 }
 
 /// Builds a compact tree (greedy minimum-delay attachment) over the hosts
@@ -219,6 +207,16 @@ mod tests {
         }
     }
 
+    /// Out-degree of each receiver of `t` plus, in the last slot, the
+    /// source.
+    fn out_degrees(t: &MatrixTree) -> Vec<u32> {
+        let mut deg = vec![0u32; t.len() + 1];
+        for i in 0..t.len() {
+            deg[t.parent(i).unwrap_or(t.len())] += 1;
+        }
+        deg
+    }
+
     #[test]
     fn degree_bound_respected_and_radius_lower_bounded() {
         let mut rng = SmallRng::seed_from_u64(2);
@@ -232,7 +230,7 @@ mod tests {
         for deg in [1u32, 2, 4] {
             let t = matrix_compact_tree(&m, 3, deg);
             assert_eq!(t.len(), 39);
-            let degs = t.out_degrees();
+            let degs = out_degrees(&t);
             assert!(degs.iter().all(|&d| d <= deg), "degree {deg}: {degs:?}");
             // Radius at least the farthest direct delay.
             let lb = (0..40)
@@ -260,7 +258,7 @@ mod tests {
     fn chain_under_degree_one() {
         let m = DelayMatrix::from_fn(4, |i, j| (i.abs_diff(j)) as f64);
         let t = matrix_compact_tree(&m, 0, 1);
-        let degs = t.out_degrees();
+        let degs = out_degrees(&t);
         assert!(degs.iter().all(|&d| d <= 1));
         assert_eq!(t.radius(), 3.0); // 0 -> 1 -> 2 -> 3
     }

@@ -88,16 +88,6 @@ impl CoordDrift {
             })
             .collect()
     }
-
-    /// Largest advertised-vs-true displacement over a point set, for
-    /// reporting how stale a campaign actually was.
-    pub fn max_displacement<const D: usize>(truth: &[Point<D>], advertised: &[Point<D>]) -> f64 {
-        truth
-            .iter()
-            .zip(advertised)
-            .map(|(t, a)| t.distance(a))
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +126,11 @@ mod tests {
         let a = m.apply(&t, 42);
         assert_eq!(a, m.apply(&t, 42));
         assert_ne!(a, m.apply(&t, 43));
-        let max = CoordDrift::max_displacement(&t, &a);
+        let max = t
+            .iter()
+            .zip(&a)
+            .map(|(t, a)| t.distance(a))
+            .fold(0.0, f64::max);
         assert!(max > 0.0 && max <= 0.05 * 2f64.sqrt() + 1e-12);
     }
 

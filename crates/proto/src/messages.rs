@@ -171,14 +171,6 @@ impl Msg {
     pub fn kind(&self) -> &'static str {
         Self::KINDS[self.ordinal()]
     }
-
-    /// Whether this variant is a local timer rather than network traffic.
-    pub fn is_timer(&self) -> bool {
-        matches!(
-            self,
-            Msg::Tick | Msg::RetryJoin { .. } | Msg::JoinNow | Msg::LeaveNow | Msg::CrashNow
-        )
-    }
 }
 
 #[cfg(test)]

@@ -87,14 +87,6 @@ impl FaultPlan {
         self.drop_p == 0.0 && self.dup_p == 0.0 && self.jitter == 0.0 && self.partitions.is_empty()
     }
 
-    /// The instant after which no fault of any kind is active.
-    pub fn heal_time(&self) -> f64 {
-        self.partitions
-            .iter()
-            .map(|p| p.end)
-            .fold(self.fault_until, f64::max)
-    }
-
     fn validate(&self) {
         for (name, p) in [("drop_p", self.drop_p), ("dup_p", self.dup_p)] {
             assert!((0.0..1.0).contains(&p) && p.is_finite(), "bad {name} {p}");
@@ -370,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn heal_time_covers_all_windows() {
+    fn partitions_count_as_faults() {
         let plan = FaultPlan {
             fault_until: 5.0,
             partitions: vec![
@@ -387,8 +379,6 @@ mod tests {
             ],
             ..FaultPlan::none()
         };
-        assert_eq!(plan.heal_time(), 9.0);
-        assert_eq!(FaultPlan::none().heal_time(), 0.0);
         assert!(FaultPlan::none().is_none());
         assert!(!plan.is_none());
     }
