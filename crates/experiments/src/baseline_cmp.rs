@@ -200,7 +200,10 @@ mod tests {
         }
     }
 
+    // Two 20,000-point CPT trials take about 100 s in a debug build;
+    // scripts/verify.sh runs this test in release.
     #[test]
+    #[ignore = "slow in debug builds; scripts/verify.sh runs it in release"]
     fn cpt_wins_small_polar_grid_wins_big() {
         // At small n the quadratic CPT heuristic is very strong; the
         // asymptotically optimal grid must at least close the gap by 20k.

@@ -44,6 +44,12 @@ echo "==> ulimit -v 6000000; cargo test --release --offline -p omt-core --test c
     cargo test --release --offline -p omt-core --test construction_golden -- --include-ignored --test-threads 1
 )
 
+# The baseline comparison's crossover test runs two 20,000-point CPT
+# trials: about 100 s in a debug build, so the workspace step skips it
+# (#[ignore]) and it runs here in release.
+echo "==> cargo test -q --release --offline -p omt-experiments --lib -- --ignored cpt_wins_small"
+cargo test -q --release --offline -p omt-experiments --lib -- --ignored cpt_wins_small
+
 # The decentralized protocol's acceptance suites: differential parity
 # against the centralized builder, the fault-injection fuzz campaigns
 # and the cross-build goldens, in release so the 10k-host legs stay
