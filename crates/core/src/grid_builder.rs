@@ -15,7 +15,7 @@
 //! sequential core pass, capturing one bisection job per cell), `cells`
 //! (the bisections, on the worker pool) and `finish`.
 
-use omt_geom::Point;
+use omt_geom::{Point, PointStore};
 use omt_tree::{check_node_capacity, FinishStage, MulticastTree, NodeId, TreeArena, TreeError};
 
 use crate::bisect::{bisect_all, bisect_binary, Anchor, PolarBox, Scratch};
@@ -26,29 +26,32 @@ use crate::kselect::{
 };
 use crate::sink::{attach, unpack_parent, CellSink, RowArena, PACKED_SOURCE};
 
-/// Chunk length for the batched column pre-passes (finiteness scan, lower
-/// bound, polar-column ring/path binning, cell-major gather): large enough
-/// to amortize the dispatch, small enough to load-balance on skewed
-/// machines. A build of at most this many points runs every pass inline on
-/// the calling thread.
-pub(crate) const SOA_CHUNK: usize = 1 << 16;
+/// Chunk length for the batched column passes (the store fill, finiteness
+/// scan, lower bound, polar-column ring/path binning, cell-major gather,
+/// the finish's point gather): large enough to amortize the dispatch,
+/// small enough to load-balance on skewed machines. A build of at most
+/// this many points runs every pass inline on the calling thread.
+pub(crate) use omt_geom::SOA_CHUNK;
 
 /// The points of the Cartesian columns `coords`, in id order: the tree's
-/// one point vector, gathered at the finish's points stage.
-fn store_points<const D: usize>(coords: [&[f64]; D]) -> Vec<Point<D>> {
-    (0..coords[0].len())
-        .map(|i| Point::new(core::array::from_fn(|d| coords[d][i])))
-        .collect()
-}
-
-/// A point store as the driver reads it, by point id: the source, the
-/// Cartesian columns, and the source-relative polar columns — the radius
-/// first, then the angular coordinates the grid bins on.
-#[derive(Clone, Copy)]
-pub(crate) struct StoreColumns<'a, const D: usize> {
-    pub source: Point<D>,
-    pub coords: [&'a [f64]; D],
-    pub polar: [&'a [f64]; D],
+/// one point vector, gathered at the finish's points stage in chunks of
+/// [`SOA_CHUNK`] points on `threads` workers. The rows start as zeroed
+/// arrays, whose pages the allocator hands out untouched, so the workers
+/// take the page faults in parallel; the final map to points reuses the
+/// allocation in place.
+fn store_points<const D: usize>(coords: [&[f64]; D], threads: usize) -> Vec<Point<D>> {
+    let mut rows = vec![[0.0f64; D]; coords[0].len()];
+    let mut chunks: Vec<(usize, &mut [[f64; D]])> = rows
+        .chunks_mut(SOA_CHUNK)
+        .enumerate()
+        .map(|(c, chunk)| (c * SOA_CHUNK, chunk))
+        .collect();
+    omt_par::par_map_indexed_mut(&mut chunks, threads, |_, (base, chunk)| {
+        for (j, row) in chunk.iter_mut().enumerate() {
+            *row = core::array::from_fn(|d| coords[d][*base + j]);
+        }
+    });
+    rows.into_iter().map(Point::new).collect()
 }
 
 /// The `obs` span, counter and histogram names of one dimension's builds.
@@ -107,8 +110,6 @@ pub(crate) use obs_names;
 /// `i ≥ 1` has `2^i` cells, and cell `(i, j)` is aligned with
 /// `(i + 1, 2j)` and `(i + 1, 2j + 1)` in every dimension.
 pub(crate) trait CellGeometry<const D: usize>: Sized + Sync {
-    /// The point store the typed entry points take.
-    type Store;
     /// Budgets at or above this use the full-degree construction: 2 core
     /// links plus the `2^D`-way bisection. Budgets 2 up to it use the
     /// degree-2 wiring of Section IV-A.
@@ -116,8 +117,6 @@ pub(crate) trait CellGeometry<const D: usize>: Sized + Sync {
     /// The `obs` names of this dimension's builds.
     const OBS: ObsNames;
 
-    /// The store's columns.
-    fn columns(store: &Self::Store) -> StoreColumns<'_, D>;
     /// The `k`-ring grid over the covering disk (ball) of radius `rho`.
     fn new(k: u32, rho: f64) -> Self;
     /// Bins the points `base..base + ring.len()` of the polar columns at
@@ -361,7 +360,7 @@ impl<const D: usize> GridBuilder<D> {
     /// order, then the build on the resolved thread count.
     pub(crate) fn build_checked<G: CellGeometry<D>>(
         &self,
-        store: &G::Store,
+        store: &PointStore<D>,
     ) -> Result<(MulticastTree<D>, PolarGridReport), BuildError> {
         if self.max_out_degree < 2 {
             return Err(BuildError::DegreeTooSmall {
@@ -369,11 +368,10 @@ impl<const D: usize> GridBuilder<D> {
                 min: 2,
             });
         }
-        let StoreColumns { source, polar, .. } = G::columns(store);
-        if !source.is_finite() {
+        if !store.source().is_finite() {
             return Err(BuildError::NonFiniteSource);
         }
-        let n = polar[0].len();
+        let n = store.len();
         check_node_capacity(n).map_err(|_| BuildError::TooManyPoints {
             nodes: n,
             max: omt_tree::MAX_NODES,
@@ -391,133 +389,135 @@ impl<const D: usize> GridBuilder<D> {
         }
     }
 
-    /// The build after the argument checks, on `threads` workers.
+    /// The build after the argument checks, on `threads` workers. Each
+    /// stage runs in a block that holds its `obs` span.
     fn build_on<G: CellGeometry<D>>(
         &self,
-        store: &G::Store,
+        store: &PointStore<D>,
         threads: usize,
     ) -> Result<(MulticastTree<D>, PolarGridReport), BuildError> {
-        let cols = G::columns(store);
-        let StoreColumns {
-            source,
-            coords,
-            polar,
-        } = cols;
+        let (source, coords, polar) = (store.source(), store.coords(), store.grid());
         let names = &G::OBS;
         let radius = polar[0];
         let n = radius.len();
         let _build_span = omt_obs::obs_span!(names.build);
-        let partition_span = omt_obs::obs_span!(names.partition);
-
-        // Finiteness scan and lower bound in one chunked pass. Each chunk
-        // reports its first offending index (the first `Some` in chunk
-        // order is the global first, as a sequential scan finds it) and its
-        // largest radius; `f64::max` is associative over the non-negative
-        // radii, so folding the chunk maxima in chunk order is
-        // bit-identical to the flat fold.
-        let bound_span = omt_obs::obs_span!(names.bound);
-        let chunk_starts: Vec<usize> = (0..n).step_by(SOA_CHUNK).collect();
-        let per_chunk = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
-            let e = (s + SOA_CHUNK).min(n);
-            let bad = (s..e).find(|&i| !coords.iter().all(|c| c[i].is_finite()));
-            (bad, radius[s..e].iter().copied().fold(0.0, f64::max))
-        });
-        if let Some(bad) = per_chunk.iter().find_map(|c| c.0) {
-            return Err(BuildError::NonFinitePoint { index: bad });
-        }
-        let lower_bound = per_chunk.iter().map(|c| c.1).fold(0.0, f64::max);
-        // Covering radius: strictly above the farthest point so the
-        // half-open outermost ring contains it. Finite points can still be
-        // too far from the source to measure: beyond about 1.3e154 the
-        // squared norm overflows and the radius is infinite.
-        let rho = lower_bound * (1.0 + 1e-9);
-        if !rho.is_finite() {
-            return Err(BuildError::RadiusOverflow);
-        }
-        drop(bound_span);
-        omt_obs::obs_count!(names.builds);
-        if lower_bound == 0.0 {
-            // No points, or every point at the source: no grid, and any
-            // fan-out within the budget is optimal. Rows are point ids.
-            let mut arena = TreeArena::new(source, n).max_out_degree(self.max_out_degree);
-            let ids: Vec<u32> = (0..n as u32).collect();
-            let rows = &mut RowArena {
-                arena: &mut arena,
-                ids: &ids,
-                coords,
+        let (lower_bound, k, grid, counts, occupied_cells, mut cm) = {
+            let _span = omt_obs::obs_span!(names.partition);
+            // Finiteness scan and lower bound in one chunked pass. Each chunk
+            // reports its first offending index (the first `Some` in chunk
+            // order is the global first, as a sequential scan finds it) and its
+            // largest radius; `f64::max` is associative over the non-negative
+            // radii, so folding the chunk maxima in chunk order is
+            // bit-identical to the flat fold.
+            let lower_bound = {
+                let _span = omt_obs::obs_span!(names.bound);
+                let chunk_starts: Vec<usize> = (0..n).step_by(SOA_CHUNK).collect();
+                let per_chunk = omt_par::par_map_indexed(&chunk_starts, threads, |_, &s| {
+                    let e = (s + SOA_CHUNK).min(n);
+                    let bad = (s..e).find(|&i| !coords.iter().all(|c| c[i].is_finite()));
+                    (bad, radius[s..e].iter().copied().fold(0.0, f64::max))
+                });
+                if let Some(bad) = per_chunk.iter().find_map(|c| c.0) {
+                    return Err(BuildError::NonFinitePoint { index: bad });
+                }
+                per_chunk.iter().map(|c| c.1).fold(0.0, f64::max)
             };
-            fanout_sink(rows, n, self.max_out_degree)?;
-            let report = PolarGridReport {
-                rings: 0,
-                delay: 0.0,
-                core_delay: 0.0,
-                bound: 0.0,
-                lower_bound: 0.0,
-                cells: 1,
-                occupied_cells: n.min(1),
-            };
-            return Ok((arena.into_tree(ids, store_points(coords))?, report));
-        }
-
-        // Assign every point once at the finest level, then select k. The
-        // ring/path binning is pure per-point math (a ring locate guessed
-        // from exponent bits, plus the angular path), batched over
-        // disjoint column chunks.
-        let bin_span = omt_obs::obs_span!(names.bin);
-        let k_max = finest_level(n);
-        let finest = G::new(k_max, rho);
-        let mut assignments = Assignments::zeroed(k_max, n);
-        {
-            let (ring, path) = assignments.columns_mut();
-            let mut chunks: Vec<(usize, &mut [u32], &mut [u32])> = ring
-                .chunks_mut(SOA_CHUNK)
-                .zip(path.chunks_mut(SOA_CHUNK))
-                .enumerate()
-                .map(|(ci, (r, p))| (ci * SOA_CHUNK, r, p))
-                .collect();
-            omt_par::par_map_indexed_mut(&mut chunks, threads, |_, (base, rc, pc)| {
-                finest.bin(polar, *base, rc, pc);
-            });
-        }
-        drop(bin_span);
-        let select_span = omt_obs::obs_span!(names.select);
-        let k_auto = select_rings(&assignments);
-        drop(select_span);
-        let k = match self.rings_override {
-            None => k_auto,
-            Some(req) if req <= k_auto => req,
-            Some(req) => {
-                return Err(BuildError::InfeasibleRings {
-                    requested: req,
-                    feasible: k_auto,
-                })
+            // Covering radius: strictly above the farthest point so the
+            // half-open outermost ring contains it. Finite points can still be
+            // too far from the source to measure: beyond about 1.3e154 the
+            // squared norm overflows and the radius is infinite.
+            let rho = lower_bound * (1.0 + 1e-9);
+            if !rho.is_finite() {
+                return Err(BuildError::RadiusOverflow);
             }
-        };
-        let grid = G::new(k, rho);
-        let full = self.max_out_degree >= G::FULL_DEGREE;
+            omt_obs::obs_count!(names.builds);
+            if lower_bound == 0.0 {
+                // No points, or every point at the source: no grid, and any
+                // fan-out within the budget is optimal. Rows are point ids.
+                let mut arena = TreeArena::new(source, n).max_out_degree(self.max_out_degree);
+                let ids: Vec<u32> = (0..n as u32).collect();
+                let rows = &mut RowArena {
+                    arena: &mut arena,
+                    ids: &ids,
+                    coords,
+                };
+                fanout_sink(rows, n, self.max_out_degree)?;
+                let report = PolarGridReport {
+                    rings: 0,
+                    delay: 0.0,
+                    core_delay: 0.0,
+                    bound: 0.0,
+                    lower_bound: 0.0,
+                    cells: 1,
+                    occupied_cells: n.min(1),
+                };
+                return Ok((arena.into_tree(ids, store_points(coords, 1))?, report));
+            }
 
-        // Bucket points per cell (counting sort into CSR lists). The sort
-        // consumes the assignments and frees them before the cell-major
-        // columns and the arena's rows are allocated, keeping them out of
-        // the peak-RSS window.
-        let bucket_span = omt_obs::obs_span!(names.bucket);
+            // Assign every point once at the finest level, then select k. The
+            // ring/path binning is pure per-point math (a ring locate guessed
+            // from exponent bits, plus the angular path), batched over
+            // disjoint column chunks.
+            let assignments = {
+                let _span = omt_obs::obs_span!(names.bin);
+                let k_max = finest_level(n);
+                let finest = G::new(k_max, rho);
+                let mut assignments = Assignments::zeroed(k_max, n);
+                let (ring, path) = assignments.columns_mut();
+                let mut chunks: Vec<(usize, &mut [u32], &mut [u32])> = ring
+                    .chunks_mut(SOA_CHUNK)
+                    .zip(path.chunks_mut(SOA_CHUNK))
+                    .enumerate()
+                    .map(|(ci, (r, p))| (ci * SOA_CHUNK, r, p))
+                    .collect();
+                omt_par::par_map_indexed_mut(&mut chunks, threads, |_, (base, rc, pc)| {
+                    finest.bin(polar, *base, rc, pc);
+                });
+                assignments
+            };
+            let k_auto = {
+                let _span = omt_obs::obs_span!(names.select);
+                select_rings(&assignments)
+            };
+            let k = match self.rings_override {
+                None => k_auto,
+                Some(req) if req <= k_auto => req,
+                Some(req) => {
+                    return Err(BuildError::InfeasibleRings {
+                        requested: req,
+                        feasible: k_auto,
+                    })
+                }
+            };
+
+            // Bucket points per cell (counting sort into CSR lists). The sort
+            // consumes the assignments and frees them before the cell-major
+            // columns and the arena's rows are allocated, keeping them out of
+            // the peak-RSS window.
+            let (counts, members) = {
+                let _span = omt_obs::obs_span!(names.bucket);
+                bucket_cells(assignments, k, threads)
+            };
+            let occupied_cells = (0..cell_count(k))
+                .filter(|&c| counts[c] != counts[c + 1])
+                .count();
+            omt_obs::obs_observe!(names.occupied_cells, occupied_cells as u64);
+
+            // Copy the polar columns into member order once, so every cell is
+            // one contiguous window of each column. Every later stage reads its
+            // cell's window by local position, and every attachment writes the
+            // arena row of a cell-major position, mapped to a point id once, in
+            // `into_tree`.
+            let cm = {
+                let _span = omt_obs::obs_span!(names.gather);
+                CellMajor::gather(members, polar, threads)
+            };
+            (lower_bound, k, G::new(k, rho), counts, occupied_cells, cm)
+        };
         let cells = cell_count(k);
-        let (counts, members) = bucket_cells(assignments, k, threads);
+        let full = self.max_out_degree >= G::FULL_DEGREE;
         let cell_range = |c: usize| (counts[c] as usize, counts[c + 1] as usize);
         let occupied = |c: usize| counts[c] != counts[c + 1];
-        let occupied_cells = (0..cells).filter(|&c| occupied(c)).count();
-        omt_obs::obs_observe!(names.occupied_cells, occupied_cells as u64);
-        drop(bucket_span);
-
-        // Copy the polar columns into member order once, so every cell is
-        // one contiguous window of each column. Every later stage reads its
-        // cell's window by local position, and every attachment writes the
-        // arena row of a cell-major position, mapped to a point id once, in
-        // `into_tree`.
-        let gather_span = omt_obs::obs_span!(names.gather);
-        let mut cm = CellMajor::gather(members, polar, threads);
-        drop(gather_span);
-        drop(partition_span);
 
         // Representative pre-pass: the pick — one Cartesian conversion and
         // one distance per window member — is the core pass's dominant
@@ -525,18 +525,17 @@ impl<const D: usize> GridBuilder<D> {
         // window is first permuted in its own core step, after its pick).
         // So every occupied ring ≥ 1 cell picks in parallel up front, and
         // the sequential core pass consumes the local positions in order.
-        let rep_span = omt_obs::obs_span!(names.reps);
-        let occupied_list: Vec<(u32, u32)> = (1..=k)
-            .flat_map(|ring| (0..(1u64 << ring)).map(move |seg| (ring, seg as u32)))
-            .filter(|&(ring, seg)| occupied(cell_index(ring, u64::from(seg))))
-            .collect();
-        let reps: Vec<u32> =
+        let reps: Vec<u32> = {
+            let _span = omt_obs::obs_span!(names.reps);
+            let occupied_list: Vec<(u32, u32)> = (1..=k)
+                .flat_map(|ring| (0..(1u64 << ring)).map(move |seg| (ring, seg as u32)))
+                .filter(|&(ring, seg)| occupied(cell_index(ring, u64::from(seg))))
+                .collect();
             omt_par::par_map_indexed(&occupied_list, threads, |_, &(ring, seg)| {
                 let (cs, ce) = cell_range(cell_index(ring, u64::from(seg)));
                 self.pick_rep(&grid, &cm, coords, (cs, ce), (ring, u64::from(seg)))
-            });
-        drop(occupied_list);
-        drop(rep_span);
+            })
+        };
 
         // Wire the tree in two passes: a sequential core pass capturing one
         // bisection job per cell in (ring, seg) order, then the bisections
@@ -545,86 +544,89 @@ impl<const D: usize> GridBuilder<D> {
         // pass is the one stage that reorders windows, ids and columns
         // together, and it moves every point it wires to its final row
         // *before* attaching it, so no attached row moves afterwards.
-        let core_span = omt_obs::obs_span!(names.core);
-        let mut arena = TreeArena::new(source, n).max_out_degree(self.max_out_degree);
-        let mut core_delay = 0.0f64;
-        let mut jobs: Vec<CellJob> = Vec::with_capacity(reps.len() + 1);
-        let mut next_rep = reps.iter().copied();
-        // hub[cell] = the row the cell's core children attach to: its
-        // representative in the full-degree construction, its connector in
-        // the degree-2 wiring. The core tree is the same binary tree in
-        // every dimension: cell (ring, seg) hangs below (ring - 1, seg / 2)
-        // — the inner disk for ring 1 — and adopts (ring + 1, 2 seg) and
-        // (ring + 1, 2 seg + 1).
-        let mut hub: Vec<NodeId> = vec![PACKED_SOURCE; cells];
-        for ring in 0..=k {
-            for seg in 0..(1u64 << ring) {
-                let c = cell_index(ring, seg);
-                let (cs, ce) = cell_range(c);
-                // The source is ring 0's representative. A ring >= 1 cell
-                // rotates its pre-picked one to its window's last row,
-                // order-preserving, and attaches it to its core parent.
-                let rep = if ring == 0 {
-                    None
-                } else if cs == ce {
-                    continue;
-                } else {
-                    let pos = next_rep.next().expect("one pre-picked rep per cell");
-                    cm.rotate_to_back(cs + pos as usize, ce);
-                    let row = ce - 1;
-                    let parent = unpack_parent(hub[cell_index(ring - 1, seg / 2)]);
-                    let ids = &cm.ids;
-                    let rows = &mut RowArena {
-                        arena: &mut arena,
-                        ids,
-                        coords,
+        let (mut arena, core_delay, jobs) = {
+            let _span = omt_obs::obs_span!(names.core);
+            let mut arena = TreeArena::new(source, n).max_out_degree(self.max_out_degree);
+            let mut core_delay = 0.0f64;
+            let mut jobs: Vec<CellJob> = Vec::with_capacity(reps.len() + 1);
+            let mut next_rep = reps.iter().copied();
+            // hub[cell] = the row the cell's core children attach to: its
+            // representative in the full-degree construction, its connector
+            // in the degree-2 wiring. The core tree is the same binary tree
+            // in every dimension: cell (ring, seg) hangs below
+            // (ring - 1, seg / 2) — the inner disk for ring 1 — and adopts
+            // (ring + 1, 2 seg) and (ring + 1, 2 seg + 1).
+            let mut hub: Vec<NodeId> = vec![PACKED_SOURCE; cells];
+            for ring in 0..=k {
+                for seg in 0..(1u64 << ring) {
+                    let c = cell_index(ring, seg);
+                    let (cs, ce) = cell_range(c);
+                    // The source is ring 0's representative. A ring >= 1
+                    // cell rotates its pre-picked one to its window's last
+                    // row, order-preserving, and attaches it to its core
+                    // parent.
+                    let rep = if ring == 0 {
+                        None
+                    } else if cs == ce {
+                        continue;
+                    } else {
+                        let pos = next_rep.next().expect("one pre-picked rep per cell");
+                        cm.rotate_to_back(cs + pos as usize, ce);
+                        let row = ce - 1;
+                        let parent = unpack_parent(hub[cell_index(ring - 1, seg / 2)]);
+                        let ids = &cm.ids;
+                        let rows = &mut RowArena {
+                            arena: &mut arena,
+                            ids,
+                            coords,
+                        };
+                        attach(rows, row, parent)?;
+                        core_delay = core_delay.max(arena.depth_of(row).expect("just attached"));
+                        Some(row)
                     };
-                    attach(rows, row, parent)?;
-                    core_delay = core_delay.max(arena.depth_of(row).expect("just attached"));
-                    Some(row)
-                };
-                let end = rep.unwrap_or(ce);
-                if full {
-                    // The representative bisects the rest of its cell.
-                    hub[c] = rep.map_or(PACKED_SOURCE, |r| r as NodeId);
-                    jobs.push(CellJob {
-                        ring,
-                        seg: seg as u32,
-                        parent: hub[c],
-                        start: cs as u32,
-                        end: end as u32,
-                    });
-                } else {
-                    // Degree-2 wiring (Section IV-A). The connector and
-                    // bisection-source picks stay in the sequential core
-                    // pass: unlike the rep pick they run over a window the
-                    // pass has already permuted, so hoisting them would
-                    // change the comparison order and with it the tree.
-                    let has_core_children = ring < k
-                        && (occupied(cell_index(ring + 1, 2 * seg))
-                            || occupied(cell_index(ring + 1, 2 * seg + 1)));
-                    let (conn, job) = wire_cell_deg2::<G, D>(
-                        &mut arena,
-                        &mut cm,
-                        &cols,
-                        (ring, seg as u32),
-                        (cs, end),
-                        rep,
-                        has_core_children,
-                    )?;
-                    hub[c] = conn;
-                    jobs.extend(job);
+                    let end = rep.unwrap_or(ce);
+                    if full {
+                        // The representative bisects the rest of its cell.
+                        hub[c] = rep.map_or(PACKED_SOURCE, |r| r as NodeId);
+                        jobs.push(CellJob {
+                            ring,
+                            seg: seg as u32,
+                            parent: hub[c],
+                            start: cs as u32,
+                            end: end as u32,
+                        });
+                    } else {
+                        // Degree-2 wiring (Section IV-A). The connector and
+                        // bisection-source picks stay in the sequential core
+                        // pass: unlike the rep pick they run over a window
+                        // the pass has already permuted, so hoisting them
+                        // would change the comparison order and with it the
+                        // tree.
+                        let has_core_children = ring < k
+                            && (occupied(cell_index(ring + 1, 2 * seg))
+                                || occupied(cell_index(ring + 1, 2 * seg + 1)));
+                        let (conn, job) = wire_cell_deg2::<G, D>(
+                            &mut arena,
+                            &mut cm,
+                            store,
+                            (ring, seg as u32),
+                            (cs, end),
+                            rep,
+                            has_core_children,
+                        )?;
+                        hub[c] = conn;
+                        jobs.extend(job);
+                    }
                 }
             }
-        }
-        drop(hub);
-        drop(core_span);
-        debug_assert!(next_rep.next().is_none(), "every pre-picked rep consumed");
+            debug_assert!(next_rep.next().is_none(), "every pre-picked rep consumed");
+            (arena, core_delay, jobs)
+        };
         drop(reps);
         drop(counts);
 
         {
-            let _cells_span = omt_obs::obs_span!(names.cells);
+            let _span = omt_obs::obs_span!(names.cells);
             run_cell_jobs(&mut arena, &cm, coords, &grid, &jobs, !full, threads)?;
             drop(jobs);
         }
@@ -632,7 +634,7 @@ impl<const D: usize> GridBuilder<D> {
         let _finish_span = omt_obs::obs_span!(names.finish);
         let CellMajor { ids: order, cols } = cm;
         drop(cols);
-        let points = || store_points(coords);
+        let points = || store_points(coords, threads);
         let tree = arena.into_tree_staged(order, threads, points, |stage| {
             omt_obs::obs_span!(match stage {
                 FinishStage::Permute => names.permute,
@@ -689,11 +691,11 @@ impl<const D: usize> GridBuilder<D> {
 /// representative's row, already moved out of the window, or `None` for the
 /// inner disk, whose representative is the source. The connector and the
 /// bisection source leave the window from the back, by a swap with the last
-/// member, before their rows are attached. `cols` are the store's columns.
+/// member, before their rows are attached.
 fn wire_cell_deg2<G: CellGeometry<D>, const D: usize>(
     arena: &mut TreeArena<D>,
     cm: &mut CellMajor<D>,
-    cols: &StoreColumns<'_, D>,
+    store: &PointStore<D>,
     (ring, seg): (u32, u32),
     (cs, mut end): (usize, usize),
     rep: Option<usize>,
@@ -701,7 +703,7 @@ fn wire_cell_deg2<G: CellGeometry<D>, const D: usize>(
 ) -> Result<(NodeId, Option<CellJob>), BuildError> {
     // The representative's packed row and radius; the source sits at the
     // pole.
-    let coords = cols.coords;
+    let coords = store.coords();
     let rep_ref = rep.map_or(PACKED_SOURCE, |r| r as NodeId);
     let rep_radius = rep.map_or(0.0, |r| cm.cols[0][r]);
     // Attaches the last window row under the representative.
@@ -738,7 +740,7 @@ fn wire_cell_deg2<G: CellGeometry<D>, const D: usize>(
                 // The point nearest the representative: the extra
                 // rep -> connector hop stays short, so the core costs
                 // roughly one full-degree hop per ring plus a local step.
-                let rep_pos = rep.map_or(G::pole(cols.source), |r| {
+                let rep_pos = rep.map_or(G::pole(store.source()), |r| {
                     G::connector_point(cm.window(r, r + 1), coords, &cm.ids[r..r + 1], 0)
                 });
                 let pos = nearest::<G, D>(cm, coords, (cs, end), rep_pos);
@@ -776,7 +778,7 @@ fn wire_cell_deg2<G: CellGeometry<D>, const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ndim::{NdGrid, NdStore};
+    use crate::ndim::{quant_row, NdGrid};
     use crate::{PolarGrid2, PolarGridBuilder, SphereGrid3, SphereGridBuilder};
     use omt_geom::{Ball, Disk, Point2, Point3, PointStore2, PointStore3, Region};
     use omt_rng::rngs::SmallRng;
@@ -811,13 +813,9 @@ mod tests {
 
     /// `nearest` against the double-evaluating `min_by` scan it replaced,
     /// on random windows of `store`, toward a stored point and the pole.
-    fn assert_nearest_is_first_min<G: CellGeometry<D>, const D: usize>(store: &G::Store) {
-        let StoreColumns {
-            source,
-            coords,
-            polar,
-        } = G::columns(store);
-        let n = polar[0].len();
+    fn assert_nearest_is_first_min<G: CellGeometry<D>, const D: usize>(store: &PointStore<D>) {
+        let (source, coords, polar) = (store.source(), store.coords(), store.grid());
+        let n = store.len();
         let cm = CellMajor::gather((0..n as u32).collect(), polar, 1);
         let mut rng = SmallRng::seed_from_u64(29);
         for _ in 0..2_000 {
@@ -859,14 +857,15 @@ mod tests {
         let ball: Vec<Point<4>> = Ball::<4>::unit().sample_n(&mut rng, 2_000);
         let ball = ball.into_iter().flat_map(|p| [p, p]).collect::<Vec<_>>();
         let source = Point::new([0.25, -0.5, 0.125, 0.0]);
-        assert_nearest_is_first_min::<NdGrid<4>, 4>(&NdStore::from_points(source, &ball, 1));
+        let store = PointStore::from_points_on(source, &ball, 1, quant_row);
+        assert_nearest_is_first_min::<NdGrid<4>, 4>(&store);
     }
 
     /// The build of `store` on `threads` workers equals the inline one,
     /// tree, radius bits and report alike.
     fn assert_threads_match<G: CellGeometry<D>, const D: usize>(
         builder: GridBuilder<D>,
-        store: &G::Store,
+        store: &PointStore<D>,
     ) {
         let (inline, inline_report) = builder.build_on::<G>(store, 1).unwrap();
         for threads in [2, 4] {
@@ -904,9 +903,7 @@ mod tests {
         let ball4: Vec<Point<4>> = Ball::<4>::unit().sample_n(&mut rng, 10_000);
         let builder =
             GridBuilder::<4>::with_degree(2).representative_strategy(RepStrategy::MinRadius);
-        assert_threads_match::<NdGrid<4>, 4>(
-            builder,
-            &NdStore::from_points(Point::ORIGIN, &ball4, 1),
-        );
+        let store = PointStore::from_points_on(Point::ORIGIN, &ball4, 1, quant_row);
+        assert_threads_match::<NdGrid<4>, 4>(builder, &store);
     }
 }

@@ -20,21 +20,19 @@
 //!
 //! The pipeline is the shared driver of [`crate::grid_builder`], with
 //! least-radius representatives and the degree-2 wiring of Section IV-A
-//! only: this module holds the quantile store and the grid's
+//! only: this module holds the quantile row transform and the grid's
 //! [`CellGeometry`]. The in-cell bisection is the binary kernel of
 //! [`crate::bisect`] (axes cycling radius → quantile axes), with carriers
 //! picked by closeness to the inner radius of the box being split. Any
 //! out-degree budget ≥ 2 is supported; the emitted tree always has
 //! out-degree ≤ 2.
 
-use omt_geom::Point;
+use omt_geom::{Point, PointStore};
 use omt_tree::MulticastTree;
 
 use crate::bisect::{Anchor, PolarBox};
 use crate::error::BuildError;
-use crate::grid_builder::{
-    obs_names, CellGeometry, GridBuilder, ObsNames, StoreColumns, SOA_CHUNK,
-};
+use crate::grid_builder::{obs_names, CellGeometry, GridBuilder, ObsNames};
 use crate::kselect::{locate_ring, shells};
 use crate::RepStrategy;
 
@@ -54,7 +52,7 @@ fn sin_power_integral(m: u32, x: f64) -> f64 {
 
 /// The grid coordinates of the source-relative vector `v`: its radius,
 /// then one quantile in `[0, 1)` per angular axis.
-fn quant_row<const D: usize>(v: &Point<D>) -> [f64; D] {
+pub(crate) fn quant_row<const D: usize>(v: &Point<D>) -> [f64; D] {
     let mut row = [0.0; D];
     row[0] = v.norm();
     // Residual squared norm of coordinates j.. (suffix sums).
@@ -94,53 +92,6 @@ fn angular_path<const D: usize>(polar: [&[f64]; D], i: usize, k: u32) -> u64 {
     path
 }
 
-/// The points of an n-D build as columns: the Cartesian coordinates, then
-/// the grid coordinates relative to the source (the radius, then the
-/// `D - 1` angular quantiles).
-pub(crate) struct NdStore<const D: usize> {
-    source: Point<D>,
-    coords: [Vec<f64>; D],
-    polar: [Vec<f64>; D],
-}
-
-impl<const D: usize> NdStore<D> {
-    /// The columns of `points` relative to `source`, filled in chunks of
-    /// [`SOA_CHUNK`] points on `threads` workers. Every row is a pure
-    /// function of its point, so the store is the same for every thread
-    /// count.
-    pub(crate) fn from_points(source: Point<D>, points: &[Point<D>], threads: usize) -> Self {
-        let n = points.len();
-        let mut coords: [Vec<f64>; D] = core::array::from_fn(|_| vec![0.0; n]);
-        let mut polar: [Vec<f64>; D] = core::array::from_fn(|_| vec![0.0; n]);
-        {
-            let mut coord_chunks = coords.each_mut().map(|c| c.chunks_mut(SOA_CHUNK));
-            let mut polar_chunks = polar.each_mut().map(|c| c.chunks_mut(SOA_CHUNK));
-            let mut chunks: Vec<_> = points
-                .chunks(SOA_CHUNK)
-                .map(|pts| {
-                    let c = coord_chunks.each_mut().map(|it| it.next().expect("n rows"));
-                    let q = polar_chunks.each_mut().map(|it| it.next().expect("n rows"));
-                    (pts, c, q)
-                })
-                .collect();
-            omt_par::par_map_indexed_mut(&mut chunks, threads, |_, (pts, c, q)| {
-                for (j, p) in pts.iter().enumerate() {
-                    let row = quant_row(&(*p - source));
-                    for d in 0..D {
-                        c[d][j] = p[d];
-                        q[d][j] = row[d];
-                    }
-                }
-            });
-        }
-        Self {
-            source,
-            coords,
-            polar,
-        }
-    }
-}
-
 /// The `k`-ring quantile grid over the covering `D`-ball of radius `rho`:
 /// ring `i` lies between shells `i - 1` and `i` (ring 0 is the inner
 /// ball), and its `2^i` cells halve the quantile axes in turn.
@@ -150,19 +101,10 @@ pub(crate) struct NdGrid<const D: usize> {
 }
 
 impl<const D: usize> CellGeometry<D> for NdGrid<D> {
-    type Store = NdStore<D>;
     /// No budget reaches a full-degree construction: every build runs the
     /// degree-2 wiring.
     const FULL_DEGREE: u32 = u32::MAX;
     const OBS: ObsNames = obs_names!("nd_grid");
-
-    fn columns(store: &NdStore<D>) -> StoreColumns<'_, D> {
-        StoreColumns {
-            source: store.source,
-            coords: store.coords.each_ref().map(Vec::as_slice),
-            polar: store.polar.each_ref().map(Vec::as_slice),
-        }
-    }
 
     fn new(k: u32, rho: f64) -> Self {
         Self {
@@ -351,7 +293,8 @@ impl NdGridBuilder {
         }
         let store = {
             let _store_span = omt_obs::obs_span!("nd_grid/store");
-            NdStore::from_points(source, points, driver.threads_for(points.len()))
+            let threads = driver.threads_for(points.len());
+            PointStore::from_points_on(source, points, threads, quant_row)
         };
         let (tree, report) = driver.build_checked::<NdGrid<D>>(&store)?;
         Ok((
@@ -394,9 +337,9 @@ mod tests {
         // uniform in [0,1): check first and second moments per axis.
         let mut rng = SmallRng::seed_from_u64(1);
         let pts = Ball::<4>::unit().sample_n(&mut rng, 20_000);
-        let store = NdStore::from_points(Point::ORIGIN, &pts, 1);
+        let store = PointStore::from_points_on(Point::ORIGIN, &pts, 1, quant_row);
         for axis in 0..3 {
-            let vals = &store.polar[1 + axis];
+            let vals = store.grid()[1 + axis];
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
             let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64;
             assert!((mean - 0.5).abs() < 0.01, "axis {axis} mean {mean}");
@@ -404,18 +347,28 @@ mod tests {
         }
     }
 
-    /// The chunked fill gives the same columns on one thread and several
-    /// (more than one chunk, so the threaded path runs).
+    /// The quantile fill over more than two chunks gives the same columns
+    /// on one thread and three, each point verbatim and its `quant_row`
+    /// bit for bit; non-finite points are stored as they are.
     #[test]
     fn store_fill_is_the_same_on_every_thread_count() {
+        use omt_geom::SOA_CHUNK;
         let mut rng = SmallRng::seed_from_u64(4);
-        let pts = Ball::<4>::unit().sample_n(&mut rng, SOA_CHUNK + 1000);
+        let mut pts = Ball::<4>::unit().sample_n(&mut rng, 2 * SOA_CHUNK + 1000);
+        pts[SOA_CHUNK + 1][2] = f64::NAN;
+        pts[2 * SOA_CHUNK + 7][0] = f64::NEG_INFINITY;
         let source = Point::new([0.1, -0.2, 0.0, 0.3]);
-        let inline = NdStore::from_points(source, &pts, 1);
-        let threaded = NdStore::from_points(source, &pts, 3);
-        assert_eq!(inline.coords, threaded.coords);
-        assert_eq!(inline.polar, threaded.polar);
-        assert_eq!(inline.coords[2][SOA_CHUNK + 5], pts[SOA_CHUNK + 5][2]);
+        let inline = PointStore::from_points_on(source, &pts, 1, quant_row);
+        let threaded = PointStore::from_points_on(source, &pts, 3, quant_row);
+        for (i, p) in pts.iter().enumerate() {
+            let row = quant_row(&(*p - source));
+            for store in [&inline, &threaded] {
+                for d in 0..4 {
+                    assert_eq!(store.coords()[d][i].to_bits(), p[d].to_bits(), "row {i}");
+                    assert_eq!(store.grid()[d][i].to_bits(), row[d].to_bits(), "row {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,14 +28,14 @@
 
 use core::f64::consts::TAU;
 
-use omt_geom::{Point2, PointStore2, PolarPoint};
+use omt_geom::{polar_row, Point2, PointStore2, PolarPoint};
 use omt_tree::MulticastTree;
 
 use crate::bisect::{ring_box, PolarBox};
 use crate::bounds::upper_bound_eq7;
 use crate::error::BuildError;
 use crate::grid2::PolarGrid2;
-use crate::grid_builder::{obs_names, CellGeometry, GridBuilder, ObsNames, StoreColumns};
+use crate::grid_builder::{obs_names, CellGeometry, GridBuilder, ObsNames};
 use crate::PolarGridReport;
 
 /// Builder for the `Polar_Grid` algorithm: the 2-D [`GridBuilder`].
@@ -86,8 +86,9 @@ impl GridBuilder<2> {
 
     /// Builds the multicast tree and returns the Table-I diagnostics.
     ///
-    /// The points are copied into a [`PointStore2`] relative to `source`
-    /// and built by [`PolarGridBuilder::build_store_with_report`].
+    /// The points are copied into a [`PointStore2`] relative to `source`, on
+    /// the build's thread count (inline for at most 65,536 points), and
+    /// built by [`PolarGridBuilder::build_store_with_report`].
     ///
     /// # Errors
     ///
@@ -108,7 +109,9 @@ impl GridBuilder<2> {
         source: Point2,
         points: &[Point2],
     ) -> Result<(MulticastTree<2>, PolarGridReport), BuildError> {
-        self.build_store_with_report(&PointStore2::from_points(source, points))
+        let store =
+            PointStore2::from_points_on(source, points, self.threads_for(points.len()), polar_row);
+        self.build_store_with_report(&store)
     }
 
     /// Builds the multicast tree from a structure-of-arrays point store
@@ -165,17 +168,8 @@ impl GridBuilder<2> {
 }
 
 impl CellGeometry<2> for PolarGrid2 {
-    type Store = PointStore2;
     const FULL_DEGREE: u32 = 6;
     const OBS: ObsNames = obs_names!("polar_grid");
-
-    fn columns(store: &PointStore2) -> StoreColumns<'_, 2> {
-        StoreColumns {
-            source: store.source(),
-            coords: [store.xs(), store.ys()],
-            polar: [store.radius(), store.angle()],
-        }
-    }
 
     fn new(k: u32, rho: f64) -> Self {
         PolarGrid2::new(k, rho)

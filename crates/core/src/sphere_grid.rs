@@ -7,13 +7,13 @@
 //! module holds the 3-D entry points and the spherical grid's
 //! [`CellGeometry`].
 
-use omt_geom::{Point3, PointStore3, SphericalPoint};
+use omt_geom::{spherical_row, Point3, PointStore3, SphericalPoint};
 use omt_tree::MulticastTree;
 
 use crate::bisect::PolarBox;
 use crate::error::BuildError;
 use crate::grid3::SphereGrid3;
-use crate::grid_builder::{obs_names, CellGeometry, GridBuilder, ObsNames, StoreColumns};
+use crate::grid_builder::{obs_names, CellGeometry, GridBuilder, ObsNames};
 use crate::PolarGridReport;
 
 /// Builder for the 3-D `Polar_Grid` algorithm over points in a ball: the
@@ -68,8 +68,9 @@ impl GridBuilder<3> {
 
     /// Builds the multicast tree and returns the diagnostics.
     ///
-    /// The points are copied into a [`PointStore3`] relative to `source`
-    /// and built by [`SphereGridBuilder::build_store_with_report`].
+    /// The points are copied into a [`PointStore3`] relative to `source`, on
+    /// the build's thread count (inline for at most 65,536 points), and
+    /// built by [`SphereGridBuilder::build_store_with_report`].
     ///
     /// The report's `bound` field is the 3-D analogue of equation (7):
     /// `ρ + c·D_0 + Σ_{i=1}^{k-1} D_i`, where `D_i` is the largest angular
@@ -88,7 +89,13 @@ impl GridBuilder<3> {
         source: Point3,
         points: &[Point3],
     ) -> Result<(MulticastTree<3>, PolarGridReport), BuildError> {
-        self.build_store_with_report(&PointStore3::from_points(source, points))
+        let store = PointStore3::from_points_on(
+            source,
+            points,
+            self.threads_for(points.len()),
+            spherical_row,
+        );
+        self.build_store_with_report(&store)
     }
 
     /// Builds the multicast tree from a structure-of-arrays point store
@@ -153,17 +160,8 @@ fn spherical(polar: [&[f64]; 3], i: usize) -> SphericalPoint {
 }
 
 impl CellGeometry<3> for SphereGrid3 {
-    type Store = PointStore3;
     const FULL_DEGREE: u32 = 10;
     const OBS: ObsNames = obs_names!("sphere_grid");
-
-    fn columns(store: &PointStore3) -> StoreColumns<'_, 3> {
-        StoreColumns {
-            source: store.source(),
-            coords: [store.xs(), store.ys(), store.zs()],
-            polar: [store.radius(), store.azimuth(), store.cos_polar()],
-        }
-    }
 
     fn new(k: u32, rho: f64) -> Self {
         SphereGrid3::new(k, rho)

@@ -124,6 +124,35 @@ fn phase_spans_cover_the_build_and_metrics_match_the_work() {
     );
 }
 
+/// A builder pinned to one thread spawns none on any pass of a slice
+/// build, the store fill included, even past one 65,536-point chunk: the
+/// pool records no `par/maps`. The same build on two threads does, so the
+/// counter is live.
+#[test]
+fn a_single_thread_builder_spawns_no_worker() {
+    if !omt_obs::enable_memory() {
+        eprintln!("skipping: recording mode already fixed externally");
+        return;
+    }
+    let n = 100_000;
+    let pts = Disk::unit().sample_n(&mut SmallRng::seed_from_u64(5), n);
+    let _ = omt_obs::take_local();
+    let tree = PolarGridBuilder::new()
+        .threads(1)
+        .build(Point2::ORIGIN, &pts)
+        .unwrap();
+    assert_eq!(tree.len(), n);
+    let reg = omt_obs::take_local();
+    assert_eq!(reg.counter("polar_grid/builds"), 1);
+    assert_eq!(reg.counter("par/maps"), 0, "threads(1) used the pool");
+    let tree = PolarGridBuilder::new()
+        .threads(2)
+        .build(Point2::ORIGIN, &pts)
+        .unwrap();
+    assert_eq!(tree.len(), n);
+    assert!(omt_obs::take_local().counter("par/maps") > 0);
+}
+
 /// The five phases tile the build span: together they must account for
 /// at least 90% of it (the remainder is validation glue), and nesting
 /// means they can never exceed it. The partition and finish phases are

@@ -60,4 +60,4 @@ pub use region::{
     deepest_interior, Annulus, Ball, BoxRegion, ConvexPolygon, Disk, Region, Translated,
 };
 pub use segment::{RingSegment, ShellCell};
-pub use soa::{PointStore2, PointStore3};
+pub use soa::{polar_row, spherical_row, PointStore, PointStore2, PointStore3, SOA_CHUNK};
