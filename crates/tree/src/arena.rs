@@ -492,8 +492,8 @@ impl<const D: usize> TreeArena<D> {
         self.into_tree_staged(order, 1, || points, |_| ())
     }
 
-    /// [`TreeArena::into_tree`] with the permute stage split over up to
-    /// `threads` scoped threads, the points produced by `points` at the
+    /// [`TreeArena::into_tree`] with the permute and CSR stages split over
+    /// up to `threads` scoped threads, the points produced by `points` at the
     /// points stage, and `stage` called as each [`FinishStage`] begins,
     /// what it returns dropped when the stage ends (the grid builders
     /// return a phase-span guard). The tree is the same for every thread
@@ -519,7 +519,10 @@ impl<const D: usize> TreeArena<D> {
     ///    [`crate::TreeBuilder`] moves its own vector in.
     /// 3. *CSR.* The children are scattered using the offset array itself
     ///    as the cursor (restored with a one-slot shift) instead of a
-    ///    cloned cursor array.
+    ///    cloned cursor array. With several threads, each owns one range of
+    ///    parent slots, cut at about equal child counts, and with it one
+    ///    range of the child list and of the cursors: it scans the whole
+    ///    parent array and writes its own slots' children, in id order.
     ///
     /// # Errors
     ///
@@ -626,16 +629,43 @@ impl<const D: usize> TreeArena<D> {
 
         let _csr = stage(FinishStage::Csr);
         // Scatter children using child_offsets[0..=n] as in-place cursors.
+        // Each thread owns one range of parent slots, cut so the ranges
+        // hold about equal numbers of children, and with it one range of
+        // the child list and of the cursors. It scans the whole id-ordered
+        // parent array and writes only its own slots' children, in id
+        // order, so every child list is ascending for every thread count.
         let mut child_list = vec![0u32; n];
-        for (child, &p) in parent.iter().enumerate() {
-            let slot = if p == SOURCE_PARENT {
-                0
-            } else {
-                p as usize + 1
-            };
-            child_list[child_offsets[slot] as usize] = child as u32;
-            child_offsets[slot] += 1;
-        }
+        let cut = |t: usize| match t {
+            0 => 0,
+            t if t == parts => n + 1,
+            t => child_offsets[..=n].partition_point(|&o| (o as usize) < t * n / parts),
+        };
+        let slot_ranges: Vec<(usize, usize)> = (0..parts).map(|t| (cut(t), cut(t + 1))).collect();
+        // Slot range [a, b) owns the children child_offsets[a]..child_offsets[b].
+        let list_ranges: Vec<(usize, usize)> = slot_ranges
+            .iter()
+            .map(|&(a, b)| (child_offsets[a] as usize, child_offsets[b] as usize))
+            .collect();
+        let scatter = slot_ranges
+            .iter()
+            .zip(split_ranges(&mut child_offsets[..=n], &slot_ranges))
+            .zip(list_ranges.iter())
+            .zip(split_ranges(&mut child_list, &list_ranges))
+            .collect();
+        let parent_ids = &parent;
+        for_each_part(scatter, |(((&(a, _), cursors), &(base, _)), list)| {
+            for (child, &p) in parent_ids.iter().enumerate() {
+                let slot = if p == SOURCE_PARENT {
+                    0
+                } else {
+                    p as usize + 1
+                };
+                if let Some(cursor) = cursors.get_mut(slot.wrapping_sub(a)) {
+                    list[*cursor as usize - base] = child as u32;
+                    *cursor += 1;
+                }
+            }
+        });
         // After the scatter, cursor[slot] == original offsets[slot + 1] for
         // every slot in 0..=n, so shifting right by one restores the offset
         // array exactly, without a cloned cursor.
@@ -720,9 +750,9 @@ mod tests {
         for order in [identity, shuffled] {
             let row = inverse(&order);
             let arena = fill(&order);
-            for id in 0..8 {
+            for (id, &r) in row.iter().enumerate() {
                 assert_eq!(
-                    arena.depth_of(row[id]).map(f64::to_bits),
+                    arena.depth_of(r).map(f64::to_bits),
                     Some(expected.depth(id).to_bits())
                 );
             }
@@ -734,6 +764,59 @@ mod tests {
                         .clone()
                         .into_tree_staged(order.clone(), threads, || pts.clone(), |_| ());
                 assert_eq!(tree.unwrap(), expected, "threads {threads}");
+            }
+        }
+    }
+
+    /// The finish split over 2 to 4 threads gives the 1-thread tree under
+    /// skewed fan-in, in id row order and a shuffled one: every child under
+    /// the source (so every part but the first owns no child), one hub
+    /// holding more than half of the children, and a random recursive
+    /// tree. Every child list stays ascending by id.
+    #[test]
+    fn split_finish_matches_one_thread_under_skewed_fan_in() {
+        let n = 40;
+        let pts = points(n);
+        let shapes: [fn(usize) -> Option<usize>; 3] = [
+            |_| None,
+            |i| (i != 7 && i % 4 != 0).then_some(7),
+            |i| (i > 0).then(|| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize % i),
+        ];
+        for (shape, parent_of) in shapes.iter().enumerate() {
+            for order in orders(n) {
+                let row = inverse(&order);
+                // Rounds in id order, each attaching the nodes whose parent
+                // is attached.
+                let mut arena = TreeArena::new(Point2::ORIGIN, n);
+                let mut pending: Vec<usize> = (0..n).collect();
+                while !pending.is_empty() {
+                    pending.retain(|&id| match parent_of(id) {
+                        None => {
+                            arena.attach_to_source(row[id], pts[id]).unwrap();
+                            false
+                        }
+                        Some(p) if arena.is_attached(row[p]) => {
+                            arena
+                                .attach(row[id], pts[id], row[p], p as NodeId, pts[p])
+                                .unwrap();
+                            false
+                        }
+                        Some(_) => true,
+                    });
+                }
+                let finish = |threads| {
+                    arena
+                        .clone()
+                        .into_tree_staged(order.clone(), threads, || pts.clone(), |_| ())
+                        .unwrap()
+                };
+                let expected = finish(1);
+                for id in 0..n {
+                    assert!(expected.children(id).windows(2).all(|w| w[0] < w[1]));
+                }
+                for threads in 2..=4 {
+                    assert_eq!(finish(threads), expected, "shape {shape} threads {threads}");
+                }
             }
         }
     }
