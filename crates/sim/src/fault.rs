@@ -167,22 +167,10 @@ impl<M: Clone> Network<M> {
         self.queue.now()
     }
 
-    /// Pending deliveries (messages in flight plus timers).
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Delivery accounting so far.
     #[inline]
     pub fn stats(&self) -> NetStats {
         self.stats
-    }
-
-    /// The fault plan in force.
-    #[inline]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Sends `msg` from `src` to `dst` over a link of propagation delay
