@@ -720,7 +720,7 @@ mod tests {
             path.push(if r == 0 {
                 0
             } else {
-                ((z >> 8) % (1u64 << r) << (k_max - r)) as u32
+                (((z >> 8) % (1u64 << r)) << (k_max - r)) as u32
             });
         }
         Assignments::from_columns(k_max, ring, path)

@@ -57,19 +57,19 @@ fn churn_and_validate(degree: u32, seed: u64, events: usize) -> usize {
 
 #[test]
 fn every_event_invariants_degree_2() {
-    let leaves = churn_and_validate(2, 0xC0FFEE_02, 2000);
+    let leaves = churn_and_validate(2, 0xC0FF_EE02, 2000);
     assert!(leaves > 400, "workload produced too few leaves: {leaves}");
 }
 
 #[test]
 fn every_event_invariants_degree_4() {
-    let leaves = churn_and_validate(4, 0xC0FFEE_04, 2000);
+    let leaves = churn_and_validate(4, 0xC0FF_EE04, 2000);
     assert!(leaves > 400, "workload produced too few leaves: {leaves}");
 }
 
 #[test]
 fn every_event_invariants_degree_6() {
-    let leaves = churn_and_validate(6, 0xC0FFEE_06, 2000);
+    let leaves = churn_and_validate(6, 0xC0FF_EE06, 2000);
     assert!(leaves > 400, "workload produced too few leaves: {leaves}");
 }
 

@@ -7,6 +7,8 @@
 //! radius, seed-pinned golden streams and cross-thread parity would be
 //! meaningless.
 
+use core::f64::consts::TAU;
+
 use omt_core::{Bisection, PolarGridBuilder};
 use omt_geom::Point2;
 use omt_rng::proptest::{any, collection, Strategy};
@@ -127,7 +129,7 @@ props! {
     #[cases(48)]
     fn rotation_preserves_the_quality_envelope(
         points in generic_points(),
-        theta in 0.0f64..6.28318,
+        theta in 0.0f64..TAU,
     ) {
         // An arbitrary rotation moves points across the fixed angular
         // cell boundaries, so the tree (and its radius) may legitimately

@@ -1,6 +1,8 @@
 //! Property-based tests of the core algorithms, beyond the uniform-disk
 //! workloads: clustered, collinear, duplicated, and adversarial inputs.
 
+use core::f64::consts::TAU;
+
 use omt_core::{Bisection, PolarGridBuilder, SphereGridBuilder};
 use omt_geom::{Point2, Point3};
 use omt_rng::proptest::{any, collection, Strategy};
@@ -14,7 +16,7 @@ fn adversarial_points() -> impl Strategy<Value = Vec<Point2>> {
             .map(|i| base + Point2::new([i as f64 * 1e-4, (i % 3) as f64 * 1e-4]))
             .collect::<Vec<_>>()
     });
-    let line = (0.0f64..6.28, 1usize..40).prop_map(|(angle, m)| {
+    let line = (0.0f64..TAU, 1usize..40).prop_map(|(angle, m)| {
         (1..=m)
             .map(|i| {
                 let r = i as f64 * 0.05;

@@ -61,7 +61,6 @@ fn fault_mix() -> FaultPlan {
             end: 15.0,
             bit: 1,
         }],
-        ..FaultPlan::none()
     }
 }
 

@@ -212,7 +212,6 @@ props! {
                 jitter,
                 fault_until: 35.0,
                 partitions: vec![Partition { start: 8.0, end: 20.0, bit }],
-                ..FaultPlan::none()
             },
             drift: CoordDrift { drift: 0.1, stale_fraction: 0.25 },
             crashes: 6,

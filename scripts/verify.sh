@@ -67,6 +67,15 @@ OMT_THREADS=4 cargo test -q --release --offline -p omt-sim -p omt-proto
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+# Lints are part of the contract too: clippy on every target, warnings as
+# errors, once as built and once with the observability hooks compiled in
+# (the span guards differ between the two builds).
+echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --offline --workspace --all-targets --features omt-bench/obs -- -D warnings"
+cargo clippy --offline --workspace --all-targets --features omt-bench/obs -- -D warnings
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -75,6 +84,9 @@ cargo fmt --check
 # here, so an API change that breaks it fails verification.
 echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
 cargo test --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings"
+cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 
 echo "==> cargo fmt --check --manifest-path benchmark/Cargo.toml"
 cargo fmt --check --manifest-path benchmark/Cargo.toml

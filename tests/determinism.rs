@@ -54,7 +54,7 @@ const PINNED_RADII: [(u64, usize, f64); 6] = [
     (2004, 10_000, 1.114_178_643_433_743_7),
     (2005, 100, 1.805_383_687_313_799_8),
     (2005, 1_000, 1.285_077_066_044_268_7),
-    (2005, 10_000, 1.099_604_644_238_691_1),
+    (2005, 10_000, 1.099_604_644_238_691),
 ];
 
 #[test]
