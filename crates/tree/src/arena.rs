@@ -628,12 +628,10 @@ impl<const D: usize> TreeArena<D> {
         drop(points_stage);
 
         let _csr = stage(FinishStage::Csr);
-        // Scatter children using child_offsets[0..=n] as in-place cursors.
-        // Each thread owns one range of parent slots, cut so the ranges
-        // hold about equal numbers of children, and with it one range of
-        // the child list and of the cursors. It scans the whole id-ordered
-        // parent array and writes only its own slots' children, in id
-        // order, so every child list is ascending for every thread count.
+        // Scatter children using child_offsets[0..=n] as in-place cursors,
+        // one range of parent slots per thread (step 3 above). Each thread
+        // visits the children in id order, so every child list is
+        // ascending for every thread count.
         let mut child_list = vec![0u32; n];
         let cut = |t: usize| match t {
             0 => 0,
