@@ -46,8 +46,8 @@ pub mod host;
 pub mod messages;
 pub mod sim;
 
-pub use host::{ChildLink, HostState, Parent};
-pub use messages::Msg;
+pub use host::{Cell, ChildLink, HostState, Parent};
+pub use messages::{Handoff, Msg};
 pub use sim::{ProtoConfig, ProtoReport, ProtoSim, SOURCE};
 
 #[cfg(test)]

@@ -9,10 +9,14 @@
 //! (`Gossip`), and local timers (`Tick`/`RetryJoin`/`JoinNow`/`LeaveNow`/
 //! `CrashNow`).
 
-use omt_core::CellId;
 use omt_sim::engine::HostId;
 
-/// A protocol message (or local timer event).
+use crate::host::Cell;
+
+/// A protocol message (or local timer event). Every pending delivery
+/// holds one, so it stays at 40 bytes: the variable-length fields of the
+/// common messages are one pointer and a length, and the rare `Handoff`
+/// sits behind one `Box`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// A host asks to join the tree, targeting the polar cell its
@@ -22,9 +26,10 @@ pub enum Msg {
         /// The joining host.
         joiner: HostId,
         /// The cell the joiner's advertised coordinate falls in.
-        cell: CellId,
-        /// Hosts that must not accept (grown after detected cycles).
-        avoid: Vec<HostId>,
+        cell: Cell,
+        /// Hosts that must not accept (grown after detected cycles);
+        /// empty, and so not allocated, in almost every join.
+        avoid: Box<[HostId]>,
         /// Forwarding hops consumed so far (loop/staleness bound).
         hops: u32,
     },
@@ -60,18 +65,8 @@ pub enum Msg {
         /// The child that takes over the leaver's tree position.
         successor: Option<HostId>,
     },
-    /// The leaver's state transfer to its successor: the parent to attach
-    /// under, the siblings to adopt, and the routing entries to inherit.
-    Handoff {
-        /// The departing host.
-        from: HostId,
-        /// The leaver's parent, which the successor attaches under.
-        parent: HostId,
-        /// The leaver's other children, for the successor to adopt.
-        children: Vec<HostId>,
-        /// The leaver's cell routing entries.
-        routes: Vec<(CellId, HostId)>,
-    },
+    /// The leaver's state transfer to its successor.
+    Handoff(Box<Handoff>),
     /// Tells an adopted host who its new parent is.
     NewParent {
         /// The new parent.
@@ -101,7 +96,7 @@ pub enum Msg {
         /// The gossiping child.
         from: HostId,
         /// Cells whose subtrees are reachable via the child.
-        cells: Vec<CellId>,
+        cells: Vec<Cell>,
     },
     /// Local timer: keepalive + liveness sweep.
     Tick,
@@ -117,6 +112,20 @@ pub enum Msg {
     LeaveNow,
     /// Local timer: the host fail-stops silently.
     CrashNow,
+}
+
+/// The payload of [`Msg::Handoff`]: the parent to attach under, the
+/// siblings to adopt, and the routing entries to inherit.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Handoff {
+    /// The departing host.
+    pub from: HostId,
+    /// The leaver's parent, which the successor attaches under.
+    pub parent: HostId,
+    /// The leaver's other children, for the successor to adopt.
+    pub children: Vec<HostId>,
+    /// The leaver's cell routing entries, sorted by cell.
+    pub routes: Vec<(Cell, HostId)>,
 }
 
 impl Msg {
@@ -153,7 +162,7 @@ impl Msg {
             Msg::Pong { .. } => 4,
             Msg::NotChild { .. } => 5,
             Msg::Leave { .. } => 6,
-            Msg::Handoff { .. } => 7,
+            Msg::Handoff(_) => 7,
             Msg::NewParent { .. } => 8,
             Msg::Orphaned => 9,
             Msg::Probe { .. } => 10,
@@ -183,8 +192,8 @@ mod tests {
             (
                 Msg::JoinReq {
                     joiner: 1,
-                    cell: (0, 0),
-                    avoid: Vec::new(),
+                    cell: 0,
+                    avoid: Box::default(),
                     hops: 0,
                 },
                 "join_req",
@@ -202,12 +211,12 @@ mod tests {
                 "leave",
             ),
             (
-                Msg::Handoff {
+                Msg::Handoff(Box::new(Handoff {
                     from: 1,
                     parent: 0,
                     children: Vec::new(),
                     routes: Vec::new(),
-                },
+                })),
                 "handoff",
             ),
             (Msg::NewParent { parent: 0 }, "new_parent"),
@@ -238,5 +247,15 @@ mod tests {
             assert_eq!(msg.ordinal(), i, "{label}");
             assert_eq!(msg.kind(), *label);
         }
+    }
+
+    #[test]
+    fn messages_stay_within_40_bytes() {
+        // The event queue's slab holds one per pending delivery.
+        assert!(
+            std::mem::size_of::<Msg>() <= 40,
+            "{} B",
+            std::mem::size_of::<Msg>()
+        );
     }
 }

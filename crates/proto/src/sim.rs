@@ -33,18 +33,21 @@
 
 use std::collections::BTreeMap;
 
-use omt_core::{bounds::min_rings_estimate, CellId, PolarGrid2};
+use omt_core::{bounds::min_rings_estimate, PolarGrid2};
 use omt_geom::{Point2, PolarPoint};
 use omt_obs::{obs_count, obs_observe, obs_span};
 use omt_sim::engine::HostId;
 use omt_sim::{Delivery, FaultPlan, NetStats, Network};
 
-use crate::host::{ChildLink, HostState, Parent};
-use crate::messages::Msg;
+use crate::host::{cell_index, parent_cell, Cell, ChildLink, HostState, Parent};
+use crate::messages::{Handoff, Msg};
 
 /// The rendezvous host id. Always on side 0 of every
 /// [`Partition`](omt_sim::Partition), like the paper's source.
 pub const SOURCE: HostId = 0;
+
+/// Routing cells shared per gossip message (besides the own cell).
+const GOSSIP_FANOUT: usize = 8;
 
 /// Deployment parameters and schedules for one protocol run.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,8 +75,6 @@ pub struct ProtoConfig {
     pub retry_backoff: f64,
     /// Maximum forwarding hops for one `JoinReq` copy.
     pub max_join_hops: u32,
-    /// Routing cells shared per gossip message (besides the own cell).
-    pub gossip_fanout: usize,
     /// Network fault schedule.
     pub faults: FaultPlan,
     /// Graceful departures: `(time, host)`.
@@ -100,7 +101,6 @@ impl ProtoConfig {
             deadline: 400.0,
             retry_backoff: 3.0,
             max_join_hops: 96,
-            gossip_fanout: 8,
             faults: FaultPlan::none(),
             leaves: Vec::new(),
             crashes: Vec::new(),
@@ -154,6 +154,8 @@ pub struct ProtoSim {
     /// Messages sent, indexed by [`Msg::ordinal`] (network messages
     /// only, not timers).
     counts: [u64; Msg::KINDS.len()],
+    /// The `cells` buffer of the last delivered gossip, for the next one.
+    spare_cells: Vec<Cell>,
     last_change: f64,
     end_time: f64,
 }
@@ -173,9 +175,9 @@ impl ProtoSim {
         let n = truth.len();
         let grid = PolarGrid2::new(cfg.rings, cfg.rho);
         let mut hosts = Vec::with_capacity(n + 1);
-        hosts.push(HostState::new(Point2::ORIGIN, Point2::ORIGIN, (0, 0)));
+        hosts.push(HostState::new(Point2::ORIGIN, Point2::ORIGIN, 0));
         for (t, a) in truth.iter().zip(advertised) {
-            let cell = grid.cell_of(&PolarPoint::from_cartesian(a));
+            let cell = cell_index(grid.cell_of(&PolarPoint::from_cartesian(a)));
             hosts.push(HostState::new(*t, *a, cell));
         }
         let mut net = Network::new(cfg.faults.clone(), cfg.base_latency, seed);
@@ -199,6 +201,7 @@ impl ProtoSim {
             hosts,
             net,
             counts: [0; Msg::KINDS.len()],
+            spare_cells: Vec::new(),
             last_change: 0.0,
             end_time: 0.0,
         }
@@ -316,12 +319,7 @@ impl ProtoSim {
             }
             Msg::NotChild { from } => self.on_not_child(me, from),
             Msg::Leave { from, successor } => self.on_leave(me, from, successor),
-            Msg::Handoff {
-                from,
-                parent,
-                children,
-                routes,
-            } => self.on_handoff(me, from, parent, children, routes),
+            Msg::Handoff(handoff) => self.on_handoff(me, *handoff),
             Msg::NewParent { parent } => {
                 let now = self.net.now();
                 let h = &mut self.hosts[me as usize];
@@ -357,7 +355,7 @@ impl ProtoSim {
             }
             h.epoch += 1;
             h.backoff = self.cfg.retry_backoff;
-            (h.epoch, h.backoff, h.cell, h.avoid.clone())
+            (h.epoch, h.backoff, h.cell, h.avoid.as_slice().into())
         };
         obs_count!("proto/joins");
         self.send(
@@ -381,7 +379,7 @@ impl ProtoSim {
                 return;
             }
             h.backoff = (h.backoff * 1.5).min(4.0 * self.cfg.keepalive);
-            (h.backoff, h.cell, h.avoid.clone())
+            (h.backoff, h.cell, h.avoid.as_slice().into())
         };
         self.send(
             me,
@@ -403,19 +401,19 @@ impl ProtoSim {
     fn route_lookup(
         &self,
         me: HostId,
-        target: CellId,
+        target: Cell,
         joiner: HostId,
         avoid: &[HostId],
     ) -> Option<HostId> {
         let h = &self.hosts[me as usize];
         let mut cell = Some(target);
         while let Some(c) = cell {
-            if let Some(&hop) = h.routes.get(&c) {
+            if let Some(hop) = h.route(c) {
                 if hop != joiner && hop != me && !avoid.contains(&hop) {
                     return Some(hop);
                 }
             }
-            cell = self.grid.parent(c.0, c.1);
+            cell = parent_cell(c);
         }
         None
     }
@@ -424,8 +422,8 @@ impl ProtoSim {
         &mut self,
         me: HostId,
         joiner: HostId,
-        cell: CellId,
-        avoid: Vec<HostId>,
+        cell: Cell,
+        avoid: Box<[HostId]>,
         hops: u32,
     ) {
         if joiner == me || (me != SOURCE && !self.hosts[me as usize].attached()) {
@@ -489,7 +487,7 @@ impl ProtoSim {
         self.send(me, joiner, Msg::Redirect);
     }
 
-    fn accept(&mut self, me: HostId, joiner: HostId, cell: CellId) {
+    fn accept(&mut self, me: HostId, joiner: HostId, cell: Cell) {
         let now = self.net.now();
         let my_cell = self.hosts[me as usize].cell;
         let h = &mut self.hosts[me as usize];
@@ -504,7 +502,7 @@ impl ProtoSim {
             // cell's representative: record the route. In-cell members
             // get no entry (the acceptor itself covers the cell).
             if me == SOURCE || cell != my_cell {
-                h.routes.entry(cell).or_insert(joiner);
+                h.add_route(cell, joiner);
             }
             self.last_change = now;
         }
@@ -620,9 +618,10 @@ impl ProtoSim {
                     );
                 }
                 let h = &self.hosts[me as usize];
-                let mut cells = Vec::with_capacity(1 + self.cfg.gossip_fanout);
+                let mut cells = std::mem::take(&mut self.spare_cells);
+                cells.clear();
                 cells.push(h.cell);
-                cells.extend(h.routes.keys().take(self.cfg.gossip_fanout).copied());
+                cells.extend(h.routes.iter().take(GOSSIP_FANOUT).map(|&(c, _)| c));
                 self.send(me, p, Msg::Gossip { from: me, cells });
             }
         }
@@ -670,21 +669,22 @@ impl ProtoSim {
         }
     }
 
-    fn on_gossip(&mut self, me: HostId, from: HostId, cells: Vec<CellId>) {
+    fn on_gossip(&mut self, me: HostId, from: HostId, cells: Vec<Cell>) {
         let now = self.net.now();
         let my_cell = self.hosts[me as usize].cell;
         let h = &mut self.hosts[me as usize];
         match h.child_index(from) {
             Some(i) => {
                 h.children[i].last_heard = now;
-                for cell in cells {
+                for &cell in &cells {
                     if me == SOURCE || cell != my_cell {
-                        h.routes.entry(cell).or_insert(from);
+                        h.add_route(cell, from);
                     }
                 }
             }
             None => self.send(me, from, Msg::NotChild { from: me }),
         }
+        self.spare_cells = cells;
     }
 
     fn on_leave_now(&mut self, me: HostId) {
@@ -696,7 +696,7 @@ impl ProtoSim {
             (
                 h.parent,
                 h.children.iter().map(|c| c.id).collect::<Vec<_>>(),
-                h.routes.iter().map(|(&c, &h)| (c, h)).collect::<Vec<_>>(),
+                h.routes.clone(),
             )
         };
         self.last_change = now;
@@ -716,12 +716,12 @@ impl ProtoSim {
                 self.send(
                     me,
                     s,
-                    Msg::Handoff {
+                    Msg::Handoff(Box::new(Handoff {
                         from: me,
                         parent: p,
                         children: children[1..].to_vec(),
                         routes,
-                    },
+                    })),
                 );
             }
             (Some(_), Parent::Detached) => {
@@ -748,14 +748,13 @@ impl ProtoSim {
         self.last_change = now;
     }
 
-    fn on_handoff(
-        &mut self,
-        me: HostId,
-        from: HostId,
-        parent: HostId,
-        children: Vec<HostId>,
-        routes: Vec<(CellId, HostId)>,
-    ) {
+    fn on_handoff(&mut self, me: HostId, handoff: Handoff) {
+        let Handoff {
+            parent,
+            children,
+            routes,
+            ..
+        } = handoff;
         let now = self.net.now();
         let cap = self.cap();
         let (adopted, dropped) = {
@@ -783,10 +782,9 @@ impl ProtoSim {
             // children — anything else would be an unhealable route.
             for (cell, host) in routes {
                 if host != me && h.child_index(host).is_some() {
-                    h.routes.entry(cell).or_insert(host);
+                    h.add_route(cell, host);
                 }
             }
-            let _ = from;
             (adopted, dropped)
         };
         self.last_change = now;

@@ -25,19 +25,27 @@
 //! touches a payload.
 //!
 //! The keys sit in a monotone radix queue (the radix heap of Ahuja,
-//! Mehlhorn, Orlin & Tarjan, JACM 1990): `schedule` never goes below
-//! `now`, so every pending key is at or after the current instant.
+//! Mehlhorn, Orlin & Tarjan, JACM 1990) with 4-bit digits: `schedule`
+//! never goes below `now`, so every pending key is at or after the
+//! current instant.
 //!
-//! * **Buckets.** `base` is the `tk` of the current instant. A key's
-//!   bucket is the position of the highest bit in which its `tk` differs
-//!   from `base`, plus one; bucket 0 holds the keys at the current
-//!   instant. Every time the queue accepts is `≥ ±0.0`, so every `tk`
-//!   has its top bit set and 64 buckets cover them all.
+//! * **Buckets.** `base` is the `tk` of the current instant; bucket 0
+//!   holds the keys at the current instant. Any other key sits in bucket
+//!   `1 + 16·level + digit`: `level` is the highest bit in which its `tk`
+//!   differs from `base`, divided by 4, and `digit` is the key's own
+//!   4-bit digit at that level. Above that digit the key agrees with
+//!   `base`, and at it the key's digit is the larger, so the 257 buckets
+//!   in index order hold ever larger keys. Every time the queue accepts
+//!   is `≥ ±0.0`, so every `tk` has its top bit set and the 16 levels
+//!   cover them all.
 //! * **Pops** read bucket 0 from the front. When it is empty, a *refill*
-//!   takes the lowest non-empty bucket (found in the `u64` occupancy
+//!   takes the lowest non-empty bucket (found in the 256-bit occupancy
 //!   mask), makes its minimum `tk` (kept up to date on every push) the
 //!   new `base`, and redistributes its keys in one pass into lower
-//!   buckets; a bucket holding one key becomes bucket 0 as it is.
+//!   buckets; a bucket holding one key becomes bucket 0 as it is. The
+//!   keys of bucket `(level, digit)` share every bit from that digit up
+//!   with the new `base`, so each lands on a lower level: a key moves
+//!   at most once per level before it pops.
 //! * **Signed zeros.** −0.0 is bucketed as +0.0, so bucket 0 is exactly
 //!   the f64 `==` instant. Inside bucket 0 keys stay in `(tk, seq)`
 //!   order: refills and schedules append in `seq` order, and a −0.0 key,
@@ -50,7 +58,8 @@
 //!   chunk goes back at once. Beyond the chunks its keys fill, the pool
 //!   therefore holds only the partly filled first and last chunks of the
 //!   buckets, where buckets that each kept their own `Vec` would keep
-//!   the capacity of every bucket's high-water mark.
+//!   the capacity of every bucket's high-water mark. With 257 buckets
+//!   more chunks sit partly filled, so chunks are small.
 //!
 //! `tests/queue_oracle.rs` checks the whole contract against a plain
 //! `BinaryHeap` of whole deliveries.
@@ -96,18 +105,28 @@ const POS_ZERO_TK: u64 = 1 << 63;
 /// `time_key(-0.0)`, the one `tk` below `POS_ZERO_TK` a queue can hold.
 const NEG_ZERO_TK: u64 = !(1 << 63);
 
-/// Number of buckets: bucket 0 plus one per bit below the top bit, which
-/// every image of a time `≥ ±0.0` has set.
-const BUCKETS: usize = 64;
+/// Bits per radix digit.
+const DIGIT_BITS: u32 = 4;
+/// Digit values per level.
+const DIGITS: usize = 1 << DIGIT_BITS;
+/// Number of buckets: bucket 0 plus one per digit value at each of the
+/// 16 levels of a 64-bit `tk`.
+const BUCKETS: usize = 1 + (u64::BITS / DIGIT_BITS) as usize * DIGITS;
 
-/// The bucket of an image whose bits differ from `base` in `diff`.
+/// The bucket of a key whose image `tk` is at or above `base`.
 #[inline]
-fn bucket_of(diff: u64) -> usize {
-    (u64::BITS - diff.leading_zeros()) as usize
+fn bucket_of(tk: u64, base: u64) -> usize {
+    let diff = tk ^ base;
+    if diff == 0 {
+        return 0;
+    }
+    let level = (u64::BITS - 1 - diff.leading_zeros()) / DIGIT_BITS;
+    let digit = (tk >> (level * DIGIT_BITS)) as usize & (DIGITS - 1);
+    1 + level as usize * DIGITS + digit
 }
 
 /// Keys per storage chunk.
-const CHUNK: usize = 256;
+const CHUNK: usize = 64;
 /// The null chunk link.
 const NIL: u32 = u32::MAX;
 
@@ -125,7 +144,8 @@ struct Key {
 /// Fixed-size key chunks shared by every bucket, with a LIFO free list
 /// threaded through `next`.
 struct Pool {
-    chunks: Vec<Box<[Key; CHUNK]>>,
+    /// Each `CHUNK` keys long.
+    chunks: Vec<Box<[Key]>>,
     /// The next chunk of the same bucket, or of the free list.
     next: Vec<u32>,
     free: u32,
@@ -149,7 +169,8 @@ impl Pool {
             c
         } else {
             let c = u32::try_from(self.chunks.len()).expect("under 2^32 chunks");
-            self.chunks.push(Box::new([Key::default(); CHUNK]));
+            self.chunks
+                .push(vec![Key::default(); CHUNK].into_boxed_slice());
             self.next.push(NIL);
             c
         };
@@ -323,8 +344,9 @@ impl<M> Slab<M> {
 pub struct EventQueue<M> {
     /// Radix buckets of the pending keys; bucket 0 is the current instant.
     buckets: [Bucket; BUCKETS],
-    /// Bit `b` is set iff bucket `b ≥ 1` is non-empty.
-    occupied: u64,
+    /// Bit `b - 1` (word `(b - 1) / 64`) is set iff bucket `b ≥ 1` is
+    /// non-empty.
+    occupied: [u64; (BUCKETS - 1) / 64],
     /// `tk` of the current instant (+0.0's at ±0.0); no pending key but
     /// a −0.0 one is below it.
     base: u64,
@@ -346,7 +368,7 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         Self {
             buckets: [Bucket::EMPTY; BUCKETS],
-            occupied: 0,
+            occupied: [0; (BUCKETS - 1) / 64],
             base: POS_ZERO_TK,
             pool: Pool::new(),
             slab: Slab {
@@ -402,9 +424,15 @@ impl<M> EventQueue<M> {
             self.insert_neg_zero(key);
             return;
         }
-        let b = bucket_of(key.tk ^ self.base);
+        self.push(key);
+    }
+
+    /// Files `key` (at or above `base`) in its bucket.
+    #[inline]
+    fn push(&mut self, key: Key) {
+        let b = bucket_of(key.tk, self.base);
         if self.buckets[b].push(&mut self.pool, key) && b > 0 {
-            self.occupied |= 1 << b;
+            self.occupied[(b - 1) / 64] |= 1 << ((b - 1) % 64);
         }
     }
 
@@ -429,11 +457,11 @@ impl<M> EventQueue<M> {
     /// bucket is.
     fn refill(&mut self) -> bool {
         debug_assert_eq!(self.buckets[0].len, 0);
-        if self.occupied == 0 {
+        let Some(w) = self.occupied.iter().position(|&m| m != 0) else {
             return false;
-        }
-        let i = self.occupied.trailing_zeros() as usize;
-        self.occupied &= self.occupied - 1;
+        };
+        let i = 1 + 64 * w + self.occupied[w].trailing_zeros() as usize;
+        self.occupied[w] &= self.occupied[w] - 1;
         let src = std::mem::replace(&mut self.buckets[i], Bucket::EMPTY);
         self.base = src.min;
         obs_count!("sim/queue/refills");
@@ -451,11 +479,7 @@ impl<M> EventQueue<M> {
                 CHUNK
             };
             for j in 0..end {
-                let key = self.pool.chunks[c as usize][j];
-                let b = bucket_of(key.tk ^ self.base);
-                if self.buckets[b].push(&mut self.pool, key) && b > 0 {
-                    self.occupied |= 1 << b;
-                }
+                self.push(self.pool.chunks[c as usize][j]);
             }
             let next = self.pool.next[c as usize];
             self.pool.release(c);
@@ -683,6 +707,50 @@ mod tests {
             c = q.pool.next[c as usize];
         }
         free
+    }
+
+    #[test]
+    fn bucket_index_order_is_key_order() {
+        // From several bases, a key at every level and digit above the
+        // base (bucket 0 for the base itself): each lands in bucket
+        // `1 + 16·level + digit`, and sorting the keys sorts the buckets.
+        use omt_rng::{rngs::SmallRng, RngExt, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut bases = vec![POS_ZERO_TK, time_key(445.0), u64::MAX - 1];
+        bases.extend((0..20).map(|_| rng.random::<u64>() | POS_ZERO_TK));
+        let mut hit = [false; BUCKETS];
+        for base in bases {
+            let mut keyed = vec![(base, 0)];
+            for level in 0..u64::BITS / DIGIT_BITS {
+                let shift = level * DIGIT_BITS;
+                let own = (base >> shift) as usize & (DIGITS - 1);
+                for digit in own + 1..DIGITS {
+                    let above = base >> shift >> DIGIT_BITS << DIGIT_BITS << shift;
+                    let low = rng.random::<u64>() & ((1 << shift) - 1);
+                    let tk = above | (digit as u64) << shift | low;
+                    let b = bucket_of(tk, base);
+                    assert_eq!(
+                        b,
+                        1 + level as usize * DIGITS + digit,
+                        "{tk:#x} over {base:#x}"
+                    );
+                    keyed.push((tk, b));
+                }
+            }
+            keyed.sort_unstable();
+            assert!(keyed.windows(2).all(|w| w[0].1 < w[1].1), "{base:#x}");
+            for (_, b) in keyed {
+                hit[b] = true;
+            }
+        }
+        // Every bucket a key can reach was reached: a key's digit exceeds
+        // the base's, so digit 0 never is, nor are the top level's digits
+        // 0..=8 (every image has its top bit set).
+        for (b, &h) in hit.iter().enumerate() {
+            let (level, digit) = ((b.max(1) - 1) / DIGITS, (b.max(1) - 1) % DIGITS);
+            let reachable = b == 0 || (digit > 0 && (level < 15 || digit > 8));
+            assert_eq!(h, reachable, "bucket {b}");
+        }
     }
 
     #[test]
